@@ -10,6 +10,8 @@ fixed seed and config: no timestamps, no environment leakage.
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
 import json
 import math
 import sys
@@ -21,18 +23,32 @@ from . import perception as pc
 from .config import ConfigError, apply_overrides, config_from_dict, load_config
 from .harness import (
     PRESETS,
-    compute_metrics,
-    read_logs,
-    report_render,
-    run_experiment,
-    write_logs,
     HarnessError,
+    MetricsTally,
+    iter_logs,
+    iter_trials,
+    report_render,
+    write_logs,
 )
-from .simworld import SimulationError
+from .simworld import InvariantViolation, SimulationError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
+
+
+class UsageError(Exception):
+    """A command-line value that the library rejects."""
+
+
+@contextlib.contextmanager
+def _argument_values():
+    # The library rejects bad parameters with ValueError; when they were
+    # typed on the command line that is a usage error, not a runtime one.
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(f"bad argument: {exc}") from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,18 +103,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args) -> int:
-    spec = pc.NeedleSpec(radius=args.radius, arc_span=math.radians(args.span_deg))
-    noise = pc.NoiseModel(
-        gaussian_sigma=args.sigma,
-        outlier_fraction=args.outliers,
-        occlusion_arc=math.radians(args.occlusion_deg),
-        dropout_fraction=args.dropout,
-    )
-    rng = np.random.default_rng(args.seed)
-    center = rng.uniform(-0.03, 0.03, 3)
-    normal = geo.unit(rng.normal(size=3))
-    pose = pc.make_needle_pose(center, normal, geo.perpendicular_unit(normal), spec)
-    cloud = pc.synth_needle_cloud(pose, spec, noise, args.n_points, rng)
+    with _argument_values():
+        spec = pc.NeedleSpec(radius=args.radius, arc_span=math.radians(args.span_deg))
+        noise = pc.NoiseModel(
+            gaussian_sigma=args.sigma,
+            outlier_fraction=args.outliers,
+            occlusion_arc=math.radians(args.occlusion_deg),
+            dropout_fraction=args.dropout,
+        )
+        rng = np.random.default_rng(args.seed)
+        center = rng.uniform(-0.03, 0.03, 3)
+        normal = geo.unit(rng.normal(size=3))
+        pose = pc.make_needle_pose(center, normal, geo.perpendicular_unit(normal), spec)
+        cloud = pc.synth_needle_cloud(pose, spec, noise, args.n_points, rng)
     pc.save_cloud(args.out, cloud, comment=f"synthetic needle cloud, seed={args.seed}")
     if args.truth:
         record = {
@@ -115,19 +132,20 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    spec = pc.NeedleSpec(radius=args.radius, arc_span=math.radians(args.span_deg))
-    params = pc.RansacParams(
-        iterations=args.iterations,
-        inlier_threshold=args.plane_threshold,
-        min_inliers=args.min_inliers,
-        seed=args.seed,
-    )
-    circle = pc.RansacParams(
-        iterations=args.iterations,
-        inlier_threshold=args.circle_threshold,
-        min_inliers=args.min_inliers,
-        seed=args.seed,
-    )
+    with _argument_values():
+        spec = pc.NeedleSpec(radius=args.radius, arc_span=math.radians(args.span_deg))
+        params = pc.RansacParams(
+            iterations=args.iterations,
+            inlier_threshold=args.plane_threshold,
+            min_inliers=args.min_inliers,
+            seed=args.seed,
+        )
+        circle = pc.RansacParams(
+            iterations=args.iterations,
+            inlier_threshold=args.circle_threshold,
+            min_inliers=args.min_inliers,
+            seed=args.seed,
+        )
     cloud = pc.load_cloud(args.cloud)
     pose, diag = pc.estimate_needle_pose(cloud, spec, params, circle, with_diagnostics=True)
     sys.stdout.write(pc.format_pose_record(pose, diag))
@@ -137,22 +155,28 @@ def _cmd_estimate(args) -> int:
 def _cmd_simulate(args) -> int:
     config = load_config(args.config) if args.config else config_from_dict(None)
     config = apply_overrides(config, preset=args.preset, n_trials=args.trials, base_seed=args.seed)
-    logs = run_experiment(config)
+    # Each trial is tallied and written as it ends; none is kept.
+    tally = MetricsTally()
+    trials = tally.tee(iter_trials(config))
     if args.out:
-        write_logs(logs, args.out)
-    sys.stdout.write(report_render({config.preset: compute_metrics(logs)}, format=args.format))
+        write_logs(trials, args.out, n_trials=config.n_trials)
+    else:
+        for _ in trials:
+            pass
+    sys.stdout.write(report_render({config.preset: tally.report()}, format=args.format))
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
-    logs = read_logs(args.logs)
-    if not logs:
+    # iter_logs checks the header's trial count after the last trial, so
+    # nothing is printed for a log that fails any check.
+    tallies: dict[str, MetricsTally] = collections.defaultdict(MetricsTally)
+    for log in iter_logs(args.logs):
+        tallies[log.preset].add(log)
+    if not tallies:
         print("error: log file contains no trials", file=sys.stderr)
         return EXIT_RUNTIME
-    grouped: dict = {}
-    for log in logs:
-        grouped.setdefault(log.preset, []).append(log)
-    metrics = {preset: compute_metrics(group) for preset, group in grouped.items()}
+    metrics = {preset: tally.report() for preset, tally in tallies.items()}
     sys.stdout.write(report_render(metrics, format=args.format))
     return EXIT_OK
 
@@ -170,13 +194,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (pc.EstimationError, pc.CloudFormatError, SimulationError, HarnessError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except OSError as exc:
+    except (
+        pc.EstimationError,
+        pc.CloudFormatError,
+        SimulationError,
+        InvariantViolation,
+        HarnessError,
+        OSError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

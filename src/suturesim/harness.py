@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 
 from .controller import ControllerParams, PipelineState, PrimitiveSet, run_suture
@@ -182,61 +183,99 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialLog:
     )
 
 
+def iter_trials(config: ExperimentConfig) -> Iterator[TrialLog]:
+    """n_trials independent trials, each yielded as soon as it ends.
+
+    Trial k is seeded base_seed + k.
+    """
+    for k in range(config.n_trials):
+        yield run_trial(config, k)
+
+
 def run_experiment(config: ExperimentConfig) -> list[TrialLog]:
-    """n_trials independent trials; trial k is seeded base_seed + k."""
-    return [run_trial(config, k) for k in range(config.n_trials)]
+    """All of iter_trials' trials, in a list."""
+    return list(iter_trials(config))
 
 
 # ---------------------------------------------------------------------------
 # Metrics
 
 
-def compute_metrics(logs: list[TrialLog]) -> MetricsReport:
-    if not logs:
-        raise HarnessError("cannot compute metrics over zero trials")
+class MetricsTally:
+    """Single-pass metrics accumulator.
 
-    completed = [log.sutures_completed for log in logs]
-    attempts = 0
-    successes = 0
-    error_counts = {"I": 0, "E": 0, "H": 0, "T": 0}
-    intervention_gaps: list[int] = []
-    total_elapsed = 0.0
+    `add` counts one trial and keeps only integers and a clock sum, never
+    the trial's events, so a sweep of any length is tallied in constant
+    memory.
+    """
 
-    for log in logs:
-        total_elapsed += log.elapsed
+    def __init__(self):
+        self.n_trials = 0
+        self.closed_wounds = 0
+        self.attempts = 0
+        self.successes = 0
+        self.total_elapsed = 0.0
+        self.error_counts = {"I": 0, "E": 0, "H": 0, "T": 0}
+        self.intervention_gaps = 0
+        self.interventions = 0
+        self.histogram = [0] * 7  # trials by sutures completed
+
+    def add(self, log: TrialLog) -> None:
+        self.n_trials += 1
+        self.closed_wounds += log.status == "wound_closed"
+        self.total_elapsed += log.elapsed
+        if log.sutures_completed >= len(self.histogram):
+            self.histogram += [0] * (log.sutures_completed + 1 - len(self.histogram))
+        self.histogram[log.sutures_completed] += 1
         closed_since_intervention = 0
         for event in log.events:
             kind = event.get("kind")
             if kind == "suture_attempt":
-                attempts += 1
+                self.attempts += 1
             elif kind == "suture_closed":
-                successes += 1
+                self.successes += 1
                 closed_since_intervention += 1
             elif kind == "suture_failed":
                 err = event.get("error")
-                if err in error_counts:
-                    error_counts[err] += 1
+                if err in self.error_counts:
+                    self.error_counts[err] += 1
             elif kind == "intervention":
-                intervention_gaps.append(closed_since_intervention)
+                self.intervention_gaps += closed_since_intervention
+                self.interventions += 1
                 closed_since_intervention = 0
 
-    bins = [0] * (max(completed + [6]) + 1)
-    for c in completed:
-        bins[c] += 1
+    def tee(self, logs: Iterable[TrialLog]) -> Iterator[TrialLog]:
+        """Yield each log unchanged after adding it to the tally."""
+        for log in logs:
+            self.add(log)
+            yield log
 
-    return MetricsReport(
-        n_trials=len(logs),
-        mean_sutures_to_failure=sum(completed) / len(logs),
-        single_suture_success_rate=(successes / attempts) if attempts else 0.0,
-        three_throw_success_rate=sum(c >= 3 for c in completed) / len(logs),
-        full_wound_success_rate=sum(log.status == "wound_closed" for log in logs) / len(logs),
-        mean_time_per_suture=(total_elapsed / successes) if successes else None,
-        error_counts=error_counts,
-        mean_sutures_to_intervention=(
-            sum(intervention_gaps) / len(intervention_gaps) if intervention_gaps else None
-        ),
-        histogram=bins,
-    )
+    def report(self) -> MetricsReport:
+        n = self.n_trials
+        if not n:
+            raise HarnessError("cannot compute metrics over zero trials")
+        bins = self.histogram
+        return MetricsReport(
+            n_trials=n,
+            mean_sutures_to_failure=sum(k * c for k, c in enumerate(bins)) / n,
+            single_suture_success_rate=(self.successes / self.attempts) if self.attempts else 0.0,
+            three_throw_success_rate=sum(bins[3:]) / n,
+            full_wound_success_rate=self.closed_wounds / n,
+            mean_time_per_suture=(self.total_elapsed / self.successes) if self.successes else None,
+            error_counts=dict(self.error_counts),
+            mean_sutures_to_intervention=(
+                self.intervention_gaps / self.interventions if self.interventions else None
+            ),
+            histogram=list(bins),
+        )
+
+
+def compute_metrics(logs: Iterable[TrialLog]) -> MetricsReport:
+    """Metrics over any iterable of trials, in one pass."""
+    tally = MetricsTally()
+    for log in logs:
+        tally.add(log)
+    return tally.report()
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +286,20 @@ def _dump(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-def write_logs(logs: list[TrialLog], path) -> None:
+def write_logs(logs: Iterable[TrialLog], path, n_trials: int | None = None) -> None:
+    """Write a header announcing n_trials, then each trial as it arrives.
+
+    `logs` may be any iterable, consumed once; n_trials defaults to
+    len(logs). A run that dies mid-sweep leaves a log whose trial count
+    falls short of its header, which read_logs rejects.
+    """
+    if n_trials is None:
+        n_trials = len(logs)
+    written = 0
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dump({"record": "header", "version": LOG_FORMAT_VERSION, "n_trials": len(logs)}) + "\n")
+        fh.write(_dump({"record": "header", "version": LOG_FORMAT_VERSION, "n_trials": n_trials}) + "\n")
         for log in logs:
+            written += 1
             fh.write(
                 _dump(
                     {
@@ -277,13 +326,21 @@ def write_logs(logs: list[TrialLog], path) -> None:
                 )
                 + "\n"
             )
+    if written != n_trials:
+        raise HarnessError(f"{path}: header announces {n_trials} trials but {written} were written")
 
 
-def read_logs(path) -> list[TrialLog]:
-    logs: list[TrialLog] = []
+def iter_logs(path) -> Iterator[TrialLog]:
+    """Parse a log one trial at a time, yielding each at its trial_end.
+
+    Only the open trial's events are held. The header's trial count is
+    checked once the file ends, so a consumer that tallies before it
+    prints shows nothing for a log cut at a trial boundary.
+    """
     open_trial: dict | None = None
     events: list = []
-    saw_header = False
+    n_trials: int | None = None
+    read = 0
     lineno = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -295,7 +352,7 @@ def read_logs(path) -> list[TrialLog]:
             except json.JSONDecodeError as exc:
                 raise LogFormatError(f"line {lineno}: not valid JSON ({exc.msg})") from exc
             kind = record.get("record")
-            if not saw_header:
+            if n_trials is None:
                 # the first non-blank record must be the header
                 if kind != "header":
                     raise LogFormatError(f"line {lineno}: expected header record, got {kind!r}")
@@ -303,7 +360,9 @@ def read_logs(path) -> list[TrialLog]:
                     raise LogFormatError(
                         f"line {lineno}: unsupported log version {record.get('version')!r}"
                     )
-                saw_header = True
+                n_trials = record.get("n_trials")
+                if type(n_trials) is not int or n_trials < 0:
+                    raise LogFormatError(f"line {lineno}: bad trial count {n_trials!r} in header")
                 continue
             if kind == "trial_start":
                 if open_trial is not None:
@@ -319,30 +378,37 @@ def read_logs(path) -> list[TrialLog]:
             elif kind == "trial_end":
                 if open_trial is None or record.get("trial") != open_trial["trial"]:
                     raise LogFormatError(f"line {lineno}: trial_end without matching trial_start")
-                logs.append(
-                    TrialLog(
-                        trial=open_trial["trial"],
-                        seed=open_trial["seed"],
-                        preset=open_trial["preset"],
-                        status=record["status"],
-                        error=record["error"],
-                        sutures_completed=record["sutures_completed"],
-                        elapsed=record["elapsed"],
-                        events=events,
-                    )
+                read += 1
+                yield TrialLog(
+                    trial=open_trial["trial"],
+                    seed=open_trial["seed"],
+                    preset=open_trial["preset"],
+                    status=record["status"],
+                    error=record["error"],
+                    sutures_completed=record["sutures_completed"],
+                    elapsed=record["elapsed"],
+                    events=events,
                 )
                 open_trial = None
             elif kind == "header":
                 raise LogFormatError(f"line {lineno}: duplicate header")
             else:
                 raise LogFormatError(f"line {lineno}: unknown record type {kind!r}")
-    if not saw_header:
+    if n_trials is None:
         raise LogFormatError("line 1: empty file (missing header)")
     if open_trial is not None:
         raise LogFormatError(
             f"line {lineno}: file ends inside trial {open_trial['trial']} (truncated?)"
         )
-    return logs
+    if read != n_trials:
+        raise LogFormatError(
+            f"line {lineno}: file ends after {read} trials, header announces {n_trials} (truncated?)"
+        )
+
+
+def read_logs(path) -> list[TrialLog]:
+    """All of iter_logs' trials, in a list."""
+    return list(iter_logs(path))
 
 
 # ---------------------------------------------------------------------------

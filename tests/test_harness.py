@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from suturesim.harness import (
     validate_event_trace,
     write_logs,
 )
-from suturesim.simworld import FailureModel, NoiseModel
+from suturesim.simworld import FailureModel, InvariantViolation, NoiseModel
 
 ZERO_NOISE = NoiseModel(
     gaussian_sigma=0.0, outlier_fraction=0.0, dropout_fraction=0.0, occlusion_arc=0.0
@@ -254,6 +255,20 @@ def test_log_writes_are_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def first_trial_end(lines):
+    return next(i for i, line in enumerate(lines) if '"record":"trial_end"' in line)
+
+
+def test_log_writes_from_an_iterator_match_a_list(tmp_path, nominal_logs):
+    _, logs = nominal_logs
+    listed, streamed = tmp_path / "list.jsonl", tmp_path / "iter.jsonl"
+    write_logs(logs, listed)
+    write_logs(iter(logs), streamed, n_trials=len(logs))
+    assert streamed.read_bytes() == listed.read_bytes()
+    with pytest.raises(hn.HarnessError, match="header announces 4 trials but 3"):
+        write_logs(iter(logs), tmp_path / "short.jsonl", n_trials=4)
+
+
 @pytest.mark.parametrize(
     "mutate,fragment",
     [
@@ -269,6 +284,8 @@ def test_log_writes_are_byte_identical(tmp_path):
             "outside its trial",
         ),
         (lambda lines: lines[:1] + ['{"record":"wat"}'] + lines[1:], "unknown record"),
+        (lambda lines: lines[: first_trial_end(lines) + 1], "header announces 3"),
+        (lambda lines: [lines[0].replace('"n_trials":3', '"n_trials":"3"')] + lines[1:], "bad trial count"),
     ],
 )
 def test_malformed_log_files_raise(tmp_path, nominal_logs, mutate, fragment):
@@ -465,6 +482,41 @@ def test_cli_missing_logs_is_runtime_exit(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_bad_argument_value_is_usage_exit(tmp_path, capsys):
+    rc = cli.main(["synth", "--out", str(tmp_path / "c.csv"), "--sigma", "-1"])
+    assert rc == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "gaussian_sigma" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_cli_invariant_violation_is_runtime_exit(tmp_path, capsys, monkeypatch):
+    def broken_trial(config, trial_index):
+        raise InvariantViolation("dual grasp outside handover window")
+
+    monkeypatch.setattr(hn, "run_trial", broken_trial)
+    rc = cli.main(["simulate", "--preset", "sensing_only", "--trials", "1"])
+    assert rc == cli.EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: dual grasp outside handover window\n"
+
+
+def test_cli_report_rejects_log_cut_at_trial_boundary(tmp_path, capsys):
+    log = tmp_path / "run.jsonl"
+    argv = ["simulate", "--preset", "sensing_only", "--trials", "2", "--out", str(log)]
+    assert cli.main(argv) == cli.EXIT_OK
+    lines = log.read_text().splitlines()
+    log.write_text("\n".join(lines[: first_trial_end(lines) + 1]) + "\n")
+    capsys.readouterr()
+
+    assert cli.main(["report", "--logs", str(log)]) == cli.EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line ") and "header announces 2" in captured.err
+
+
 def test_cli_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["simulate", "--preset", "bogus"])
@@ -505,3 +557,30 @@ def test_cli_runs_are_byte_identical(tmp_path, capsys):
     second = capsys.readouterr().out
     assert out1.read_bytes() == out2.read_bytes()
     assert first == second
+
+
+def test_cli_sweep_memory_does_not_grow_with_trial_count(tmp_path, capsys):
+    # simulate writes each trial as it finishes and report reads the log one
+    # trial at a time, so a 16-trial sweep peaks about where a 4-trial one does
+    def peak_kib(argv):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert cli.main(argv) == cli.EXIT_OK
+        capsys.readouterr()
+        return (tracemalloc.get_traced_memory()[1] - base) / 1024
+
+    def sweep(n):
+        log = tmp_path / f"{n}.jsonl"
+        simulate = peak_kib(
+            ["simulate", "--preset", "stitch_human", "--trials", str(n), "--out", str(log)]
+        )
+        return simulate, peak_kib(["report", "--logs", str(log)])
+
+    tracemalloc.start()
+    try:
+        sweep(1)  # warm-up: first-call allocations do not count against either size
+        small, large = sweep(4), sweep(16)
+    finally:
+        tracemalloc.stop()
+    for command, a, b in zip(("simulate", "report"), small, large):
+        assert b <= 1.5 * a, f"{command}: {a:.0f} KiB at 4 trials, {b:.0f} KiB at 16"
