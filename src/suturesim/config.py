@@ -17,7 +17,7 @@ import yaml
 from .controller import ControllerParams
 from .harness import ExperimentConfig, PRESETS
 from .perception import NeedleSpec, NoiseModel, RansacParams
-from .simworld import FailureModel, TimingModel, make_wound
+from .simworld import FailureModel, TimingModel, make_wound, suture_targets
 
 
 class ConfigError(ValueError):
@@ -217,6 +217,15 @@ def config_from_dict(data: dict | None) -> ExperimentConfig:
         wound = make_wound(**wound_kw)
     except ValueError as exc:
         raise ConfigError(f"wound: {exc}") from exc
+    # Otherwise every trial dies setting up its first suture.
+    try:
+        for i in range(1, wound.n_target_sutures + 1):
+            suture_targets(wound, i, needle.radius)
+    except ValueError as exc:
+        raise ConfigError(
+            f"wound.ridge_half_width, needle.radius: suture {i}: {exc} "
+            f"({2.0 * needle.radius:g} m)"
+        ) from exc
 
     if data:
         raise ConfigError(f"{sorted(data)[0]}: unknown section")

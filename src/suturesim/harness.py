@@ -9,8 +9,11 @@ time.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import os
+import pickle
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 
@@ -118,6 +121,8 @@ class TrialLog:
     def __post_init__(self):
         if self.status not in ("wound_closed", "failed"):
             raise ValueError(f"unknown terminal status {self.status!r}")
+        if self.sutures_completed < 0:
+            raise ValueError(f"negative sutures_completed {self.sutures_completed}")
 
 
 @dataclass
@@ -184,12 +189,39 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialLog:
 
 
 def iter_trials(config: ExperimentConfig) -> Iterator[TrialLog]:
-    """n_trials independent trials, each yielded as soon as it ends.
+    """n_trials independent trials, yielded in trial order as each is ready.
 
-    Trial k is seeded base_seed + k.
+    Trial k is seeded base_seed + k, so trials share no state and run on a
+    process pool with one worker per CPU this process may use, at most
+    n_trials. Below two workers they run here, one after another, so
+    `taskset -c 0` gives a serial run. The trials are the same either way.
     """
-    for k in range(config.n_trials):
-        yield run_trial(config, k)
+    workers = min(len(os.sched_getaffinity(0)), config.n_trials)
+    if workers < 2:
+        for k in range(config.n_trials):
+            yield run_trial(config, k)
+        return
+    # Imported here so that a serial sweep, or a program that only loads
+    # a config, does not pay for it.
+    import multiprocessing
+
+    # fork, not spawn: workers start with this process's modules loaded, so
+    # they re-import nothing and call run_trial as it is bound here. Leaving
+    # the block, by exhaustion, an exception or close(), ends the workers.
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        trials = functools.partial(_run_trial_in_worker, config)
+        for pickled in pool.imap(trials, range(config.n_trials)):
+            yield pickle.loads(pickled)
+
+
+def _run_trial_in_worker(config: ExperimentConfig, trial_index: int) -> bytes:
+    # The pool pickles this function by name, so run_trial is looked up
+    # when a worker calls it: a wrapped or replaced run_trial need not
+    # pickle. The trial goes back pickled and is unpickled only when its
+    # turn comes: a trial that ends ahead of its turn waits in the parent
+    # as bytes, several times smaller than its events as objects, so the
+    # parent's peak memory hardly depends on the order trials end in.
+    return pickle.dumps(run_trial(config, trial_index), pickle.HIGHEST_PROTOCOL)
 
 
 def run_experiment(config: ExperimentConfig) -> list[TrialLog]:
@@ -330,6 +362,25 @@ def write_logs(logs: Iterable[TrialLog], path, n_trials: int | None = None) -> N
         raise HarnessError(f"{path}: header announces {n_trials} trials but {written} were written")
 
 
+# record kind -> {field: accepted JSON types}; bool is never accepted for a number
+_TRIAL_START_FIELDS = {"trial": (int,), "seed": (int,), "preset": (str,)}
+_EVENT_FIELDS = {"data": (dict,)}
+_TRIAL_END_FIELDS = {
+    "status": (str,),
+    "error": (str, type(None)),
+    "sutures_completed": (int,),
+    "elapsed": (int, float),
+}
+
+
+def _check_fields(record: dict, fields: dict, lineno: int) -> None:
+    for name, types in fields.items():
+        value = record.get(name)
+        if type(value) not in types:
+            state = "missing" if name not in record else f"bad ({value!r:.40})"
+            raise LogFormatError(f"line {lineno}: {record['record']} field {name!r} {state}")
+
+
 def iter_logs(path) -> Iterator[TrialLog]:
     """Parse a log one trial at a time, yielding each at its trial_end.
 
@@ -351,6 +402,8 @@ def iter_logs(path) -> Iterator[TrialLog]:
                 record = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise LogFormatError(f"line {lineno}: not valid JSON ({exc.msg})") from exc
+            if type(record) is not dict:
+                raise LogFormatError(f"line {lineno}: expected a JSON object, got {raw[:40]!r}")
             kind = record.get("record")
             if n_trials is None:
                 # the first non-blank record must be the header
@@ -369,26 +422,33 @@ def iter_logs(path) -> Iterator[TrialLog]:
                     raise LogFormatError(
                         f"line {lineno}: trial_start while trial {open_trial['trial']} is open"
                     )
+                _check_fields(record, _TRIAL_START_FIELDS, lineno)
                 open_trial = record
                 events = []
             elif kind == "event":
                 if open_trial is None or record.get("trial") != open_trial["trial"]:
                     raise LogFormatError(f"line {lineno}: event outside its trial")
+                _check_fields(record, _EVENT_FIELDS, lineno)
                 events.append(record["data"])
             elif kind == "trial_end":
                 if open_trial is None or record.get("trial") != open_trial["trial"]:
                     raise LogFormatError(f"line {lineno}: trial_end without matching trial_start")
+                _check_fields(record, _TRIAL_END_FIELDS, lineno)
+                try:
+                    log = TrialLog(
+                        trial=open_trial["trial"],
+                        seed=open_trial["seed"],
+                        preset=open_trial["preset"],
+                        status=record["status"],
+                        error=record["error"],
+                        sutures_completed=record["sutures_completed"],
+                        elapsed=record["elapsed"],
+                        events=events,
+                    )
+                except ValueError as exc:
+                    raise LogFormatError(f"line {lineno}: {exc}") from exc
                 read += 1
-                yield TrialLog(
-                    trial=open_trial["trial"],
-                    seed=open_trial["seed"],
-                    preset=open_trial["preset"],
-                    status=record["status"],
-                    error=record["error"],
-                    sutures_completed=record["sutures_completed"],
-                    elapsed=record["elapsed"],
-                    events=events,
-                )
+                yield log
                 open_trial = None
             elif kind == "header":
                 raise LogFormatError(f"line {lineno}: duplicate header")

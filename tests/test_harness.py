@@ -1,6 +1,11 @@
 import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,6 +264,15 @@ def first_trial_end(lines):
     return next(i for i, line in enumerate(lines) if '"record":"trial_end"' in line)
 
 
+def edit_first_trial_end(old, new):
+    def mutate(lines):
+        k = first_trial_end(lines)
+        assert old in lines[k]
+        return lines[:k] + [lines[k].replace(old, new)] + lines[k + 1 :]
+
+    return mutate
+
+
 def test_log_writes_from_an_iterator_match_a_list(tmp_path, nominal_logs):
     _, logs = nominal_logs
     listed, streamed = tmp_path / "list.jsonl", tmp_path / "iter.jsonl"
@@ -286,9 +300,17 @@ def test_log_writes_from_an_iterator_match_a_list(tmp_path, nominal_logs):
         (lambda lines: lines[:1] + ['{"record":"wat"}'] + lines[1:], "unknown record"),
         (lambda lines: lines[: first_trial_end(lines) + 1], "header announces 3"),
         (lambda lines: [lines[0].replace('"n_trials":3', '"n_trials":"3"')] + lines[1:], "bad trial count"),
+        (lambda lines: lines[:1] + ["5"] + lines[1:], "line 2: expected a JSON object"),
+        (edit_first_trial_end('"status":"wound_closed",', ""), "'status' missing"),
+        (
+            edit_first_trial_end('"sutures_completed":6', '"sutures_completed":"x"'),
+            "'sutures_completed' bad ('x')",
+        ),
+        (edit_first_trial_end('"sutures_completed":6', '"sutures_completed":-1'), "negative"),
+        (edit_first_trial_end('"status":"wound_closed"', '"status":"closed"'), "terminal status"),
     ],
 )
-def test_malformed_log_files_raise(tmp_path, nominal_logs, mutate, fragment):
+def test_malformed_log_files_raise(tmp_path, capsys, nominal_logs, mutate, fragment):
     _, logs = nominal_logs
     path = tmp_path / "logs.jsonl"
     write_logs(logs, path)
@@ -299,6 +321,10 @@ def test_malformed_log_files_raise(tmp_path, nominal_logs, mutate, fragment):
         read_logs(bad)
     assert fragment in str(err.value)
     assert "line" in str(err.value)
+    assert cli.main(["report", "--logs", str(bad)]) == cli.EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err.value}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -491,13 +517,16 @@ def test_cli_bad_argument_value_is_usage_exit(tmp_path, capsys):
     assert not (tmp_path / "c.csv").exists()
 
 
-def test_cli_invariant_violation_is_runtime_exit(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("trials", ["1", "4"])  # 4 trials raise in pool workers
+def test_cli_invariant_violation_is_runtime_exit(tmp_path, capsys, monkeypatch, trials):
     def broken_trial(config, trial_index):
         raise InvariantViolation("dual grasp outside handover window")
 
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     monkeypatch.setattr(hn, "run_trial", broken_trial)
-    rc = cli.main(["simulate", "--preset", "sensing_only", "--trials", "1"])
+    rc = cli.main(["simulate", "--preset", "sensing_only", "--trials", trials])
     assert rc == cli.EXIT_RUNTIME
+    assert multiprocessing.active_children() == []
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: dual grasp outside handover window\n"
@@ -584,3 +613,60 @@ def test_cli_sweep_memory_does_not_grow_with_trial_count(tmp_path, capsys):
         tracemalloc.stop()
     for command, a, b in zip(("simulate", "report"), small, large):
         assert b <= 1.5 * a, f"{command}: {a:.0f} KiB at 4 trials, {b:.0f} KiB at 16"
+
+
+def test_serial_and_parallel_sweeps_match(tmp_path, capsys, monkeypatch):
+    # one CPU runs the trials in this process; three run them in a pool
+    parent, real_trial = os.getpid(), hn.run_trial
+    outputs = {}
+    for cpus in (1, 3):
+
+        def located_trial(config, trial_index, serial=cpus == 1):
+            assert (os.getpid() == parent) == serial
+            return real_trial(config, trial_index)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        monkeypatch.setattr(hn, "run_trial", located_trial)
+        log = tmp_path / f"{cpus}.jsonl"
+        argv = ["simulate", "--preset", "stitch_human", "--trials", "6", "--out", str(log)]
+        assert cli.main(argv) == cli.EXIT_OK
+        outputs[cpus] = (log.read_bytes(), capsys.readouterr().out)
+        assert multiprocessing.active_children() == []
+    assert outputs[1] == outputs[3]
+
+    trials = hn.iter_trials(fast_config(preset="sensing_only", n_trials=6))
+    assert next(trials).trial == 0
+    trials.close()
+    assert multiprocessing.active_children() == []
+
+
+def test_loading_a_config_imports_no_multiprocessing():
+    # the pool's modules are imported by a parallel sweep, not at start-up
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import sys, suturesim; suturesim.load_config('configs/default.yaml'); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "section,field,value",
+    [("wound", "ridge_half_width", 0.013), ("needle", "radius", 0.004)],
+)
+def test_wound_the_needle_cannot_span_is_rejected_at_load(tmp_path, capsys, section, field, value):
+    with pytest.raises(ConfigError, match="exceeds the needle diameter"):
+        config_from_dict({section: {field: value}})
+    cfg = tmp_path / "wide.yaml"
+    cfg.write_text(f"{section}:\n  {field}: {value}\n")
+    assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"{section}.{field}" in captured.err
