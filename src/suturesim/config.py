@@ -117,7 +117,6 @@ _NOISE = {
     "outlier_fraction": ("outlier_fraction", _number),
     "outlier_box": ("outlier_box", _triple),
     "dropout_fraction": ("dropout_fraction", _number),
-    "occlusion_arc_deg": ("occlusion_arc", _degrees),
 }
 
 _RANSAC = {

@@ -16,7 +16,7 @@ from the approaching jaw to its target.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -57,10 +57,6 @@ class ExtractionPlanError(PlanError):
 
 class CinchError(ControllerError):
     """The cinch schedule asks for a negative pull."""
-
-
-class HandoverError(ControllerError):
-    pass
 
 
 class CorrectionError(ControllerError):
@@ -156,12 +152,9 @@ class PrimitiveSet:
 
 @dataclass
 class StepOutcome:
-    state_before: PipelineState
     state_after: PipelineState
     retries_used: int
-    events: list
     error: ErrorKind | None = None
-    detail: str = ""
 
 
 class _PhaseFailure(Exception):
@@ -356,9 +349,8 @@ def aggregate_normals(normals) -> np.ndarray:
 # World-driving primitives
 
 
-def sweep_thread(world: WorldState, wound: WoundSpec, params: ControllerParams) -> StepOutcome:
+def sweep_thread(world: WorldState, wound: WoundSpec, params: ControllerParams) -> None:
     """Drag the free jaw down the wound centerline to clear loose thread."""
-    start_idx = len(world.events)
     gripper = GripperId.LEFT if world.needle_holder != GripperId.LEFT else GripperId.RIGHT
     ys = wound.entry_points[:, 1]
     margin = 0.01
@@ -368,19 +360,15 @@ def sweep_thread(world: WorldState, wound: WoundSpec, params: ControllerParams) 
     world.execute(gripper, MoveTo(RigidTransform.from_translation(start)))
     world.execute(gripper, Translate(tuple(run)))
     world.mark_swept()
-    return StepOutcome(
-        PipelineState.SWEEP, PipelineState.SWEEP, 0, world.events[start_idx:]
-    )
 
 
-def pose_correction(world: WorldState, params: ControllerParams) -> StepOutcome:
+def pose_correction(world: WorldState, params: ControllerParams) -> None:
     """Re-canonicalize the held needle at the low-variance corner.
 
     Aggregates normal_samples estimates, rotates the sampled mean normal
     onto +y, then applies the fixed final rotation about world +y that
     maps the jaw's seated grip back to the pre-insertion orientation.
     """
-    start_idx = len(world.events)
     holder = world.needle_holder
     if holder is None:
         raise ControllerError("pose correction requires a held needle")
@@ -425,12 +413,6 @@ def pose_correction(world: WorldState, params: ControllerParams) -> StepOutcome:
         # A grossly wrong normal estimate can demand a swing that leaves the
         # workspace; surface it as a failed correction, not a dead run.
         raise CorrectionError(f"corrective rotation infeasible: {exc}") from exc
-    return StepOutcome(
-        PipelineState.POSE_CORRECTION,
-        PipelineState.POSE_CORRECTION,
-        0,
-        world.events[start_idx:],
-    )
 
 
 def _insertion(world: WorldState, i: int, params: ControllerParams) -> None:
@@ -560,7 +542,9 @@ def _handover(world: WorldState, params: ControllerParams) -> int:
 # The per-suture state machine
 
 
-_NEXT = {
+# The forward edges of the per-suture state machine; harness.validate_event_trace
+# reads this table to check a trace's transitions.
+NEXT_STATE = {
     PipelineState.INSERTION: PipelineState.SWEEP,
     PipelineState.SWEEP: PipelineState.EXTRACTION,
     PipelineState.EXTRACTION: PipelineState.CINCH,
@@ -582,7 +566,6 @@ def run_suture(
         raise ControllerError(
             f"world is set up for suture {world.suture_index}, not {i}"
         )
-    start_idx = len(world.events)
     world.set_context(suture=i)
     retries = 0
     while True:
@@ -604,21 +587,9 @@ def run_suture(
                         to=PipelineState.INSERTION.value,
                     )
                     continue
-            return StepOutcome(
-                PipelineState.INSERTION,
-                PipelineState.FAILED,
-                retries,
-                world.events[start_idx:],
-                error=failure.kind,
-                detail=failure.detail,
-            )
+            return StepOutcome(PipelineState.FAILED, retries, error=failure.kind)
         world.log_event("suture_closed")
-        return StepOutcome(
-            PipelineState.INSERTION,
-            PipelineState.DONE,
-            retries,
-            world.events[start_idx:],
-        )
+        return StepOutcome(PipelineState.DONE, retries)
 
 
 def _attempt_suture(

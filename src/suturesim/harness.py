@@ -17,9 +17,13 @@ import pickle
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 
-from .controller import ControllerParams, PipelineState, PrimitiveSet, run_suture
-from .perception import NeedleSpec, NoiseModel, RansacParams, DEFAULT_CIRCLE_THRESHOLD
+from .controller import NEXT_STATE, ControllerParams, PipelineState, PrimitiveSet, run_suture
+from .perception import NeedleSpec, NoiseModel, RansacParams
 from .simworld import (
+    SIM_CIRCLE_RANSAC,
+    SIM_CLOUD_POINTS,
+    SIM_NOISE,
+    SIM_RANSAC,
     FailureModel,
     ThreadState,
     TimingModel,
@@ -37,14 +41,6 @@ PRESETS: dict[str, tuple[PrimitiveSet, int]] = {
     "stitch": (PrimitiveSet(sweep=True, cinch=True, correction=True), 0),
     "stitch_human": (PrimitiveSet(sweep=True, cinch=True, correction=True), 2),
 }
-
-#: shipped simulator sensing noise (the estimator is tested against far
-#: harsher clouds separately; this is the plant model for closed-loop runs)
-DEFAULT_SIM_NOISE = NoiseModel(
-    gaussian_sigma=3e-4,
-    outlier_fraction=0.05,
-    dropout_fraction=0.05,
-)
 
 
 class HarnessError(RuntimeError):
@@ -69,19 +65,12 @@ class ExperimentConfig:
     controller: ControllerParams = field(default_factory=ControllerParams)
     failures: FailureModel = field(default_factory=FailureModel)
     timing: TimingModel = field(default_factory=TimingModel)
-    noise: NoiseModel = field(default_factory=lambda: replace(DEFAULT_SIM_NOISE))
-    # In-loop sensing runs against the benign plant noise above, where
-    # consensus saturates long before the offline estimator's default
-    # hypothesis budget; fewer iterations keep 2000-trial sweeps fast.
-    ransac: RansacParams = field(default_factory=lambda: RansacParams(iterations=120))
-    circle_ransac: RansacParams = field(
-        default_factory=lambda: RansacParams(
-            iterations=120, inlier_threshold=DEFAULT_CIRCLE_THRESHOLD
-        )
-    )
+    noise: NoiseModel = SIM_NOISE
+    ransac: RansacParams = SIM_RANSAC
+    circle_ransac: RansacParams = SIM_CIRCLE_RANSAC
     needle: NeedleSpec = field(default_factory=NeedleSpec)
     wound: WoundSpec = field(default_factory=make_wound)
-    n_cloud_points: int = 140
+    n_cloud_points: int = SIM_CLOUD_POINTS
     thread_length: float = 0.40
 
     def __post_init__(self):
@@ -91,6 +80,8 @@ class ExperimentConfig:
             )
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be >= 0")
         if self.n_cloud_points < 1:
             raise ValueError("n_cloud_points must be >= 1")
         if not (self.thread_length > 0.0):
@@ -555,14 +546,7 @@ def report_render(metrics, format: str = "table") -> str:
 
 
 _STATES = [s.value for s in PipelineState]
-_FORWARD = {
-    "insertion": "sweep",
-    "sweep": "extraction",
-    "extraction": "cinch",
-    "cinch": "handover",
-    "handover": "pose_correction",
-    "pose_correction": "done",
-}
+_FORWARD = {a.value: b.value for a, b in NEXT_STATE.items()}
 _RETRYABLE = ("extraction", "handover")
 
 

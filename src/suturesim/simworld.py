@@ -43,6 +43,16 @@ WORKSPACE_MAX = np.array([0.12, 0.12, 0.15])
 
 _ARC_SCAN = 720  # samples along the needle body for burial / distance queries
 
+# In-loop sensing defaults, for make_world and harness.ExperimentConfig alike.
+# SIM_NOISE is the plant model for closed-loop runs; the estimator is tested
+# against far harsher clouds separately. Against this benign noise, consensus
+# saturates long before the offline estimator's default hypothesis budget, so
+# 120 RANSAC iterations per stage keep 2000-trial sweeps fast.
+SIM_NOISE = NoiseModel(gaussian_sigma=3e-4, outlier_fraction=0.05, dropout_fraction=0.05)
+SIM_RANSAC = RansacParams(iterations=120)
+SIM_CIRCLE_RANSAC = RansacParams(iterations=120, inlier_threshold=pc.DEFAULT_CIRCLE_THRESHOLD)
+SIM_CLOUD_POINTS = 140
+
 
 class SimulationError(RuntimeError):
     """Base class for simulator failures."""
@@ -254,8 +264,6 @@ class GripperState:
     pose: RigidTransform
     jaw: JawState = JawState.OPEN
     holding: str = "nothing"  # "nothing" | "needle"
-    grasp_point: np.ndarray | None = None
-    grasp_arc_angle: float | None = None
     last_move_dir: np.ndarray | None = None
 
     @property
@@ -268,7 +276,6 @@ class ThreadState:
     total_length: float = 0.40
     pulled_through: float = 0.0
     per_suture_used: list = field(default_factory=list)
-    attached_to_swage: bool = True
 
     def __post_init__(self):
         if not (self.total_length > 0.0):
@@ -342,7 +349,6 @@ class WorldState:
         self,
         spec: NeedleSpec,
         wound: WoundSpec,
-        needle: NeedlePose,
         thread: ThreadState,
         failures: FailureModel,
         timing: TimingModel,
@@ -350,12 +356,10 @@ class WorldState:
         ransac: RansacParams,
         circle_ransac: RansacParams,
         seed: int,
-        n_cloud_points: int = 160,
-        seat_tip_radial: np.ndarray | None = None,
+        n_cloud_points: int = SIM_CLOUD_POINTS,
     ):
         self.spec = spec
         self.wound = wound
-        self.needle_true = needle
         self.thread = thread
         self.failures = failures
         self.timing = timing
@@ -370,10 +374,8 @@ class WorldState:
         # The jaw's stable ("seated") needle orientation: the fixed
         # in-plane angle from which the standard correction rotation
         # recovers the pre-insertion pose.
-        if seat_tip_radial is None:
-            undo = geo.rotation_about_axis(WORLD_Y, -math.pi / 2.0)
-            seat_tip_radial = undo.apply_vector(self.targets[0].ready_tip_radial)
-        self.seat_tip_radial = geo.unit(seat_tip_radial)
+        undo = geo.rotation_about_axis(WORLD_Y, -math.pi / 2.0)
+        self.seat_tip_radial = geo.unit(undo.apply_vector(self.targets[0].ready_tip_radial))
 
         home_z = 0.06
         self.home_poses = {
@@ -389,7 +391,6 @@ class WorldState:
         self.clock = 0.0
         self.events: list[dict] = []
         self.swept = False
-        self.entangled = False
         self.interventions_left = failures.intervention_budget
         self.scripted_grasp_outcomes: list[bool] | None = None  # fault-injection hook
 
@@ -400,6 +401,7 @@ class WorldState:
 
         if len(thread.per_suture_used) == 0:
             thread.per_suture_used = [0.0] * wound.n_target_sutures
+        self._seat_in_right_jaw(1)
 
     # -- context & logging ---------------------------------------------------
 
@@ -503,11 +505,6 @@ class WorldState:
         t = np.clip((pts - seg_a) @ d / dd, 0.0, 1.0)
         closest = seg_a + t[:, None] * d
         return float(np.min(np.linalg.norm(pts - closest, axis=1)))
-
-    def _nearest_arc_point(self, p: np.ndarray) -> tuple[float, np.ndarray]:
-        s, pts = self._arc_samples()
-        k = int(np.argmin(np.linalg.norm(pts - p, axis=1)))
-        return float(s[k]), pts[k]
 
     # -- observation -----------------------------------------------------------
 
@@ -619,8 +616,6 @@ class WorldState:
                 self.needle_true = pc.transform_pose(twist, self.needle_true)
                 self.log_event("disturbance", what="needle_twist", angle=angle)
             self.needle_true = pc.transform_pose(delta, self.needle_true)
-            if g.grasp_point is not None:
-                g.grasp_point = delta.apply(g.grasp_point)
         n = float(np.linalg.norm(displacement))
         if n > 1e-12:
             g.last_move_dir = np.asarray(displacement, dtype=float) / n
@@ -630,8 +625,6 @@ class WorldState:
         if g.holding != "needle":
             return
         g.holding = "nothing"
-        g.grasp_point = None
-        g.grasp_arc_angle = None
         if self._holder is g.id:
             other = self._passive_holder()
             if other is not None:
@@ -687,9 +680,6 @@ class WorldState:
             raise InvariantViolation("second grasp outside the handover window")
         previous = self._holder
         g.holding = "needle"
-        arc_angle, point = self._nearest_arc_point(g.position)
-        g.grasp_point = point
-        g.grasp_arc_angle = arc_angle
         if previous is not None:
             self.grippers[previous].holding = "needle"  # stays on as passive holder
         self._holder = g.id
@@ -697,9 +687,6 @@ class WorldState:
         seated = False
         if not self.needle_buried():
             seated = self._seat_needle()
-            for other in self.grippers.values():
-                if other.holding == "needle":
-                    other.grasp_arc_angle, other.grasp_point = self._nearest_arc_point(other.position)
 
         if self._dual_window and self.scripted_grasp_outcomes is None:
             # Marginal dual grasps can twist the needle when the new
@@ -779,8 +766,6 @@ class WorldState:
             else self.failures.entanglement_prob_unswept
         )
         entangled = float(self.rng.random()) < p
-        if entangled:
-            self.entangled = True
         self.log_event("entanglement_check", swept=swept, entangled=entangled)
         return "entangled" if entangled else "clear"
 
@@ -810,7 +795,7 @@ class WorldState:
 
         The needle is re-seated in the right jaw at the current suture's
         pre-insertion pose, this suture's thread use is returned (the
-        supervisor untangles and re-tensions), and entanglement state is
+        supervisor untangles and re-tensions), and the sweep flag is
         cleared.
         """
         if self.interventions_left <= 0:
@@ -823,25 +808,16 @@ class WorldState:
         self.thread.pulled_through -= used
         self.thread.per_suture_used[i - 1] = 0.0
 
-        self.entangled = False
         self.swept = False
         self._dual_window = False
         self._twist_pending = None
 
-        self.needle_true = self.ready_pose(i)
         for gid, g in self.grippers.items():
             g.pose = self.home_poses[gid]
             g.holding = "nothing"
-            g.grasp_point = None
-            g.grasp_arc_angle = None
             g.jaw = JawState.OPEN
             g.last_move_dir = None
-        right = self.grippers[GripperId.RIGHT]
-        right.jaw = JawState.CLOSED
-        right.holding = "needle"
-        right.pose = RigidTransform.from_translation(self.needle_true.center + 0.004 * WORLD_UP)
-        right.grasp_arc_angle, right.grasp_point = self._nearest_arc_point(right.position)
-        self._holder = GripperId.RIGHT
+        self._seat_in_right_jaw(i)
         self.log_event("intervention", remaining=self.interventions_left, thread_returned=used)
 
     def ready_pose(self, i: int) -> NeedlePose:
@@ -850,12 +826,20 @@ class WorldState:
         hover = t.entry - 0.01 * t.direction + 0.03 * WORLD_UP
         return pc.make_needle_pose(hover, t.true_normal, t.ready_tip_radial, self.spec)
 
+    def _seat_in_right_jaw(self, i: int) -> None:
+        """Put the needle at suture i's ready pose, held in the closed right jaw."""
+        self.needle_true = self.ready_pose(i)
+        right = self.grippers[GripperId.RIGHT]
+        right.jaw = JawState.CLOSED
+        right.holding = "needle"
+        right.pose = RigidTransform.from_translation(self.needle_true.center + 0.004 * WORLD_UP)
+        self._holder = GripperId.RIGHT
+
     def advance_suture(self) -> None:
         if self.suture_index >= self.wound.n_target_sutures:
             raise SimulationError("no sutures left in the wound plan")
         self.suture_index += 1
         self.swept = False
-        self.entangled = False
 
     # -- invariants -----------------------------------------------------------------
 
@@ -886,7 +870,7 @@ def make_world(
     ransac: RansacParams | None = None,
     circle_ransac: RansacParams | None = None,
     thread: ThreadState | None = None,
-    n_cloud_points: int = 160,
+    n_cloud_points: int = SIM_CLOUD_POINTS,
 ) -> WorldState:
     """Assemble a trial-ready world: needle seated in the right jaw, poised
     over the first suture site."""
@@ -894,23 +878,11 @@ def make_world(
     wound = wound or make_wound()
     failures = failures or FailureModel()
     timing = timing or TimingModel()
-    noise = noise if noise is not None else NoiseModel()
-    ransac = ransac or RansacParams()
-    circle_ransac = circle_ransac or RansacParams(inlier_threshold=pc.DEFAULT_CIRCLE_THRESHOLD)
+    noise = noise if noise is not None else SIM_NOISE
+    ransac = ransac or SIM_RANSAC
+    circle_ransac = circle_ransac or SIM_CIRCLE_RANSAC
     thread = thread or ThreadState()
-
-    first = suture_targets(wound, 1, spec.radius)
-    hover = first.entry - 0.01 * first.direction + 0.03 * WORLD_UP
-    needle = pc.make_needle_pose(hover, first.true_normal, first.ready_tip_radial, spec)
-
-    world = WorldState(
-        spec, wound, needle, thread, failures, timing, noise,
+    return WorldState(
+        spec, wound, thread, failures, timing, noise,
         ransac, circle_ransac, seed, n_cloud_points,
     )
-    right = world.grippers[GripperId.RIGHT]
-    right.jaw = JawState.CLOSED
-    right.holding = "needle"
-    right.pose = RigidTransform.from_translation(needle.center + 0.004 * WORLD_UP)
-    right.grasp_arc_angle, right.grasp_point = world._nearest_arc_point(right.position)
-    world._holder = GripperId.RIGHT
-    return world

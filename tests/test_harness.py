@@ -9,8 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from suturesim import cli
+from suturesim import config as cf
 from suturesim import harness as hn
 from suturesim import perception as pc
 from suturesim.config import ConfigError, apply_overrides, config_from_dict, load_config
@@ -31,7 +33,7 @@ from suturesim.harness import (
     validate_event_trace,
     write_logs,
 )
-from suturesim.simworld import FailureModel, InvariantViolation, NoiseModel
+from suturesim.simworld import FailureModel, InvariantViolation, NoiseModel, make_world
 
 ZERO_NOISE = NoiseModel(
     gaussian_sigma=0.0, outlier_fraction=0.0, dropout_fraction=0.0, occlusion_arc=0.0
@@ -396,6 +398,43 @@ def test_default_yaml_mirrors_shipped_defaults():
     assert np.array_equal(loaded.wound.exit_points, default.wound.exit_points)
 
 
+def _dotted_keys(mapping, prefix=""):
+    for key, value in mapping.items():
+        if isinstance(value, dict):
+            yield from _dotted_keys(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+def test_default_yaml_holds_every_accepted_key_and_no_other():
+    tables = {
+        "experiment": cf._EXPERIMENT,
+        "controller": cf._CONTROLLER,
+        "failure_model": cf._FAILURES,
+        "timing": cf._TIMING_SCALARS,
+        "noise": cf._NOISE,
+        "ransac": cf._RANSAC,
+        "circle_ransac": cf._RANSAC,
+        "needle": cf._NEEDLE,
+        "wound": cf._WOUND,
+    }
+    accepted = {f"{section}.{key}" for section, table in tables.items() for key in table}
+    accepted |= {f"timing.durations.{name}" for name in ExperimentConfig().timing.durations}
+    with open("configs/default.yaml", encoding="utf-8") as fh:
+        template = set(_dotted_keys(yaml.safe_load(fh)))
+    assert sorted(accepted - template) == []
+    assert sorted(template - accepted) == []
+
+
+def test_make_world_and_experiment_config_share_in_loop_defaults():
+    world = make_world(0)
+    config = ExperimentConfig()
+    assert world.noise == config.noise
+    assert world.ransac == config.ransac
+    assert world.circle_ransac == config.circle_ransac
+    assert world.n_cloud_points == config.n_cloud_points
+
+
 def test_config_from_none_is_default():
     cfg = config_from_dict(None)
     assert cfg.preset == "stitch"
@@ -405,8 +444,10 @@ def test_config_from_none_is_default():
 def test_degree_fields_convert_to_radians():
     cfg = config_from_dict({"controller": {"insertion_rotation_deg": 60}})
     assert cfg.controller.insertion_rotation == pytest.approx(math.radians(60))
-    cfg = config_from_dict({"noise": {"occlusion_arc_deg": 90}})
-    assert cfg.noise.occlusion_arc == pytest.approx(math.radians(90))
+    # Observations are occluded by burial, so no occlusion key is accepted.
+    with pytest.raises(ConfigError) as err:
+        config_from_dict({"noise": {"occlusion_arc_deg": 90}})
+    assert "noise.occlusion_arc_deg" in str(err.value)
 
 
 def test_unknown_key_is_an_error_with_dotted_path():
@@ -501,6 +542,26 @@ def test_cli_bad_config_is_usage_exit(tmp_path, capsys):
     assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert "controller" in err
+
+
+@pytest.mark.parametrize(
+    "config_text, flags, field_name",
+    [
+        ("noise:\n  occlusion_arc_deg: 90\n", [], "noise.occlusion_arc_deg"),
+        ("experiment:\n  base_seed: -4\n", [], "base_seed"),
+        ("", ["--seed", "-1"], "base_seed"),
+    ],
+    ids=["occlusion_key", "config_seed", "flag_seed"],
+)
+def test_cli_config_rejected_at_load_is_usage_exit(tmp_path, capsys, config_text, flags, field_name):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(config_text)
+    rc = cli.main(["simulate", "--config", str(cfg), "--trials", "1", *flags])
+    assert rc == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and field_name in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_cli_missing_logs_is_runtime_exit(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -368,7 +369,6 @@ def test_entanglement_frequency_and_sweep_effect():
     tangles = sum(world.thread_entanglement_check(False) == "entangled" for _ in range(n))
     assert abs(tangles / n - 0.30) <= 0.015
     # swept probability of zero can never entangle
-    world.entangled = False
     assert all(world.thread_entanglement_check(True) == "clear" for _ in range(200))
 
 
@@ -413,12 +413,10 @@ def test_intervention_budget_and_reset():
         intervention_budget=2,
     )
     world = quiet_world(seed=41, failures=failures)
-    world.entangled = True
     world.pull_thread(0.08)
 
     world.human_intervention()
     assert world.interventions_left == 1
-    assert not world.entangled
     assert world.needle_holder is GripperId.RIGHT
     # the supervisor re-threads: this suture's spent thread is returned
     assert world.thread.pulled_through == pytest.approx(0.0)
@@ -429,6 +427,25 @@ def test_intervention_budget_and_reset():
     assert world.interventions_left == 0
     with pytest.raises(BudgetExhausted):
         world.human_intervention()
+
+
+def test_intervention_reseats_the_needle_as_a_new_world_does():
+    failures = replace(NO_FAILURES, intervention_budget=1)
+    fresh = quiet_world(seed=44, failures=failures)
+    world = quiet_world(seed=44, failures=failures)
+    world.execute(GripperId.RIGHT, Translate((0.0, 0.01, 0.01)))
+    world.execute(GripperId.LEFT, MoveTo(RigidTransform.from_translation([-0.03, 0.02, 0.04])))
+    world.execute(GripperId.LEFT, SetJaw(JawState.CLOSED))
+
+    world.human_intervention()
+    for name in ("center", "tip", "swage"):
+        assert np.array_equal(getattr(world.needle_true, name), getattr(fresh.needle_true, name))
+    for gid in GripperId:
+        after, new = world.grippers[gid], fresh.grippers[gid]
+        assert np.array_equal(after.pose.translation, new.pose.translation)
+        assert after.jaw is new.jaw
+        assert after.holding == new.holding
+    assert world.needle_holder is fresh.needle_holder is GripperId.RIGHT
 
 
 def test_advance_suture_bounds():
