@@ -153,7 +153,6 @@ class PrimitiveSet:
 @dataclass
 class StepOutcome:
     state_after: PipelineState
-    retries_used: int
     error: ErrorKind | None = None
 
 
@@ -244,7 +243,7 @@ def plan_extraction(
     observed: NeedlePose,
     left_gripper_pose: RigidTransform,
     params: ControllerParams,
-    wound: WoundSpec | None = None,
+    wound: WoundSpec,
 ) -> list:
     """Re-grasp the protruding end with the left jaw and roll the needle out.
 
@@ -259,13 +258,8 @@ def plan_extraction(
     ends = [observed.tip, observed.swage]
     dists = [float(np.linalg.norm(e - left_pos)) for e in ends]
     regrasp = ends[int(np.argmin(dists))]
-    if wound is not None:
-        inside_ridge = (
-            abs(regrasp[0]) <= wound.ridge_half_width
-            and 0.0 <= regrasp[2] <= wound.ridge_height
-        )
-        if inside_ridge or regrasp[2] < 0.0:
-            raise ExtractionPlanError("no exposed needle endpoint to re-grasp")
+    if wound.buried(regrasp):
+        raise ExtractionPlanError("no exposed needle endpoint to re-grasp")
     h = _horizontal_unit(regrasp - left_pos)
     start = regrasp - params.approach_offset * h
     s = rotation_sense(observed.normal, regrasp, observed.center, WORLD_UP)
@@ -441,7 +435,7 @@ def _insertion(world: WorldState, i: int, params: ControllerParams) -> None:
     world.execute(right, MoveTo(world.home_poses[right]))
 
 
-def _extraction(world: WorldState, params: ControllerParams) -> int:
+def _extraction(world: WorldState, params: ControllerParams) -> None:
     left = GripperId.LEFT
     for attempt in range(params.max_retries + 1):
         if attempt:
@@ -469,13 +463,13 @@ def _extraction(world: WorldState, params: ControllerParams) -> int:
             continue
         decision = recover_extraction(before, after, params, attempt)
         if decision is Decision.PROCEED:
-            return attempt
+            return
         if decision is Decision.FAIL:
             raise _PhaseFailure(ErrorKind.EXTRACTION, "needle did not clear the tissue")
     raise _PhaseFailure(ErrorKind.EXTRACTION, "needle did not clear the tissue")
 
 
-def _handover(world: WorldState, params: ControllerParams) -> int:
+def _handover(world: WorldState, params: ControllerParams) -> None:
     left, right = GripperId.LEFT, GripperId.RIGHT
     for attempt in range(params.max_retries + 1):
         jitter = np.zeros(3)
@@ -534,7 +528,7 @@ def _handover(world: WorldState, params: ControllerParams) -> int:
             raise _PhaseFailure(ErrorKind.HANDOVER, f"post-release check failed: {exc}") from exc
         if float(np.linalg.norm(released.center - after.center)) > params.extraction_progress_threshold:
             raise _PhaseFailure(ErrorKind.HANDOVER, "needle dropped at release")
-        return attempt
+        return
     raise _PhaseFailure(ErrorKind.HANDOVER, "re-grasp never captured the needle")
 
 
@@ -567,11 +561,10 @@ def run_suture(
             f"world is set up for suture {world.suture_index}, not {i}"
         )
     world.set_context(suture=i)
-    retries = 0
     while True:
         world.log_event("suture_attempt")
         try:
-            retries += _attempt_suture(world, params, i, enabled)
+            _attempt_suture(world, params, i, enabled)
         except _PhaseFailure as failure:
             world.set_context(phase="recovery")
             world.log_event("suture_failed", error=failure.kind.value, detail=failure.detail)
@@ -587,17 +580,15 @@ def run_suture(
                         to=PipelineState.INSERTION.value,
                     )
                     continue
-            return StepOutcome(PipelineState.FAILED, retries, error=failure.kind)
+            return StepOutcome(PipelineState.FAILED, error=failure.kind)
         world.log_event("suture_closed")
-        return StepOutcome(PipelineState.DONE, retries)
+        return StepOutcome(PipelineState.DONE)
 
 
 def _attempt_suture(
     world: WorldState, params: ControllerParams, i: int, enabled: PrimitiveSet
-) -> int:
-    """One pass through the pipeline; returns retries used; raises
-    _PhaseFailure on a terminal error."""
-    retries = 0
+) -> None:
+    """One pass through the pipeline; raises _PhaseFailure on a terminal error."""
     state = PipelineState.INSERTION
 
     def goto(next_state: PipelineState) -> PipelineState:
@@ -613,7 +604,7 @@ def _attempt_suture(
             sweep_thread(world, world.wound, params)
 
         state = goto(PipelineState.EXTRACTION)
-        retries += _extraction(world, params)
+        _extraction(world, params)
         if world.thread_entanglement_check(world.swept) == "entangled":
             raise _PhaseFailure(ErrorKind.THREAD, "thread entangled during extraction")
 
@@ -626,7 +617,7 @@ def _attempt_suture(
                 raise _PhaseFailure(ErrorKind.THREAD, str(exc)) from exc
 
         state = goto(PipelineState.HANDOVER)
-        retries += _handover(world, params)
+        _handover(world, params)
 
         state = goto(PipelineState.POSE_CORRECTION)
         if enabled.correction:
@@ -636,7 +627,6 @@ def _attempt_suture(
                 raise _PhaseFailure(ErrorKind.HANDOVER, f"pose correction: {exc}") from exc
 
         state = goto(PipelineState.DONE)
-        return retries
     except _PhaseFailure:
         world.log_event("transition", frm=state.value, to=PipelineState.FAILED.value)
         raise

@@ -32,7 +32,7 @@ from .simworld import (
     make_wound,
 )
 
-LOG_FORMAT_VERSION = 1
+LOG_FORMAT_VERSION = 2
 
 #: preset name -> (enabled primitives, human-intervention budget)
 PRESETS: dict[str, tuple[PrimitiveSet, int]] = {
@@ -479,18 +479,18 @@ def format_time(value: float | None) -> str:
 
 
 _COLUMNS = [
-    ("preset", None),
-    ("trials", None),
-    ("mean_sutures_to_failure", format_mean),
-    ("single_suture_success_rate", format_rate),
-    ("three_throw_success_rate", format_rate),
-    ("full_wound_success_rate", format_rate),
-    ("mean_time_per_suture_s", format_time),
-    ("errors_I", None),
-    ("errors_E", None),
-    ("errors_H", None),
-    ("errors_T", None),
-    ("mean_sutures_to_intervention", format_mean),
+    "preset",
+    "trials",
+    "mean_sutures_to_failure",
+    "single_suture_success_rate",
+    "three_throw_success_rate",
+    "full_wound_success_rate",
+    "mean_time_per_suture_s",
+    "errors_I",
+    "errors_E",
+    "errors_H",
+    "errors_T",
+    "mean_sutures_to_intervention",
 ]
 
 
@@ -522,7 +522,7 @@ def report_render(metrics, format: str = "table") -> str:
     if format not in ("table", "csv"):
         raise ValueError(f"unknown report format {format!r}")
 
-    header = [name for name, _ in _COLUMNS]
+    header = _COLUMNS
     rows = [_row(name, report) for name, report in metrics.items()]
 
     if format == "csv":

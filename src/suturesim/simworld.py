@@ -41,7 +41,9 @@ WOUND_TOLERANCE = 0.002  # how close the needle circle must pass to entry/exit
 WORKSPACE_MIN = np.array([-0.12, -0.12, -0.01])
 WORKSPACE_MAX = np.array([0.12, 0.12, 0.15])
 
-_ARC_SCAN = 720  # samples along the needle body for burial / distance queries
+# Samples along the needle body for the jaw-distance query only: arc-to-segment
+# distance is the root of a quartic, with no closed form worth its code.
+_ARC_SCAN = 720
 
 # In-loop sensing defaults, for make_world and harness.ExperimentConfig alike.
 # SIM_NOISE is the plant model for closed-loop runs; the estimator is tested
@@ -125,6 +127,13 @@ class WoundSpec:
 
     def exit(self, i: int) -> np.ndarray:
         return self.exit_points[i - 1]
+
+    def buried(self, points) -> np.ndarray:
+        """Bool mask of points inside tissue (in the ridge or below the pad); (3,) or (n, 3)."""
+        p = np.asarray(points, dtype=float)
+        x, z = p[..., 0], p[..., 2]
+        in_ridge = (np.abs(x) <= self.ridge_half_width) & (z >= 0.0) & (z <= self.ridge_height)
+        return in_ridge | (z < 0.0)
 
 
 def make_wound(
@@ -323,6 +332,8 @@ def _jsonable(value):
     """Coerce a payload value into plain JSON-serializable Python."""
     if isinstance(value, np.ndarray):
         return [float(x) for x in np.ravel(value)]
+    if isinstance(value, (bool, np.bool_)):  # before int: bool subclasses int
+        return bool(value)
     if isinstance(value, (np.floating, float)):
         return float(value)
     if isinstance(value, (np.integer, int)):
@@ -438,66 +449,55 @@ class WorldState:
         """
         return self.needle_true.swage.copy()
 
-    def _arc_samples(self, m: int = _ARC_SCAN) -> tuple[np.ndarray, np.ndarray]:
-        s = np.linspace(0.0, self.spec.arc_span, m)
-        return s, pc.arc_points(self.needle_true, self.spec.arc_span, s)
+    def _arc_coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(a, b, c) with the needle body p(s) = a + b cos s + c sin s."""
+        pose = self.needle_true
+        e1, e2 = pc.arc_frame(pose, self.spec.arc_span)
+        return pose.center, pose.radius * e1, pose.radius * e2
 
-    def _buried_mask(self, points: np.ndarray) -> np.ndarray:
+    def _arc_pieces(self) -> list[tuple[float, float, bool]]:
+        """[0, arc_span] cut where the body crosses a ridge or pad face; burial
+        changes only there, so each piece is labelled by its midpoint."""
+        a, b, c = self._arc_coefficients()
         w = self.wound
-        in_ridge = (
-            (np.abs(points[:, 0]) <= w.ridge_half_width)
-            & (points[:, 2] >= 0.0)
-            & (points[:, 2] <= w.ridge_height)
-        )
-        below_pad = points[:, 2] < 0.0
-        return in_ridge | below_pad
+        span = self.spec.arc_span
+        cuts = {0.0, span}
+        for k, level in ((0, -w.ridge_half_width), (0, w.ridge_half_width), (2, 0.0), (2, w.ridge_height)):
+            cuts.update(_crossings(a[k], b[k], c[k], level, span))
+        cuts = sorted(cuts)
+        mid = 0.5 * (np.array(cuts[:-1]) + np.array(cuts[1:]))
+        buried = w.buried(a + np.outer(np.cos(mid), b) + np.outer(np.sin(mid), c))
+        return [(lo, hi, bool(x)) for lo, hi, x in zip(cuts[:-1], cuts[1:], buried)]
 
-    def _point_buried(self, p: np.ndarray) -> bool:
-        return bool(self._buried_mask(np.asarray(p, dtype=float).reshape(1, 3))[0])
+    def _lowest_z(self) -> float:
+        """Lowest z of the needle body: the lower end, or the circle's
+        bottom when that lies inside the span."""
+        a, b, c = (v[2] for v in self._arc_coefficients())
+        span = self.spec.arc_span
+        if (math.atan2(c, b) + math.pi) % (2.0 * math.pi) <= span:
+            return a - math.hypot(b, c)
+        return min(a + b, a + b * math.cos(span) + c * math.sin(span))
 
     def needle_buried(self) -> bool:
         """True when any part of the needle body sits inside tissue."""
-        _, pts = self._arc_samples()
-        return bool(self._buried_mask(pts).any())
+        return any(buried for _, _, buried in self._arc_pieces())
 
     def visible_intervals(self) -> list[tuple[float, float]]:
-        """Unburied arc-parameter intervals, boundaries refined by bisection."""
-        s, pts = self._arc_samples()
-        buried = self._buried_mask(pts)
-        if not buried.any():
-            return [(0.0, self.spec.arc_span)]
-        if buried.all():
-            return []
-
-        def refine(lo: float, hi: float, lo_buried: bool) -> float:
-            # Invariant: buried state differs between lo and hi.
-            for _ in range(40):
-                mid = 0.5 * (lo + hi)
-                p = pc.arc_points(self.needle_true, self.spec.arc_span, [mid])[0]
-                if self._point_buried(p) == lo_buried:
-                    lo = mid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
-
+        """Unburied arc-parameter intervals, ends exact to rounding."""
         intervals: list[tuple[float, float]] = []
-        start: float | None = None if buried[0] else 0.0
-        for k in range(1, len(s)):
-            if buried[k] == buried[k - 1]:
+        for lo, hi, buried in self._arc_pieces():
+            if buried:
                 continue
-            boundary = refine(s[k - 1], s[k], bool(buried[k - 1]))
-            if buried[k]:  # visible -> buried
-                intervals.append((start, boundary))
-                start = None
-            else:  # buried -> visible
-                start = boundary
-        if start is not None:
-            intervals.append((start, self.spec.arc_span))
-        return [(a, b) for a, b in intervals if b - a > 1e-9]
+            if intervals and intervals[-1][1] == lo:
+                intervals[-1] = (intervals[-1][0], hi)
+            else:
+                intervals.append((lo, hi))
+        return [(lo, hi) for lo, hi in intervals if hi - lo > 1e-9]
 
     def needle_distance_to_segment(self, seg_a: np.ndarray, seg_b: np.ndarray) -> float:
         """Min distance from the needle body to a line segment."""
-        _, pts = self._arc_samples()
+        span = self.spec.arc_span
+        pts = pc.arc_points(self.needle_true, span, np.linspace(0.0, span, _ARC_SCAN))
         d = seg_b - seg_a
         dd = float(np.dot(d, d))
         if dd < 1e-18:
@@ -642,8 +642,7 @@ class WorldState:
         return None
 
     def _drop_needle(self) -> None:
-        _, pts = self._arc_samples()
-        dz = float(pts[:, 2].min()) - 0.001
+        dz = self._lowest_z() - 0.001
         fall = RigidTransform.from_translation([0.0, 0.0, -dz])
         self.needle_true = pc.transform_pose(fall, self.needle_true)
         self.log_event("drop", what="needle")
@@ -748,8 +747,7 @@ class WorldState:
         if d_entry > WOUND_TOLERANCE or d_exit > WOUND_TOLERANCE:
             result = "missed_wound"
         else:
-            _, pts = self._arc_samples()
-            if float(pts[:, 2].min()) < -1e-9:
+            if self._lowest_z() < -1e-9:
                 result = "non_wound_region"
             elif float(self.rng.random()) < self.failures.insertion_slip_prob:
                 result = "slip"
@@ -849,6 +847,17 @@ class WorldState:
             raise InvariantViolation(f"dual grasp outside handover window: {holders}")
         if self._holder is not None and self.grippers[self._holder].holding != "needle":
             raise InvariantViolation("attachment points at a gripper that holds nothing")
+
+
+def _crossings(a: float, b: float, c: float, level: float, span: float) -> list[float]:
+    """Arc parameters s in [0, span] where a + b cos s + c sin s == level."""
+    amp = math.hypot(b, c)
+    if amp == 0.0 or abs(level - a) > amp:
+        return []
+    phase = math.atan2(c, b)
+    half = math.acos((level - a) / amp)
+    roots = ((phase + half) % (2.0 * math.pi), (phase - half) % (2.0 * math.pi))
+    return [s for s in roots if s <= span]
 
 
 def _point_circle_distance(p: np.ndarray, pose: NeedlePose) -> float:

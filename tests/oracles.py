@@ -1,10 +1,15 @@
-"""Independent reference implementations used to cross-check the estimators.
+"""Independent reference implementations used to cross-check the estimators
+and the simulator's burial geometry.
 
 Deliberately written in the dumbest possible style (loops, grids) so
 they share no code path with the library.
 """
 
+import math
+
 import numpy as np
+
+from suturesim import perception as pc
 
 
 def brute_force_farthest_pair(points):
@@ -48,3 +53,55 @@ def trimmed_grid_circle_center(points2d, radius, trim=0.7):
         half = 2.0 * step
         step = half / 10.0
     return center
+
+
+def sampled_visible_intervals(world, m=720):
+    """Unburied arc intervals by scan and bisection.
+
+    Samples the needle body at m evenly spaced arc parameters, then
+    bisects each buried/visible change 40 times. A sliver narrower than
+    one grid step (arc_span / (m - 1)) can fall between two samples and
+    be missed. Only the arc parametrization (arc_frame) comes from the
+    library.
+    """
+    pose, span, wound = world.needle_true, world.spec.arc_span, world.wound
+    e1, e2 = pc.arc_frame(pose, span)
+    cx, _, cz = (float(v) for v in pose.center)
+    r = pose.radius
+
+    def buried(s):
+        x = cx + r * (math.cos(s) * e1[0] + math.sin(s) * e2[0])
+        z = cz + r * (math.cos(s) * e1[2] + math.sin(s) * e2[2])
+        in_ridge = abs(x) <= wound.ridge_half_width and 0.0 <= z <= wound.ridge_height
+        return in_ridge or z < 0.0
+
+    s = np.linspace(0.0, span, m).tolist()
+    flags = [buried(v) for v in s]
+    if not any(flags):
+        return [(0.0, span)]
+    if all(flags):
+        return []
+
+    def refine(lo, hi, lo_buried):
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            if buried(mid) == lo_buried:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    intervals = []
+    start = None if flags[0] else 0.0
+    for k in range(1, m):
+        if flags[k] == flags[k - 1]:
+            continue
+        boundary = refine(s[k - 1], s[k], flags[k - 1])
+        if flags[k]:  # visible -> buried
+            intervals.append((start, boundary))
+            start = None
+        else:  # buried -> visible
+            start = boundary
+    if start is not None:
+        intervals.append((start, span))
+    return [(a, b) for a, b in intervals if b - a > 1e-9]

@@ -160,7 +160,7 @@ def test_plan_insertion_rejects_degenerate_chord():
 def test_plan_extraction_grasps_near_endpoint_with_quoted_offsets():
     pose = horizontal_pose()
     left = RigidTransform.from_translation([-0.06, 0.0, 0.02])
-    script = ctl.plan_extraction(pose, left, PARAMS)
+    script = ctl.plan_extraction(pose, left, PARAMS, sw.make_wound())
     move, advance, close, roll, lift = script
     regrasp = pose.swage  # nearer the left jaw
     start = move.pose.translation
@@ -315,7 +315,7 @@ def test_run_suture_nominal_path():
     outcome = ctl.run_suture(world, PARAMS, 1)
     assert outcome.state_after is PipelineState.DONE
     assert outcome.error is None
-    assert outcome.retries_used == 0
+    assert events_of(world, "retry") == []
     assert world.thread.pulled_through == PARAMS.l_des  # beta(1), bitwise
     assert len(events_of(world, "suture_closed")) == 1
     pulls = events_of(world, "pull_thread")

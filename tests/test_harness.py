@@ -302,6 +302,7 @@ def test_log_writes_from_an_iterator_match_a_list(tmp_path, nominal_logs):
         (lambda lines: lines[:1] + ['{"record":"wat"}'] + lines[1:], "unknown record"),
         (lambda lines: lines[: first_trial_end(lines) + 1], "header announces 3"),
         (lambda lines: [lines[0].replace('"n_trials":3', '"n_trials":"3"')] + lines[1:], "bad trial count"),
+        (lambda lines: [lines[0].replace('"version":2', '"version":1')] + lines[1:], "line 1: unsupported log version 1"),
         (lambda lines: lines[:1] + ["5"] + lines[1:], "line 2: expected a JSON object"),
         (edit_first_trial_end('"status":"wound_closed",', ""), "'status' missing"),
         (
@@ -605,6 +606,15 @@ def test_cli_report_rejects_log_cut_at_trial_boundary(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: line ") and "header announces 2" in captured.err
+
+
+def test_cli_log_writes_booleans_as_json_booleans(tmp_path, capsys):
+    log = tmp_path / "run.jsonl"
+    argv = ["simulate", "--preset", "stitch", "--trials", "1", "--seed", "0", "--out", str(log)]
+    assert cli.main(argv) == cli.EXIT_OK
+    text = log.read_text()
+    assert '"ok":true' in text
+    assert '"ok":1' not in text
 
 
 def test_cli_usage_error_exit_code(capsys):

@@ -9,6 +9,7 @@ from suturesim import geometry as geo
 from suturesim import perception as pc
 from suturesim import simworld as sw
 from suturesim.geometry import RigidTransform
+from oracles import sampled_visible_intervals
 from suturesim.simworld import (
     BudgetExhausted,
     FailureModel,
@@ -298,6 +299,84 @@ def test_perception_corruption_frequency():
             assert pc.pose_agreement(obs, world.needle_true).center_dist > 1e-3
     rate = sum(flags) / len(flags)
     assert 0.24 <= rate <= 0.36
+
+
+# ---------------------------------------------------------------------------
+# burial geometry
+
+GRID_STEP = SPEC.arc_span / 719  # spacing of the oracle's 720-sample scan
+
+
+def random_pose(rng):
+    """A needle near the ridge, often crossing a ridge or pad face."""
+    center = (rng.uniform(-0.02, 0.02), rng.uniform(-0.01, 0.01), rng.uniform(-0.01, 0.02))
+    return pc.make_needle_pose(center, geo.unit(rng.normal(size=3)), rng.normal(size=3), SPEC)
+
+
+def unmatched(ends, others, tol):
+    return [e for e in ends if not any(abs(e - o) <= tol for o in others)]
+
+
+def test_visible_intervals_match_sampled_oracle():
+    world = quiet_world(seed=25)
+    rng = np.random.default_rng(25)
+    partly, slivers = 0, 0
+    for _ in range(2000):
+        world.needle_true = random_pose(rng)
+        exact = world.visible_intervals()
+        sampled = sampled_visible_intervals(world)
+        assert world.needle_buried() == (exact != [(0.0, SPEC.arc_span)])
+        partly += 0 < len(exact) and exact != [(0.0, SPEC.arc_span)]
+        ends = [e for iv in exact for e in iv]
+        sampled_ends = [e for iv in sampled for e in iv]
+        if len(ends) == len(sampled_ends) and np.allclose(ends, sampled_ends, rtol=0.0, atol=1e-12):
+            continue
+        # the scan missed a sliver: two exact ends, closer than a grid
+        # step, with no counterpart; every sampled end is still exact
+        slivers += 1
+        assert not unmatched(sampled_ends, ends, 1e-12)
+        missed = unmatched(ends, sampled_ends, 1e-12)
+        assert len(missed) == 2 and missed[1] - missed[0] < GRID_STEP
+    assert partly > 500
+    assert slivers <= 5
+
+
+def test_sliver_between_scan_samples_is_buried():
+    # circle bottom 1e-8 m under the pad, half a grid step past sample 300
+    s_bottom = 300.5 * GRID_STEP
+    alpha = s_bottom - math.pi / 2.0
+    center = (0.03, 0.0, SPEC.radius - 1e-8)
+    world = quiet_world(seed=26)
+    world.needle_true = pc.make_needle_pose(
+        center, (0.0, 1.0, 0.0), (math.cos(alpha), 0.0, math.sin(alpha)), SPEC
+    )
+    bottom = pc.arc_points(world.needle_true, SPEC.arc_span, [s_bottom])[0]
+    assert bottom[2] == pytest.approx(-1e-8, abs=1e-15)
+    assert sampled_visible_intervals(world) == [(0.0, SPEC.arc_span)]  # the scan misses it
+    assert world.needle_buried()
+    (a0, a1), (b0, b1) = world.visible_intervals()
+    assert a0 == 0.0 and b1 == SPEC.arc_span
+    assert a1 < s_bottom < b0 and b0 - a1 < GRID_STEP
+    assert world._lowest_z() == pytest.approx(-1e-8, abs=1e-15)
+
+
+def test_clear_needle_is_one_exact_interval():
+    world = quiet_world(seed=27)  # seated over the first site, clear of tissue
+    assert world.visible_intervals() == [(0.0, SPEC.arc_span)]
+    assert not world.needle_buried()
+
+
+def test_lowest_z_is_exact():
+    world = quiet_world(seed=28)
+    rng = np.random.default_rng(28)
+    s = np.linspace(0.0, SPEC.arc_span, 20000)
+    tol = SPEC.radius * (1.0 - math.cos(math.pi / 1438))  # half a scan step of sag
+    for _ in range(300):
+        world.needle_true = random_pose(rng)
+        sampled = float(pc.arc_points(world.needle_true, SPEC.arc_span, s)[:, 2].min())
+        low = world._lowest_z()
+        assert low <= sampled + 1e-15  # 1e-15: rounding of the sampled points
+        assert sampled - low <= tol
 
 
 # ---------------------------------------------------------------------------
