@@ -7,10 +7,14 @@ the preset means before and after.
 """
 
 import hashlib
+import math
 
+import numpy as np
 import pytest
 
 from suturesim import cli
+from suturesim import perception as pc
+from suturesim.simworld import SIM_NOISE
 
 # preset -> (sha256 of the simulate --out log, sha256 of the printed report)
 GOLDEN = {
@@ -49,3 +53,67 @@ def test_pinned_sweep_digests(tmp_path, capsys, preset):
     # one tuple, so a failure shows whether the log, the report or both moved
     assert (sha256(log.read_bytes()), sha256(printed.encode("utf-8"))) == GOLDEN[preset]
     assert reported == printed
+
+
+# Estimator digests: sha256 over the pose records (or the error type,
+# stage and message) of CLOUDS_PER_SETTING seeded synthetic clouds. A
+# pure refactor of the estimator keeps every digest. Every tenth cloud
+# asks the circle stage, and every tenth after it the plane stage, for
+# more inliers than the cloud has, so the digest also pins each stage's
+# best consensus count through its NoConsensus message.
+CLOUDS_PER_SETTING = 30
+HARSH_NOISE = pc.NoiseModel(
+    gaussian_sigma=5e-4,
+    outlier_fraction=0.20,
+    dropout_fraction=0.0,
+    occlusion_arc=0.25 * pc.NeedleSpec().arc_span,
+)
+# setting -> (cloud points, RANSAC iterations in both stages, noise)
+ESTIMATOR_SETTINGS = {
+    "in_loop": (140, 120, SIM_NOISE),
+    "criterion_1": (200, 500, HARSH_NOISE),
+    "many_blocks": (300, 1000, HARSH_NOISE),
+}
+ESTIMATOR_GOLDEN = {
+    "in_loop": "27adf7ede500012465732bf1017dd293d0d3987907762547446e3db1053b44da",
+    "criterion_1": "056493717d5a7ddb00f067c3c7fd3d8dd6edd559b432b5da2cd5547b139ad87d",
+    "many_blocks": "b6b4c13f0a842fb225364f9ebd44db6b9698b414028ef2aecf7d78c5ecb8dad5",
+}
+
+
+def estimator_records(setting: str) -> str:
+    n_points, iterations, noise = ESTIMATOR_SETTINGS[setting]
+    spec = pc.NeedleSpec()
+    key = sorted(ESTIMATOR_SETTINGS).index(setting)
+    records = []
+    for i in range(CLOUDS_PER_SETTING):
+        rng = np.random.default_rng([key, i])
+        center = rng.uniform([-0.03, -0.03, 0.0], [0.03, 0.03, 0.05])
+        tilt = math.radians(rng.uniform(0.0, 40.0))
+        azim = rng.uniform(0.0, 2 * math.pi)
+        normal = pc.canonical_normal(
+            np.array([math.sin(tilt) * math.cos(azim), math.cos(tilt), math.sin(tilt) * math.sin(azim)])
+        )
+        truth = pc.make_needle_pose(center, normal, rng.normal(size=3), spec)
+        cloud = pc.synth_needle_cloud(truth, spec, noise, n_points, rng)
+        plane_min = n_points + 1 if i % 10 == 9 else pc.DEFAULT_MIN_INLIERS
+        circle_min = n_points + 1 if i % 10 == 8 else pc.DEFAULT_MIN_INLIERS
+        plane = pc.RansacParams(iterations=iterations, min_inliers=plane_min, seed=i)
+        circle = pc.RansacParams(
+            iterations=iterations,
+            inlier_threshold=pc.DEFAULT_CIRCLE_THRESHOLD,
+            min_inliers=circle_min,
+            seed=i,
+        )
+        try:
+            pose, diag = pc.estimate_needle_pose(cloud, spec, plane, circle, with_diagnostics=True)
+        except pc.EstimationError as exc:
+            records.append(f"error: {type(exc).__name__} {exc.stage}: {exc}\n")
+        else:
+            records.append(pc.format_pose_record(pose, diag))
+    return "".join(records)
+
+
+@pytest.mark.parametrize("setting", sorted(ESTIMATOR_GOLDEN))
+def test_pinned_estimator_digests(setting):
+    assert sha256(estimator_records(setting).encode("utf-8")) == ESTIMATOR_GOLDEN[setting]
