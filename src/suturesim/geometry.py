@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +39,7 @@ def as_point(p) -> np.ndarray:
     a = np.asarray(p, dtype=float)
     if a.shape != (3,):
         raise GeometryError(f"expected a 3-vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise GeometryError("non-finite coordinate")
     return a
 
@@ -152,6 +153,20 @@ class Plane:
     def origin(self) -> np.ndarray:
         """The plane point closest to the world origin."""
         return self.normal * self.offset
+
+    @cached_property
+    def basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """Deterministic right-handed in-plane basis (u, v), built once.
+
+        u is the normalized rejection of the global axis least aligned with
+        the normal (lowest index on ties); v = normal x u, so u x v gives
+        back the plane normal.
+        """
+        u = perpendicular_unit(self.normal)
+        v = cross3(self.normal, u)
+        u.setflags(write=False)
+        v.setflags(write=False)
+        return u, v
 
 
 @dataclass(frozen=True)
@@ -286,20 +301,13 @@ def project_point_to_plane(point, plane: Plane) -> np.ndarray:
 
 
 def plane_basis(plane: Plane) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic right-handed in-plane basis (u, v).
-
-    u is the normalized rejection of the global axis least aligned with
-    the normal (lowest index on ties); v = normal x u, so u x v gives
-    back the plane normal.
-    """
-    u = perpendicular_unit(plane.normal)
-    v = cross3(plane.normal, u)
-    return u, v
+    """The plane's in-plane basis (u, v); see Plane.basis."""
+    return plane.basis
 
 
 def to_plane_coords(points, plane: Plane) -> np.ndarray:
     """2D coordinates of (already projected) points in the plane_basis frame."""
-    u, v = plane_basis(plane)
+    u, v = plane.basis
     p = np.atleast_2d(np.asarray(points, dtype=float)) - plane.origin()
     out = np.stack([p @ u, p @ v], axis=1)
     return out if np.asarray(points).ndim > 1 else out[0]
@@ -307,7 +315,7 @@ def to_plane_coords(points, plane: Plane) -> np.ndarray:
 
 def from_plane_coords(coords, plane: Plane) -> np.ndarray:
     """Inverse of to_plane_coords: lift 2D plane coordinates back to 3D."""
-    u, v = plane_basis(plane)
+    u, v = plane.basis
     c = np.atleast_2d(np.asarray(coords, dtype=float))
     out = plane.origin() + np.outer(c[:, 0], u) + np.outer(c[:, 1], v)
     return out if np.asarray(coords).ndim > 1 else out[0]

@@ -350,6 +350,81 @@ def _best_by_count_then_distance(counts: np.ndarray, sums: np.ndarray) -> int:
     return int(tied[np.argmin(sums[tied])])
 
 
+# Hypotheses are scored in blocks of at most this many (hypothesis,
+# point) pairs, or two hypotheses on clouds of over 4096 points: 64 KiB
+# per float64 temporary, half of glibc's 128 KiB mmap threshold.
+# Temporaries above the threshold are mapped and page-faulted afresh on
+# every call; below it they reuse heap memory.
+_SCORE_BLOCK_PAIRS = 8192
+
+
+def _score_blocks(n_hypotheses: int, n_points: int) -> list[tuple[int, int]]:
+    """(start, stop) hypothesis slices for block-wise scoring.
+
+    A block holds at least two hypotheses, and the last block absorbs a
+    lone leftover one, unless there is only one hypothesis: one row
+    would go through BLAS gemv and another einsum reduction, which round
+    differently from a block.
+    """
+    rows = max(2, _SCORE_BLOCK_PAIRS // n_points)
+    stops = list(range(rows, n_hypotheses, rows))
+    if stops and n_hypotheses - stops[-1] == 1:
+        stops.pop()
+    starts = [0, *stops]
+    return list(zip(starts, [*stops, n_hypotheses]))
+
+
+def _consensus(score_block, n_hypotheses: int, n_points: int, threshold: float, axis: int):
+    """Inlier counts and inlier residual sums of every hypothesis, the
+    winner (count, then lower sum, then lower index) and its inlier mask.
+
+    `score_block(start, stop)` returns the residuals of those hypotheses
+    against every point, with hypotheses along `axis`. The winner's mask
+    comes from its own block computed again, so no (hypotheses x points)
+    array outlives a block.
+    """
+    counts = np.empty(n_hypotheses, dtype=np.intp)
+    sums = np.empty(n_hypotheses)
+    point_axis = 1 - axis
+    subscripts = "ij,ij->j" if axis == 1 else "ij,ij->i"
+    blocks = _score_blocks(n_hypotheses, n_points)
+    for start, stop in blocks:
+        resid = score_block(start, stop)
+        within = resid <= threshold
+        counts[start:stop] = within.sum(axis=point_axis)
+        sums[start:stop] = np.einsum(subscripts, resid, within)
+    best = _best_by_count_then_distance(counts, sums)
+    start, stop = next(b for b in blocks if b[1] > best)
+    inliers = np.take(score_block(start, stop), best - start, axis=axis) <= threshold
+    return counts, sums, best, inliers
+
+
+def _plane_residuals(pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """|p . n - offset| for every point (rows) and plane (columns)."""
+    dist = pts @ normals.T
+    dist -= offsets
+    return np.abs(dist, out=dist)
+
+
+def _circle_residuals(
+    pts: np.ndarray, pp: np.ndarray, centers: np.ndarray, cc: np.ndarray, radius: float
+) -> np.ndarray:
+    """||p - c| - radius| for every center (rows) and point (columns).
+
+    pp and cc are the squared norms of pts and centers. |p - c| comes
+    from |p|^2 - 2 p.c + |c|^2: one matmul instead of an (h, n, 2)
+    broadcast, which dominates the runtime otherwise.
+    """
+    resid = centers @ pts.T
+    resid *= -2.0
+    resid += pp
+    resid += cc[:, None]
+    np.maximum(resid, 0.0, out=resid)
+    np.sqrt(resid, out=resid)
+    resid -= radius
+    return np.abs(resid, out=resid)
+
+
 def fit_plane_ransac(cloud, params: RansacParams) -> tuple[Plane, np.ndarray]:
     """RANSAC plane fit.
 
@@ -357,6 +432,10 @@ def fit_plane_ransac(cloud, params: RansacParams) -> tuple[Plane, np.ndarray]:
     distance, then lowest hypothesis index), then refits by orthogonal
     least squares on the consensus set. Returns the refit plane and the
     indices of cloud points within the threshold of it.
+
+    Hypotheses are scored in blocks of at most _SCORE_BLOCK_PAIRS
+    (point, plane) pairs, so no temporary reaches glibc's mmap threshold
+    and none is mapped and page-faulted afresh on each call.
     """
     pts = np.asarray(cloud, dtype=float)
     if pts.ndim != 2 or (len(pts) and pts.shape[1] != 3):
@@ -379,11 +458,13 @@ def fit_plane_ransac(cloud, params: RansacParams) -> tuple[Plane, np.ndarray]:
 
     normals = cross[valid] / area[valid, None]
     offsets = np.einsum("ij,ij->i", normals, p0[valid])
-    dist = np.abs(pts @ normals.T - offsets)  # (n, h)
-    within = dist <= params.inlier_threshold
-    counts = within.sum(axis=0)
-    sums = np.einsum("ij,ij->j", dist, within)
-    best = _best_by_count_then_distance(counts, sums)
+    counts, _, best, within = _consensus(
+        lambda a, b: _plane_residuals(pts, normals[a:b], offsets[a:b]),
+        len(normals),
+        len(pts),
+        params.inlier_threshold,
+        axis=1,
+    )
     if counts[best] < params.min_inliers:
         raise NoConsensus(
             f"best plane consensus has {counts[best]} inliers < {params.min_inliers}",
@@ -394,7 +475,7 @@ def fit_plane_ransac(cloud, params: RansacParams) -> tuple[Plane, np.ndarray]:
     # admits a slightly tilted inlier band, and a single SVD refit
     # inherits that tilt. Re-selecting inliers against each refit plane
     # converges to the threshold-stable set in a few rounds.
-    consensus = np.flatnonzero(within[:, best])
+    consensus = np.flatnonzero(within)
     for _ in range(8):
         centroid = pts[consensus].mean(axis=0)
         _, _, vt = np.linalg.svd(pts[consensus] - centroid, full_matrices=False)
@@ -408,8 +489,7 @@ def fit_plane_ransac(cloud, params: RansacParams) -> tuple[Plane, np.ndarray]:
         if len(refreshed) < 3:
             break
         consensus = refreshed
-    inliers = np.flatnonzero(np.abs(plane.signed_distance(pts)) <= params.inlier_threshold)
-    return plane, inliers
+    return plane, refreshed  # measured against the final plane on every exit
 
 
 def fit_circle_fixed_radius(points2d, radius: float, params: RansacParams) -> np.ndarray:
@@ -419,6 +499,10 @@ def fit_circle_fixed_radius(points2d, radius: float, params: RansacParams) -> np
     yields the two mirror centers, pairs wider than 2*radius contribute
     nothing. The winning consensus (count, then lower total residual) is
     polished by Gauss-Newton on sum(|p - c| - r)^2 over the center only.
+
+    Candidate centers are scored in blocks of at most _SCORE_BLOCK_PAIRS
+    (center, point) pairs, so no temporary reaches glibc's mmap threshold
+    and none is mapped and page-faulted afresh on each call.
     """
     pts = np.asarray(points2d, dtype=float)
     if pts.ndim != 2 or (len(pts) and pts.shape[1] != 2):
@@ -441,23 +525,22 @@ def fit_circle_fixed_radius(points2d, radius: float, params: RansacParams) -> np
     perp = np.stack([-diff[feasible, 1], diff[feasible, 0]], axis=1) / d[feasible, None]
     centers = np.concatenate([mid + h[:, None] * perp, mid - h[:, None] * perp], axis=0)
 
-    # |p - c| via the expansion |p|^2 - 2 p.c + |c|^2: one matmul instead
-    # of a (h, n, 2) broadcast, which dominates the runtime otherwise.
     pp = np.einsum("ij,ij->i", pts, pts)
     cc = np.einsum("ij,ij->i", centers, centers)
-    d2 = np.maximum(pp[None, :] - 2.0 * (centers @ pts.T) + cc[:, None], 0.0)
-    resid = np.abs(np.sqrt(d2) - radius)
-    within = resid <= params.inlier_threshold
-    counts = within.sum(axis=1)
-    sums = np.einsum("ij,ij->i", resid, within)
-    best = _best_by_count_then_distance(counts, sums)
+    counts, _, best, within = _consensus(
+        lambda a, b: _circle_residuals(pts, pp, centers[a:b], cc[a:b], radius),
+        len(centers),
+        len(pts),
+        params.inlier_threshold,
+        axis=0,
+    )
     if counts[best] < params.min_inliers:
         raise NoConsensus(
             f"best circle consensus has {counts[best]} inliers < {params.min_inliers}",
             stage="circle",
         )
 
-    return _polish_circle_center(pts[within[best]], centers[best], radius)
+    return _polish_circle_center(pts[within], centers[best], radius)
 
 
 def _polish_circle_center(inl: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
@@ -496,10 +579,10 @@ def farthest_pair_indices(points) -> tuple[int, int]:
     gram = pts @ pts.T
     sq = np.diagonal(gram)
     d2 = sq[:, None] + sq[None, :] - 2.0 * gram
-    iu, ju = np.triu_indices(n, k=1)
-    flat = d2[iu, ju]
-    k = int(np.argmax(flat))  # first occurrence = lexicographic (i, j)
-    return int(iu[k]), int(ju[k])
+    d2[np.tri(n, dtype=bool)] = -np.inf  # keep only pairs with i < j
+    # first occurrence in row-major order = lexicographic (i, j)
+    i, j = divmod(int(np.argmax(d2)), n)
+    return i, j
 
 
 def snap_to_circle(point, circle: Circle3D) -> np.ndarray:
@@ -614,12 +697,16 @@ def estimate_needle_pose(
     `params` drives the plane stage; `circle_params` (defaulting to
     `params`) drives the circle stage, since the two stages ship with
     different inlier thresholds. Estimation errors are re-raised with
-    `stage` set to the pipeline stage that failed.
+    `stage` set to the pipeline stage that failed. A cloud with a NaN or
+    infinite coordinate is rejected here, as DegenerateInput of the
+    plane stage; the stages below assume finite points.
     """
     cp = params if circle_params is None else circle_params
     pts = np.asarray(cloud, dtype=float)
     if pts.size == 0:
         raise DegenerateInput("empty cloud", stage="plane")
+    if not np.isfinite(pts).all():
+        raise DegenerateInput("cloud has a non-finite coordinate", stage="plane")
 
     plane, plane_idx = fit_plane_ransac(pts, params)
     projected = pts[plane_idx] - np.outer(plane.signed_distance(pts[plane_idx]), plane.normal)
@@ -719,7 +806,10 @@ def transform_pose(transform: geo.RigidTransform, pose: NeedlePose) -> NeedlePos
 
 
 def load_cloud(path) -> np.ndarray:
-    """Read a cloud file: one 'x,y,z' per line, '#' comments, blank lines ok."""
+    """Read a cloud file: one 'x,y,z' per line, '#' comments, blank lines ok.
+
+    Coordinates must be finite; a 'nan' or 'inf' line is a format error.
+    """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -730,9 +820,12 @@ def load_cloud(path) -> np.ndarray:
             if len(parts) != 3:
                 raise CloudFormatError(f"{path}: line {lineno}: expected 3 fields, got {len(parts)}")
             try:
-                rows.append([float(x) for x in parts])
+                row = [float(x) for x in parts]
             except ValueError as exc:
                 raise CloudFormatError(f"{path}: line {lineno}: {exc}") from None
+            if not all(map(math.isfinite, row)):
+                raise CloudFormatError(f"{path}: line {lineno}: non-finite coordinate")
+            rows.append(row)
     return np.asarray(rows, dtype=float).reshape(-1, 3)
 
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -535,6 +536,23 @@ def test_cli_estimate_failure_is_runtime_exit(tmp_path, capsys):
     bad.write_text("0,0,0\n0.001,0,0\n")
     assert cli.main(["estimate", str(bad)]) == cli.EXIT_RUNTIME
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_cli_estimate_rejects_non_finite_cloud(tmp_path, capsys, bad):
+    cloud = tmp_path / "cloud.csv"
+    assert cli.main(["synth", "--out", str(cloud), "--seed", "9"]) == cli.EXIT_OK
+    capsys.readouterr()
+    lines = cloud.read_text().splitlines()
+    lines[5] = f"0.01,{bad},0.02"
+    cloud.write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["estimate", str(cloud)]) == cli.EXIT_RUNTIME
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "line 6: non-finite coordinate" in err
 
 
 def test_cli_bad_config_is_usage_exit(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,9 +8,18 @@ import pytest
 from suturesim import geometry as geo
 from suturesim import perception as pc
 
-from oracles import brute_force_farthest_pair, trimmed_grid_circle_center
+from oracles import (
+    brute_force_farthest_pair,
+    one_shot_circle_scores,
+    one_shot_plane_scores,
+    trimmed_grid_circle_center,
+)
 
 SPEC = pc.NeedleSpec()
+# criterion 1's noise point
+HARSH_NOISE = pc.NoiseModel(
+    gaussian_sigma=5e-4, outlier_fraction=0.20, occlusion_arc=0.25 * SPEC.arc_span
+)
 
 
 def random_pose(rng, max_tilt_deg=40.0):
@@ -142,6 +153,141 @@ def test_plane_ransac_errors():
         pc.fit_plane_ransac(spread, pc.RansacParams(inlier_threshold=1e-9, min_inliers=25, seed=4))
 
 
+def test_plane_ransac_returns_the_points_within_threshold_of_its_plane():
+    cloud = pc.synth_needle_cloud(random_pose(np.random.default_rng(22)), SPEC, HARSH_NOISE, 200, seed=22)
+    params = pc.RansacParams(seed=22)
+    plane, inliers = pc.fit_plane_ransac(cloud, params)
+    want = np.flatnonzero(np.abs(plane.signed_distance(cloud)) <= params.inlier_threshold)
+    np.testing.assert_array_equal(inliers, want)
+
+
+# ---------------------------------------------------------------------------
+# block-wise consensus scoring
+
+EPS = np.finfo(float).eps
+
+
+def hypothesis_counts(n_points):
+    """1, block - 1, block, block + 1 and many blocks of hypotheses."""
+    rows = max(2, pc._SCORE_BLOCK_PAIRS // n_points)
+    return [1, max(1, rows - 1), rows, rows + 1, 5 * rows + 3]
+
+
+def assert_matches_oracle(got, oracle, axis, sum_atol):
+    """Blocked (counts, sums, winner, winner mask) against one-shot
+    (counts, sums, mask) with hypotheses along `axis` of the mask."""
+    counts, sums, best, mask = got
+    want_counts, want_sums, want_within = oracle
+    np.testing.assert_array_equal(counts, want_counts)
+    if sum_atol == 0.0:
+        np.testing.assert_array_equal(sums, want_sums)
+    else:
+        np.testing.assert_allclose(sums, want_sums, rtol=0.0, atol=sum_atol)
+    # most inliers, then lowest sum, then lowest index (lexsort is stable)
+    want_best = int(np.lexsort((want_sums, -want_counts))[0])
+    assert best == want_best
+    np.testing.assert_array_equal(mask, np.take(want_within, want_best, axis=axis))
+
+
+# 140 points (the in-loop cloud) give blocks of 58 hypotheses; 9000
+# points are over the block budget on their own, so blocks hold the
+# two-hypothesis minimum.
+@pytest.mark.parametrize("n_points", [140, 9000])
+def test_blocked_plane_scores_match_one_shot_oracle(n_points):
+    rng = np.random.default_rng(n_points)
+    for h in hypothesis_counts(n_points):
+        normals = rng.normal(size=(h, 3))
+        normals /= np.linalg.norm(normals, axis=1)[:, None]
+        offsets = rng.uniform(-0.02, 0.02, h)
+        # Points on the z axis make each matrix-product entry one rounded
+        # product, which every BLAS kernel rounds alike, so every count
+        # and sum must match bit for bit.
+        on_axis = np.zeros((n_points, 3))
+        on_axis[:, 2] = rng.uniform(-0.05, 0.05, n_points)
+        # Points in general position: BLAS rounds the edge tiles of a
+        # product by the product's shape, so a distance may move by a few
+        # ulps of |p| between a block and the whole, and each sum by at
+        # most n_points times that.
+        general = rng.uniform(-0.05, 0.05, (n_points, 3))
+        for pts, sum_atol in ((on_axis, 0.0), (general, 16 * n_points * EPS * 0.1)):
+            got = pc._consensus(
+                lambda a, b: pc._plane_residuals(pts, normals[a:b], offsets[a:b]),
+                h, n_points, 0.01, axis=1,
+            )
+            oracle = one_shot_plane_scores(pts, normals, offsets, 0.01)
+            assert_matches_oracle(got, oracle, 1, sum_atol)
+
+
+@pytest.mark.parametrize("n_points", [140, 9000])
+def test_blocked_circle_scores_match_one_shot_oracle(n_points):
+    rng = np.random.default_rng(n_points + 1)
+    radius = 0.012
+    for h in hypothesis_counts(n_points):
+        centers = rng.uniform(-0.02, 0.02, (h, 2))
+        # As for planes: points on the x axis are scored bit for bit alike,
+        # points in general position within a few ulps per residual. Near
+        # the ring a residual's rounding error is that of |p|^2 - 2 p.c +
+        # |c|^2, about (|p| + |c|)^2 eps, divided by 2 radius.
+        on_axis = np.zeros((n_points, 2))
+        on_axis[:, 0] = rng.uniform(-0.03, 0.03, n_points)
+        general = rng.uniform(-0.03, 0.03, (n_points, 2))
+        scale = (0.03 * math.sqrt(2) + 0.02 * math.sqrt(2)) ** 2 / (2 * radius)
+        for pts, sum_atol in ((on_axis, 0.0), (general, 16 * n_points * EPS * scale)):
+            pp = np.einsum("ij,ij->i", pts, pts)
+            cc = np.einsum("ij,ij->i", centers, centers)
+            got = pc._consensus(
+                lambda a, b: pc._circle_residuals(pts, pp, centers[a:b], cc[a:b], radius),
+                h, n_points, 0.003, axis=0,
+            )
+            oracle = one_shot_circle_scores(pts, centers, radius, 0.003)
+            assert_matches_oracle(got, oracle, 0, sum_atol)
+
+
+def test_score_blocks_cover_every_hypothesis_once():
+    for n_points in (1, 140, 200, 4096, 4097, 9000):
+        for h in range(1, 130):
+            blocks = pc._score_blocks(h, n_points)
+            assert blocks[0][0] == 0 and blocks[-1][1] == h
+            assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+            # two hypotheses at least, unless there is only one
+            assert all(stop - start >= min(2, h) for start, stop in blocks)
+            # the budget, one absorbed leftover hypothesis over it at most
+            cap = max(pc._SCORE_BLOCK_PAIRS + n_points, 3 * n_points)
+            assert all((stop - start) * n_points <= cap for start, stop in blocks)
+
+
+# Criterion 1's point: tracemalloc peaks were 1.7 MB (plane) and 2.6 MB
+# (circle) when every pair was scored at once, and are about 300 KiB
+# block by block.
+SCORING_PEAK_BOUND = 512 * 1024
+
+
+def traced_peak(fn):
+    fn()  # warm up lazy imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ransac_scoring_memory_stays_bounded():
+    pose = pc.make_needle_pose([0.0, 0.01, 0.02], geo.unit([0.2, 1.0, 0.1]), [1.0, 0.0, 0.0], SPEC)
+    cloud = pc.synth_needle_cloud(pose, SPEC, HARSH_NOISE, 200, seed=4)
+    plane_params = pc.RansacParams(seed=4)
+    circle_params = pc.RansacParams(inlier_threshold=pc.DEFAULT_CIRCLE_THRESHOLD, seed=4)
+    plane, idx = pc.fit_plane_ransac(cloud, plane_params)
+    projected = cloud[idx] - np.outer(plane.signed_distance(cloud[idx]), plane.normal)
+    coords = geo.to_plane_coords(projected, plane)
+    assert len(coords) > 100
+
+    assert traced_peak(lambda: pc.fit_plane_ransac(cloud, plane_params)) < SCORING_PEAK_BOUND
+    assert traced_peak(
+        lambda: pc.fit_circle_fixed_radius(coords, SPEC.radius, circle_params)
+    ) < SCORING_PEAK_BOUND
+
+
 # ---------------------------------------------------------------------------
 # circle RANSAC
 
@@ -200,6 +346,10 @@ def test_farthest_pair_tie_break_lowest_indices():
     assert pc.farthest_pair_indices(pts) == (0, 2)
 
 
+def test_farthest_pair_of_identical_points_is_the_first_pair():
+    assert pc.farthest_pair_indices(np.tile([0.1, -0.2, 0.3], (7, 1))) == (0, 1)
+
+
 def test_snapped_endpoints_lie_on_circle():
     rng = np.random.default_rng(14)
     circle = geo.Circle3D(rng.normal(size=3), geo.unit(rng.normal(size=3)), 0.012)
@@ -229,6 +379,17 @@ def test_estimate_zero_noise_is_exact():
 def test_estimate_stage_tags():
     with pytest.raises(pc.DegenerateInput) as err:
         pc.estimate_needle_pose(np.empty((0, 3)), SPEC, pc.RansacParams())
+    assert err.value.stage == "plane"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_estimate_rejects_non_finite_cloud(bad):
+    cloud = pc.synth_needle_cloud(random_pose(np.random.default_rng(23)), SPEC, pc.NoiseModel(), 150, seed=23)
+    cloud[40, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(pc.DegenerateInput, match="non-finite") as err:
+            pc.estimate_needle_pose(cloud, SPEC, pc.RansacParams(seed=0))
     assert err.value.stage == "plane"
 
 
@@ -313,6 +474,14 @@ def test_cloud_parse_error_reports_line(tmp_path):
         pc.load_cloud(path)
     path.write_text("0.1,0.2\n", encoding="utf-8")
     with pytest.raises(pc.CloudFormatError, match="line 1"):
+        pc.load_cloud(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+def test_cloud_rejects_non_finite_coordinates(tmp_path, bad):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# ok\n0.1,0.2,0.3\n0.1,{bad},0.3\n", encoding="utf-8")
+    with pytest.raises(pc.CloudFormatError, match="line 3: non-finite"):
         pc.load_cloud(path)
 
 
