@@ -24,6 +24,7 @@ UNIT_TOL = 1e-9
 _ANTIPARALLEL_CUTOFF = 1e-4
 
 _AXES = np.eye(3)
+_AXES.setflags(write=False)
 
 
 class GeometryError(ValueError):
@@ -39,15 +40,28 @@ def as_point(p) -> np.ndarray:
     a = np.asarray(p, dtype=float)
     if a.shape != (3,):
         raise GeometryError(f"expected a 3-vector, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    # Three math.isfinite calls cost a fifth of np.isfinite(a).all(), on
+    # the most called function of every trial.
+    x, y, z = a.tolist()
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise GeometryError("non-finite coordinate")
     return a
+
+
+def norm(a: np.ndarray) -> float:
+    """Euclidean norm of a float64 1-D array.
+
+    math.sqrt(a.dot(a)) runs exactly the operations np.linalg.norm runs
+    on a 1-D array, so it returns the same bytes, without the dispatch
+    that makes np.linalg.norm several times slower on a 3-vector.
+    """
+    return math.sqrt(a.dot(a))
 
 
 def unit(v) -> np.ndarray:
     """Normalize v, rejecting near-zero input."""
     a = as_point(v)
-    n = float(np.linalg.norm(a))
+    n = norm(a)
     if n < 1e-12:
         raise GeometryError("cannot normalize a near-zero vector")
     return a / n
@@ -56,7 +70,7 @@ def unit(v) -> np.ndarray:
 def require_unit(v, what: str = "axis") -> np.ndarray:
     """Validate that v already has norm 1 within UNIT_TOL."""
     a = as_point(v)
-    if abs(float(np.linalg.norm(a)) - 1.0) > UNIT_TOL:
+    if abs(norm(a) - 1.0) > UNIT_TOL:
         raise InvalidAxis(f"{what} must be a unit vector, |v| = {np.linalg.norm(a)!r}")
     return a
 
@@ -91,9 +105,13 @@ class RigidTransform:
     def __post_init__(self):
         R = np.array(self.rotation, dtype=float).reshape(3, 3)
         t = as_point(self.translation)
-        if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-8:
+        # Both checks reject NaN. The determinant is expanded in closed
+        # form: np.linalg.det costs a LAPACK call and an errstate round
+        # trip, on every compose, inverse and rotation.
+        if not np.abs(R.T @ R - _AXES).max() <= 1e-8:
             raise GeometryError("rotation is not orthonormal")
-        if abs(np.linalg.det(R) - 1.0) > 1e-8:
+        (a, b, c), (d, e, f), (g, h, i) = R.tolist()
+        if not abs(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) - 1.0) <= 1e-8:
             raise GeometryError("rotation must have determinant +1")
         R.setflags(write=False)
         t.setflags(write=False)
@@ -308,17 +326,22 @@ def plane_basis(plane: Plane) -> tuple[np.ndarray, np.ndarray]:
 def to_plane_coords(points, plane: Plane) -> np.ndarray:
     """2D coordinates of (already projected) points in the plane_basis frame."""
     u, v = plane.basis
-    p = np.atleast_2d(np.asarray(points, dtype=float)) - plane.origin()
-    out = np.stack([p @ u, p @ v], axis=1)
-    return out if np.asarray(points).ndim > 1 else out[0]
+    p = np.asarray(points, dtype=float) - plane.origin()
+    if p.ndim == 1:
+        return np.array([p @ u, p @ v])
+    out = np.empty((len(p), 2))
+    out[:, 0] = p @ u
+    out[:, 1] = p @ v
+    return out
 
 
 def from_plane_coords(coords, plane: Plane) -> np.ndarray:
     """Inverse of to_plane_coords: lift 2D plane coordinates back to 3D."""
     u, v = plane.basis
-    c = np.atleast_2d(np.asarray(coords, dtype=float))
-    out = plane.origin() + np.outer(c[:, 0], u) + np.outer(c[:, 1], v)
-    return out if np.asarray(coords).ndim > 1 else out[0]
+    c = np.asarray(coords, dtype=float)
+    if c.ndim == 1:
+        return plane.origin() + c[0] * u + c[1] * v
+    return plane.origin() + np.outer(c[:, 0], u) + np.outer(c[:, 1], v)
 
 
 def transform_circle(transform: RigidTransform, circle: Circle3D) -> Circle3D:

@@ -129,7 +129,7 @@ class NeedlePose:
     def __post_init__(self):
         tip = geo.as_point(self.tip)
         swage = geo.as_point(self.swage)
-        if float(np.linalg.norm(tip - swage)) == 0.0:
+        if geo.norm(tip - swage) == 0.0:
             raise ValueError("tip and swage must be distinct points")
         tip.setflags(write=False)
         swage.setflags(write=False)
@@ -176,7 +176,11 @@ def canonical_normal(n) -> np.ndarray:
     Sign convention: positive y component; exact zero falls through to
     positive z, then positive x.
     """
-    a = geo.as_point(n)
+    return _canonical(geo.as_point(n))
+
+
+def _canonical(a: np.ndarray) -> np.ndarray:
+    # canonical_normal for a float (3,) array already known to be finite
     for k in (1, 2, 0):
         if a[k] != 0.0:
             return a if a[k] > 0.0 else -a
@@ -208,12 +212,14 @@ def arc_frame(pose: NeedlePose, arc_span: float) -> tuple[np.ndarray, np.ndarray
     return e1, geo.cross3(n, e1)
 
 
-def arc_points(pose: NeedlePose, arc_span: float, s) -> np.ndarray:
-    """Points on the needle body at arc parameters s (radians from tip)."""
-    e1, e2 = arc_frame(pose, arc_span)
+def arc_points(pose: NeedlePose, arc_span: float, s, frame=None) -> np.ndarray:
+    """Points on the needle body at arc parameters s (radians from tip).
+
+    `frame` is arc_frame(pose, arc_span), for a caller that already has it.
+    """
+    e1, e2 = arc_frame(pose, arc_span) if frame is None else frame
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    pts = pose.center + pose.radius * (np.outer(np.cos(s), e1) + np.outer(np.sin(s), e2))
-    return pts
+    return pose.center + pose.radius * (np.cos(s)[:, None] * e1 + np.sin(s)[:, None] * e2)
 
 
 def make_needle_pose(center, normal, tip_direction, spec: NeedleSpec) -> NeedlePose:
@@ -244,6 +250,7 @@ def sample_visible_cloud(
     noise: NoiseModel,
     n_points: int,
     rng: np.random.Generator,
+    frame=None,
 ) -> np.ndarray:
     """Sample a cloud from the given visible arc intervals.
 
@@ -252,7 +259,7 @@ def sample_visible_cloud(
     the intervals proportionally to their length, endpoints included,
     perturbed by isotropic Gaussian noise, then thinned by
     dropout_fraction. Returns an (m, 3) array: arc samples first (in
-    arc-parameter order), then outliers.
+    arc-parameter order), then outliers. `frame` is as in arc_points.
     """
     if n_points < 0:
         raise ValueError("n_points must be >= 0")
@@ -263,12 +270,14 @@ def sample_visible_cloud(
     total = sum(s1 - s0 for s0, s1 in spans)
     chunks = []
     if n_in > 0 and total > 0.0:
+        if frame is None:
+            frame = arc_frame(pose, spec.arc_span)
         counts = _split_counts(n_in, [(s1 - s0) / total for s0, s1 in spans])
         for (s0, s1), k in zip(spans, counts):
             if k <= 0:
                 continue
             s = np.linspace(s0, s1, k) if k > 1 else np.array([(s0 + s1) / 2.0])
-            chunks.append(arc_points(pose, spec.arc_span, s))
+            chunks.append(arc_points(pose, spec.arc_span, s, frame))
     if chunks:
         arc = np.concatenate(chunks, axis=0)
         if noise.gaussian_sigma > 0.0:
@@ -379,24 +388,25 @@ def _consensus(score_block, n_hypotheses: int, n_points: int, threshold: float, 
     winner (count, then lower sum, then lower index) and its inlier mask.
 
     `score_block(start, stop)` returns the residuals of those hypotheses
-    against every point, with hypotheses along `axis`. The winner's mask
-    comes from its own block computed again, so no (hypotheses x points)
-    array outlives a block.
+    against every point, with hypotheses along `axis`. Each block's
+    boolean inlier mask is kept (at most _SCORE_BLOCK_PAIRS bytes, well
+    under the mmap threshold), so the winner's mask is read from it
+    instead of scoring its block a second time.
     """
     counts = np.empty(n_hypotheses, dtype=np.intp)
     sums = np.empty(n_hypotheses)
     point_axis = 1 - axis
     subscripts = "ij,ij->j" if axis == 1 else "ij,ij->i"
-    blocks = _score_blocks(n_hypotheses, n_points)
-    for start, stop in blocks:
+    masks = []
+    for start, stop in _score_blocks(n_hypotheses, n_points):
         resid = score_block(start, stop)
         within = resid <= threshold
         counts[start:stop] = within.sum(axis=point_axis)
         sums[start:stop] = np.einsum(subscripts, resid, within)
+        masks.append((start, stop, within))
     best = _best_by_count_then_distance(counts, sums)
-    start, stop = next(b for b in blocks if b[1] > best)
-    inliers = np.take(score_block(start, stop), best - start, axis=axis) <= threshold
-    return counts, sums, best, inliers
+    start, _, within = next(m for m in masks if m[1] > best)
+    return counts, sums, best, np.take(within, best - start, axis=axis)
 
 
 def _plane_residuals(pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -413,10 +423,12 @@ def _circle_residuals(
 
     pp and cc are the squared norms of pts and centers. |p - c| comes
     from |p|^2 - 2 p.c + |c|^2: one matmul instead of an (h, n, 2)
-    broadcast, which dominates the runtime otherwise.
+    broadcast, which dominates the runtime otherwise. The -2 is folded
+    into the small operand: scaling by a power of two is exact, so
+    (-2 c) @ p.T has the bytes of -2 * (c @ p.T) without a pass over the
+    product.
     """
-    resid = centers @ pts.T
-    resid *= -2.0
+    resid = (-2.0 * centers) @ pts.T
     resid += pp
     resid += cc[:, None]
     np.maximum(resid, 0.0, out=resid)
@@ -425,19 +437,46 @@ def _circle_residuals(
     return np.abs(resid, out=resid)
 
 
+def _radial_residuals(coords: np.ndarray, center2d: np.ndarray, radius: float) -> np.ndarray:
+    """||p - c| - radius| for (n, 2) in-plane points.
+
+    sqrt(add.reduce(w * w, axis=1)) is exactly what np.linalg.norm(w,
+    axis=1) runs on a real array, without its dispatch.
+    """
+    w = coords - center2d
+    w *= w
+    dist = np.add.reduce(w, axis=1)
+    np.sqrt(dist, out=dist)
+    dist -= radius
+    return np.abs(dist, out=dist)
+
+
+def _plane_projection(pts: np.ndarray, plane: Plane) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Signed distances of (n, 3) points to the plane, their projections
+    onto it and the projections' in-plane coordinates."""
+    dist = plane.signed_distance(pts)
+    projected = pts - dist[:, None] * plane.normal
+    return dist, projected, geo.to_plane_coords(projected, plane)
+
+
 def fit_plane_ransac(cloud, params: RansacParams) -> tuple[Plane, np.ndarray]:
     """RANSAC plane fit.
 
     Maximizes the inlier count (ties broken by lower total inlier
     distance, then lowest hypothesis index), then refits by orthogonal
     least squares on the consensus set. Returns the refit plane and the
-    indices of cloud points within the threshold of it.
+    indices of cloud points within the threshold of it. A cloud with a
+    NaN or infinite coordinate raises DegenerateInput.
 
     Hypotheses are scored in blocks of at most _SCORE_BLOCK_PAIRS
     (point, plane) pairs, so no temporary reaches glibc's mmap threshold
     and none is mapped and page-faulted afresh on each call.
     """
     pts = np.asarray(cloud, dtype=float)
+    # Finiteness first: estimate_needle_pose reports a non-finite cloud
+    # of any shape through this check.
+    if not np.isfinite(pts).all():
+        raise DegenerateInput("cloud has a non-finite coordinate", stage="plane")
     if pts.ndim != 2 or (len(pts) and pts.shape[1] != 3):
         raise DegenerateInput("cloud must be an (n, 3) array", stage="plane")
     if len(pts) < 3:
@@ -447,13 +486,24 @@ def fit_plane_ransac(cloud, params: RansacParams) -> tuple[Plane, np.ndarray]:
     idx = _hypothesis_indices(len(pts), 3, params.iterations, rng)
     p0, p1, p2 = pts[idx[:, 0]], pts[idx[:, 1]], pts[idx[:, 2]]
     e1, e2 = p1 - p0, p2 - p0
-    cross = np.cross(e1, e2)
+    # np.cross(e1, e2), written out: the same multiplies and subtracts in
+    # the same order, without its ~10 us of shape handling.
+    cross = np.empty_like(e1)
+    a0, a1, a2 = e1[:, 0], e1[:, 1], e1[:, 2]
+    b0, b1, b2 = e2[:, 0], e2[:, 1], e2[:, 2]
+    c0, c1, c2 = cross[:, 0], cross[:, 1], cross[:, 2]
+    np.multiply(a1, b2, out=c0)
+    c0 -= a2 * b1
+    np.multiply(a2, b0, out=c1)
+    c1 -= a0 * b2
+    np.multiply(a0, b1, out=c2)
+    c2 -= a1 * b0
     area = np.sqrt(np.einsum("ij,ij->i", cross, cross))
     scale = np.sqrt(
         np.einsum("ij,ij->i", e1, e1) * np.einsum("ij,ij->i", e2, e2)
     )
     valid = area > 1e-12 * np.maximum(scale, 1e-30)
-    if not np.any(valid):
+    if not valid.any():
         raise DegenerateInput("all sampled triples were collinear", stage="plane")
 
     normals = cross[valid] / area[valid, None]
@@ -474,22 +524,25 @@ def fit_plane_ransac(cloud, params: RansacParams) -> tuple[Plane, np.ndarray]:
     # Iterate the consensus refit: a slightly tilted winning hypothesis
     # admits a slightly tilted inlier band, and a single SVD refit
     # inherits that tilt. Re-selecting inliers against each refit plane
-    # converges to the threshold-stable set in a few rounds.
+    # converges to the threshold-stable set in a few rounds. The loop
+    # runs on (normal, offset); one Plane is built, and validated, at
+    # exit. add.reduce(...) / n is what ndarray.mean runs.
     consensus = np.flatnonzero(within)
     for _ in range(8):
-        centroid = pts[consensus].mean(axis=0)
-        _, _, vt = np.linalg.svd(pts[consensus] - centroid, full_matrices=False)
-        normal = canonical_normal(vt[-1])
-        plane = Plane(normal, float(np.dot(normal, centroid)))
-        refreshed = np.flatnonzero(
-            np.abs(plane.signed_distance(pts)) <= params.inlier_threshold
-        )
+        sel = pts[consensus]
+        centroid = np.add.reduce(sel, axis=0) / len(sel)
+        _, _, vt = np.linalg.svd(sel - centroid, full_matrices=False)
+        normal = _canonical(vt[-1])
+        offset = float(normal.dot(centroid))
+        dist = pts @ normal
+        dist -= offset
+        refreshed = np.flatnonzero(np.abs(dist, out=dist) <= params.inlier_threshold)
         if len(refreshed) == len(consensus) and np.array_equal(refreshed, consensus):
             break
         if len(refreshed) < 3:
             break
         consensus = refreshed
-    return plane, refreshed  # measured against the final plane on every exit
+    return Plane(normal, offset), refreshed  # measured against the final plane on every exit
 
 
 def fit_circle_fixed_radius(points2d, radius: float, params: RansacParams) -> np.ndarray:
@@ -499,12 +552,15 @@ def fit_circle_fixed_radius(points2d, radius: float, params: RansacParams) -> np
     yields the two mirror centers, pairs wider than 2*radius contribute
     nothing. The winning consensus (count, then lower total residual) is
     polished by Gauss-Newton on sum(|p - c| - r)^2 over the center only.
+    Points with a NaN or infinite coordinate raise DegenerateInput.
 
     Candidate centers are scored in blocks of at most _SCORE_BLOCK_PAIRS
     (center, point) pairs, so no temporary reaches glibc's mmap threshold
     and none is mapped and page-faulted afresh on each call.
     """
     pts = np.asarray(points2d, dtype=float)
+    if not np.isfinite(pts).all():
+        raise DegenerateInput("points2d has a non-finite coordinate", stage="circle")
     if pts.ndim != 2 or (len(pts) and pts.shape[1] != 2):
         raise DegenerateInput("points2d must be an (n, 2) array", stage="circle")
     if len(pts) < 2:
@@ -518,12 +574,29 @@ def fit_circle_fixed_radius(points2d, radius: float, params: RansacParams) -> np
     diff = q - p
     d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     feasible = (d > 1e-12) & (d <= 2.0 * radius)
-    if not np.any(feasible):
+    if not feasible.any():
         raise NoConsensus("no sampled pair admits a center candidate", stage="circle")
-    mid = 0.5 * (p[feasible] + q[feasible])
-    h = np.sqrt(np.maximum(radius * radius - 0.25 * d[feasible] ** 2, 0.0))
-    perp = np.stack([-diff[feasible, 1], diff[feasible, 0]], axis=1) / d[feasible, None]
-    centers = np.concatenate([mid + h[:, None] * perp, mid - h[:, None] * perp], axis=0)
+    # Built in place; the same operations, in the same order, as
+    # mid = 0.5 * (p + q), h = sqrt(max(r^2 - 0.25 d^2, 0)),
+    # perp = (-diff_y, diff_x) / d and centers = [mid + h perp; mid - h perp].
+    diff, d = diff[feasible], d[feasible]
+    m = len(d)
+    mid = p[feasible]
+    mid += q[feasible]
+    mid *= 0.5
+    h = np.square(d)
+    h *= 0.25
+    np.subtract(radius * radius, h, out=h)
+    np.maximum(h, 0.0, out=h)
+    np.sqrt(h, out=h)
+    perp = np.empty((m, 2))
+    np.negative(diff[:, 1], out=perp[:, 0])
+    perp[:, 1] = diff[:, 0]
+    perp /= d[:, None]
+    perp *= h[:, None]
+    centers = np.empty((2 * m, 2))
+    np.add(mid, perp, out=centers[:m])
+    np.subtract(mid, perp, out=centers[m:])
 
     pp = np.einsum("ij,ij->i", pts, pts)
     cc = np.einsum("ij,ij->i", centers, centers)
@@ -544,24 +617,39 @@ def fit_circle_fixed_radius(points2d, radius: float, params: RansacParams) -> np
 
 
 def _polish_circle_center(inl: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    """Gauss-Newton on sum(|p - c| - r)^2 over the center only."""
-    center = np.asarray(center, dtype=float).copy()
+    """Gauss-Newton on sum(|p - c| - r)^2 over the center only.
+
+    Works in buffers allocated once. The jacobian's columns stay strided
+    views of one (n, 2) array: BLAS sums a strided dot product in another
+    order than a contiguous one, and the polished center must keep its
+    bytes.
+    """
+    center = np.array(center, dtype=float)
+    u = np.empty_like(inl)
+    jac = np.empty_like(inl)
+    dist = np.empty(len(inl))
+    res = np.empty(len(inl))
+    j0, j1 = jac[:, 0], jac[:, 1]
     for _ in range(30):
-        u = inl - center
-        dist = np.maximum(np.sqrt(np.einsum("ij,ij->i", u, u)), 1e-12)
-        res = dist - radius
-        jac = -u / dist[:, None]
-        a = float(jac[:, 0] @ jac[:, 0])
-        b = float(jac[:, 0] @ jac[:, 1])
-        c = float(jac[:, 1] @ jac[:, 1])
-        g0 = float(jac[:, 0] @ res)
-        g1 = float(jac[:, 1] @ res)
+        np.subtract(inl, center, out=u)
+        np.einsum("ij,ij->i", u, u, out=dist)
+        np.sqrt(dist, out=dist)
+        np.maximum(dist, 1e-12, out=dist)
+        np.subtract(dist, radius, out=res)
+        np.negative(u, out=jac)
+        jac /= dist[:, None]
+        a = float(j0.dot(j0))
+        b = float(j0.dot(j1))
+        c = float(j1.dot(j1))
+        g0 = float(j0.dot(res))
+        g1 = float(j1.dot(res))
         det = a * c - b * b
         if det <= 1e-18:
             break
         step0 = -(c * g0 - b * g1) / det
         step1 = -(a * g1 - b * g0) / det
-        center = center + (step0, step1)
+        center[0] += step0
+        center[1] += step1
         if step0 * step0 + step1 * step1 < 1e-24:
             break
     return center
@@ -590,7 +678,7 @@ def snap_to_circle(point, circle: Circle3D) -> np.ndarray:
     p = geo.as_point(point)
     w = p - circle.center
     in_plane = w - float(np.dot(w, circle.normal)) * circle.normal
-    nrm = float(np.linalg.norm(in_plane))
+    nrm = geo.norm(in_plane)
     if nrm < 1e-12:
         u, _ = geo.plane_basis(circle.plane())
         in_plane, nrm = u, 1.0
@@ -626,19 +714,18 @@ def _refit_plane_near_circle(
     a generous triple-width slab is unbiased. Returns None when the
     gated set is too small or too elongated to pin down an orientation.
     """
-    dist = plane.signed_distance(pts)
-    coords = geo.to_plane_coords(pts - np.outer(dist, plane.normal), plane)
-    radial = np.abs(np.linalg.norm(coords - center2d, axis=1) - radius)
+    dist, _, coords = _plane_projection(pts, plane)
+    radial = _radial_residuals(coords, center2d, radius)
     keep = (np.abs(dist) <= 3.0 * plane_threshold) & (radial <= 3.0 * circle_threshold)
-    if int(keep.sum()) < 3:
+    if np.count_nonzero(keep) < 3:
         return None
     sel = pts[keep]
-    centroid = sel.mean(axis=0)
+    centroid = np.add.reduce(sel, axis=0) / len(sel)  # sel.mean(axis=0)
     _, sv, vt = np.linalg.svd(sel - centroid, full_matrices=False)
     if sv[1] <= 2.0 * sv[2]:
         return None
-    normal = canonical_normal(vt[-1])
-    return Plane(normal, float(np.dot(normal, centroid)))
+    normal = _canonical(vt[-1])
+    return Plane(normal, float(normal.dot(centroid)))
 
 
 def _refine_endpoints_with_span(
@@ -661,16 +748,22 @@ def _refine_endpoints_with_span(
     prior would extrapolate off the visible needle.
     """
     span = spec.arc_span
-    if span >= 2.0 * math.pi - 1e-9 or len(coords_on_circle) < 2:
+    n = len(coords_on_circle)
+    if span >= 2.0 * math.pi - 1e-9 or n < 2:
         return None
     w = coords_on_circle - center2d
-    theta = np.sort(np.arctan2(w[:, 1], w[:, 0]))
-    gaps = np.diff(theta, append=theta[0] + 2.0 * math.pi)
+    # theta with its first angle appended one turn on; the gaps are
+    # np.diff(theta, append=theta[0] + 2 pi), without its dispatch.
+    theta = np.empty(n + 1)
+    theta[:n] = np.arctan2(w[:, 1], w[:, 0])
+    theta[:n].sort()
+    theta[n] = theta[0] + 2.0 * math.pi
+    gaps = theta[1:] - theta[:-1]
     k = int(np.argmax(gaps))
     extent = 2.0 * math.pi - float(gaps[k])
     if abs(extent - span) > math.radians(20.0):
         return None
-    start = theta[(k + 1) % len(theta)]
+    start = float(theta[(k + 1) % n])
     mid = start + 0.5 * extent
     angles = (mid - 0.5 * span, mid + 0.5 * span)
     ends2d = [
@@ -678,8 +771,8 @@ def _refine_endpoints_with_span(
     ]
     ends = [geo.from_plane_coords(e, plane) for e in ends2d]
     # Keep the deterministic farthest-pair ordering.
-    same = np.linalg.norm(ends[0] - snapped[0]) + np.linalg.norm(ends[1] - snapped[1])
-    crossed = np.linalg.norm(ends[0] - snapped[1]) + np.linalg.norm(ends[1] - snapped[0])
+    same = geo.norm(ends[0] - snapped[0]) + geo.norm(ends[1] - snapped[1])
+    crossed = geo.norm(ends[0] - snapped[1]) + geo.norm(ends[1] - snapped[0])
     if crossed < same:
         ends.reverse()
     return ends[0], ends[1]
@@ -698,19 +791,16 @@ def estimate_needle_pose(
     `params`) drives the circle stage, since the two stages ship with
     different inlier thresholds. Estimation errors are re-raised with
     `stage` set to the pipeline stage that failed. A cloud with a NaN or
-    infinite coordinate is rejected here, as DegenerateInput of the
-    plane stage; the stages below assume finite points.
+    infinite coordinate is rejected by the plane stage, as
+    DegenerateInput; the stages below assume finite points.
     """
     cp = params if circle_params is None else circle_params
     pts = np.asarray(cloud, dtype=float)
     if pts.size == 0:
         raise DegenerateInput("empty cloud", stage="plane")
-    if not np.isfinite(pts).all():
-        raise DegenerateInput("cloud has a non-finite coordinate", stage="plane")
 
     plane, plane_idx = fit_plane_ransac(pts, params)
-    projected = pts[plane_idx] - np.outer(plane.signed_distance(pts[plane_idx]), plane.normal)
-    coords = geo.to_plane_coords(projected, plane)
+    plane_res, projected, coords = _plane_projection(pts[plane_idx], plane)
 
     center2d = fit_circle_fixed_radius(coords, spec.radius, cp)
 
@@ -723,8 +813,7 @@ def estimate_needle_pose(
     if better is not None:
         idx2 = np.flatnonzero(np.abs(better.signed_distance(pts)) <= params.inlier_threshold)
         if len(idx2) >= 2:
-            proj2 = pts[idx2] - np.outer(better.signed_distance(pts[idx2]), better.normal)
-            coords2 = geo.to_plane_coords(proj2, better)
+            res2, proj2, coords2 = _plane_projection(pts[idx2], better)
             # The corrected plane tilts by well under a degree, so the
             # pass-one center carries over as a warm start; reselecting
             # the ring and polishing replaces a full second consensus
@@ -735,24 +824,21 @@ def estimate_needle_pose(
             c2 = geo.to_plane_coords(carried, better)
             ok = False
             for _ in range(2):
-                ring = (
-                    np.abs(np.linalg.norm(coords2 - c2, axis=1) - spec.radius)
-                    <= cp.inlier_threshold
-                )
-                if int(ring.sum()) < 2:
+                ring = _radial_residuals(coords2, c2, spec.radius) <= cp.inlier_threshold
+                if np.count_nonzero(ring) < 2:
                     break
                 c2 = _polish_circle_center(coords2[ring], c2, spec.radius)
                 ok = True
             if ok:
-                plane, plane_idx, projected, coords, center2d = better, idx2, proj2, coords2, c2
+                plane, plane_idx, plane_res = better, idx2, res2
+                projected, coords, center2d = proj2, coords2, c2
     center = geo.from_plane_coords(center2d, plane)
 
-    radial = np.abs(np.linalg.norm(coords - center2d, axis=1) - spec.radius)
+    radial = _radial_residuals(coords, center2d, spec.radius)
     on_circle = radial <= cp.inlier_threshold
-    if int(on_circle.sum()) < 2:
-        raise DegenerateInput(
-            f"only {int(on_circle.sum())} points on the fitted circle", stage="endpoints"
-        )
+    n_on_circle = int(np.count_nonzero(on_circle))
+    if n_on_circle < 2:
+        raise DegenerateInput(f"only {n_on_circle} points on the fitted circle", stage="endpoints")
     circle = Circle3D(center, plane.normal, spec.radius)
     e1, e2 = extract_endpoints(projected[on_circle], circle)
     refined = _refine_endpoints_with_span(
@@ -763,11 +849,10 @@ def estimate_needle_pose(
     pose = NeedlePose(circle, e1, e2)
     if not with_diagnostics:
         return pose
-    plane_res = plane.signed_distance(pts[plane_idx])
     diag = EstimationDiagnostics(
         plane_inliers=int(len(plane_idx)),
         plane_rms=float(np.sqrt(np.mean(plane_res**2))) if len(plane_idx) else 0.0,
-        circle_inliers=int(on_circle.sum()),
+        circle_inliers=n_on_circle,
         circle_rms=float(np.sqrt(np.mean(radial[on_circle] ** 2))),
     )
     return pose, diag

@@ -331,7 +331,7 @@ Motion = MoveTo | Translate | RotateHeld | SetJaw
 def _jsonable(value):
     """Coerce a payload value into plain JSON-serializable Python."""
     if isinstance(value, np.ndarray):
-        return [float(x) for x in np.ravel(value)]
+        return value.astype(float, copy=False).ravel().tolist()
     if isinstance(value, (bool, np.bool_)):  # before int: bool subclasses int
         return bool(value)
     if isinstance(value, (np.floating, float)):
@@ -406,6 +406,11 @@ class WorldState:
         self.scripted_grasp_outcomes: list[bool] | None = None  # fault-injection hook
 
         self._ctx: dict = {}
+        # needle_true's arc frame and burial pieces, for the pose they
+        # were computed from (see _arc_frame).
+        self._arc_pose: NeedlePose | None = None
+        self._frame: tuple[np.ndarray, np.ndarray] | None = None
+        self._pieces: list[tuple[float, float, bool]] | None = None
         self._holder: GripperId | None = None
         self._dual_window = False
         self._twist_pending: tuple[np.ndarray, float] | None = None
@@ -449,15 +454,37 @@ class WorldState:
         """
         return self.needle_true.swage.copy()
 
+    def _arc_frame(self) -> tuple[np.ndarray, np.ndarray]:
+        """pc.arc_frame of needle_true, computed once per pose.
+
+        The memo is keyed on the pose object's identity: poses are
+        immutable, and every motion, drop and reseat assigns a new one.
+        Burial depends only on the pose and the fixed wound, so the
+        pieces (_arc_pieces) share the key.
+        """
+        pose = self.needle_true
+        if self._arc_pose is not pose:
+            self._arc_pose = pose
+            self._frame = pc.arc_frame(pose, self.spec.arc_span)
+            self._pieces = None
+        return self._frame
+
     def _arc_coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(a, b, c) with the needle body p(s) = a + b cos s + c sin s."""
+        e1, e2 = self._arc_frame()
         pose = self.needle_true
-        e1, e2 = pc.arc_frame(pose, self.spec.arc_span)
         return pose.center, pose.radius * e1, pose.radius * e2
 
     def _arc_pieces(self) -> list[tuple[float, float, bool]]:
         """[0, arc_span] cut where the body crosses a ridge or pad face; burial
-        changes only there, so each piece is labelled by its midpoint."""
+        changes only there, so each piece is labelled by its midpoint.
+        Computed once per pose (see _arc_frame); callers only read it."""
+        self._arc_frame()  # drops the pieces of an earlier pose
+        if self._pieces is None:
+            self._pieces = self._cut_arc()
+        return self._pieces
+
+    def _cut_arc(self) -> list[tuple[float, float, bool]]:
         a, b, c = self._arc_coefficients()
         w = self.wound
         span = self.spec.arc_span
@@ -497,7 +524,9 @@ class WorldState:
     def needle_distance_to_segment(self, seg_a: np.ndarray, seg_b: np.ndarray) -> float:
         """Min distance from the needle body to a line segment."""
         span = self.spec.arc_span
-        pts = pc.arc_points(self.needle_true, span, np.linspace(0.0, span, _ARC_SCAN))
+        pts = pc.arc_points(
+            self.needle_true, span, np.linspace(0.0, span, _ARC_SCAN), self._arc_frame()
+        )
         d = seg_b - seg_a
         dd = float(np.dot(d, d))
         if dd < 1e-18:
@@ -530,6 +559,7 @@ class WorldState:
             self.noise,
             self.n_cloud_points,
             np.random.default_rng(cloud_seed),
+            self._arc_frame(),
         )
         plane_params = replace(self.ransac, seed=cloud_seed)
         circle_params = replace(self.circle_ransac, seed=cloud_seed)

@@ -75,6 +75,44 @@ def test_transform_validates_rotation():
         geo.RigidTransform(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
 
 
+ROT = geo.rotation_about_axis(geo.unit([0.3, -0.5, 0.8]), 1.1).rotation
+SHEAR = np.eye(3)
+SHEAR[0, 1] = 1e-6
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        -ROT,  # a rotation times a reflection, det -1
+        ROT * (1.0 + 1e-6),  # off by 2e-6 in R^T R, 200x the tolerance
+        ROT @ SHEAR,  # det 1, but not orthonormal
+        np.where(np.eye(3) == 1.0, np.nan, ROT),
+    ],
+    ids=["rotoreflection", "scaled_by_1e-6", "sheared", "nan"],
+)
+def test_transform_rejects_near_rotations(matrix):
+    with pytest.raises(geo.GeometryError):
+        geo.RigidTransform(matrix, np.zeros(3))
+
+
+def test_transform_accepts_every_rotation_the_library_builds():
+    rng = np.random.default_rng(11)
+    chain = geo.RigidTransform.identity()
+    for k in range(1000):
+        rot = geo.rotation_about_axis(random_unit(rng), rng.uniform(-math.pi, math.pi))
+        a = random_unit(rng)
+        if k % 20 == 0:
+            b = -a  # exactly antiparallel
+        elif k % 10 == 0:
+            b = geo.unit(-a + 1e-3 * random_unit(rng))  # nearly antiparallel
+        else:
+            b = random_unit(rng)
+        chain = chain.compose(rot).compose(geo.align_vectors(a, b))
+    # 2000 products drift by about 1e-12, far inside the 1e-8 tolerance
+    np.testing.assert_allclose(chain.rotation.T @ chain.rotation, np.eye(3), atol=1e-10)
+    assert abs(np.linalg.det(chain.rotation) - 1.0) < 1e-10
+
+
 # ---------------------------------------------------------------------------
 # align_vectors
 

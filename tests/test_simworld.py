@@ -341,6 +341,41 @@ def test_visible_intervals_match_sampled_oracle():
     assert slivers <= 5
 
 
+def test_burial_follows_the_needle_through_motion_drop_and_reseat():
+    # visible_intervals and needle_buried are computed once per needle
+    # pose; a world that has never seen the pose computes them afresh.
+    failures = replace(NO_FAILURES, intervention_budget=1)
+    world = quiet_world(seed=26, failures=failures)
+
+    def burial(w):
+        return w.visible_intervals(), w.needle_buried()
+
+    def check():
+        got = burial(world)
+        assert burial(world) == got  # no motion in between
+        fresh = quiet_world(seed=26, failures=failures)
+        fresh.needle_true = world.needle_true
+        assert burial(fresh) == got
+        return got
+
+    right = GripperId.RIGHT
+    world.needle_true = inserted_pose(world.wound)
+    seen = [check()]
+    world.execute(right, Translate((0.0, 0.0, -0.008)))
+    seen.append(check())
+    world.execute(right, RotateHeld((0.0, 1.0, 0.0), math.radians(20.0), tuple(world.needle_true.center)))
+    seen.append(check())
+    world.execute(right, Translate((0.0, 0.0, 0.04)))
+    seen.append(check())
+    world.execute(right, SetJaw(JawState.OPEN))
+    assert world.events[-1]["kind"] == "drop"
+    seen.append(check())
+    world.human_intervention()
+    seen.append(check())
+    assert seen[1][1] and not seen[3][1]  # buried once lowered, clear once lifted
+    assert len({str(s) for s in seen}) >= 3
+
+
 def test_sliver_between_scan_samples_is_buried():
     # circle bottom 1e-8 m under the pad, half a grid step past sample 300
     s_bottom = 300.5 * GRID_STEP
