@@ -3,7 +3,9 @@
 Points and directions are plain float64 numpy arrays of shape (3,),
 point sets are (n, 3). Lengths are meters, angles radians. All values
 here are treated as immutable once constructed, so they can be shared
-freely between trials and workers.
+freely between trials and workers. Constructors freeze copies of the
+arrays they keep: the caller's arrays stay writable, and writing to
+them leaves the object as it was.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ class RigidTransform:
 
     def __post_init__(self):
         R = np.array(self.rotation, dtype=float).reshape(3, 3)
-        t = as_point(self.translation)
+        t = as_point(np.array(self.translation, dtype=float))
         # Both checks reject NaN. The determinant is expanded in closed
         # form: np.linalg.det costs a LAPACK call and an errstate round
         # trip, on every compose, inverse and rotation.
@@ -157,7 +159,7 @@ class Plane:
     offset: float
 
     def __post_init__(self):
-        n = require_unit(self.normal, "plane normal")
+        n = require_unit(np.array(self.normal, dtype=float), "plane normal")
         n.setflags(write=False)
         object.__setattr__(self, "normal", n)
         object.__setattr__(self, "offset", float(self.offset))
@@ -196,8 +198,8 @@ class Circle3D:
     radius: float
 
     def __post_init__(self):
-        c = as_point(self.center)
-        n = require_unit(self.normal, "circle normal")
+        c = as_point(np.array(self.center, dtype=float))
+        n = require_unit(np.array(self.normal, dtype=float), "circle normal")
         r = float(self.radius)
         if not (r > 0.0):
             raise GeometryError("circle radius must be positive")

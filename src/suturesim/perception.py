@@ -16,6 +16,8 @@ the test suite, and plain-text cloud / pose-record I/O.
 from __future__ import annotations
 
 import math
+import struct
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -119,7 +121,8 @@ class NeedlePose:
 
     The estimator labels endpoints purely geometrically (deterministic
     index order); which one is the actual tip vs. the swage is assigned
-    by whoever tracks the thread attachment.
+    by whoever tracks the thread attachment. Like the geometry types,
+    it freezes copies of the endpoint arrays, never the caller's own.
     """
 
     circle: Circle3D
@@ -127,8 +130,8 @@ class NeedlePose:
     swage: np.ndarray
 
     def __post_init__(self):
-        tip = geo.as_point(self.tip)
-        swage = geo.as_point(self.swage)
+        tip = geo.as_point(np.array(self.tip, dtype=float))
+        swage = geo.as_point(np.array(self.swage, dtype=float))
         if geo.norm(tip - swage) == 0.0:
             raise ValueError("tip and swage must be distinct points")
         tip.setflags(write=False)
@@ -353,17 +356,13 @@ def _hypothesis_indices(n: int, k: int, iterations: int, rng: np.random.Generato
     return idx[keep]
 
 
-def _best_by_count_then_distance(counts: np.ndarray, sums: np.ndarray) -> int:
-    best_count = counts.max()
-    tied = np.flatnonzero(counts == best_count)
-    return int(tied[np.argmin(sums[tied])])
-
-
 # Hypotheses are scored in blocks of at most this many (hypothesis,
 # point) pairs, or two hypotheses on clouds of over 4096 points: 64 KiB
 # per float64 temporary, half of glibc's 128 KiB mmap threshold.
 # Temporaries above the threshold are mapped and page-faulted afresh on
-# every call; below it they reuse heap memory.
+# every call; below it they reuse heap memory. A block is first scored
+# for its inlier mask alone; its residuals are computed only when a tie
+# at the top count needs their sums (_consensus).
 _SCORE_BLOCK_PAIRS = 8192
 
 
@@ -383,30 +382,49 @@ def _score_blocks(n_hypotheses: int, n_points: int) -> list[tuple[int, int]]:
     return list(zip(starts, [*stops, n_hypotheses]))
 
 
-def _consensus(score_block, n_hypotheses: int, n_points: int, threshold: float, axis: int):
-    """Inlier counts and inlier residual sums of every hypothesis, the
-    winner (count, then lower sum, then lower index) and its inlier mask.
+def _consensus(inliers, residuals, n_hypotheses: int, n_points: int, axis: int):
+    """Inlier counts of every hypothesis, the winner (most inliers, then
+    lower inlier residual sum, then lower index) and its inlier mask.
 
-    `score_block(start, stop)` returns the residuals of those hypotheses
-    against every point, with hypotheses along `axis`. Each block's
-    boolean inlier mask is kept (at most _SCORE_BLOCK_PAIRS bytes, well
-    under the mmap threshold), so the winner's mask is read from it
-    instead of scoring its block a second time.
+    `inliers(start, stop)` returns the boolean inlier mask of those
+    hypotheses against every point, with hypotheses along `axis`, and
+    `residuals(start, stop)` their residuals, in the same layout. Each
+    block's mask is kept (at most _SCORE_BLOCK_PAIRS bytes, well under
+    the mmap threshold), so the winner's mask is read from it instead of
+    scoring its block a second time. Counts are summed in int32, exact
+    for any cloud under 2**31 points.
+
+    Residual sums only break ties at the top count, so only tied
+    hypotheses need them: a hypothesis alone at the top count wins
+    without any, and otherwise only the blocks that hold a tied
+    hypothesis are scored again. That is the same `residuals` call on
+    the same slice, summed by the same einsum as when every block was
+    summed, so the tied sums, and the winner, keep their bytes. On the
+    30 criterion-1 clouds of tests/test_golden.py a fit scores 13 to 14
+    blocks and scores again 0.3 of them on average in the plane stage,
+    1.7 in the circle stage.
     """
-    counts = np.empty(n_hypotheses, dtype=np.intp)
-    sums = np.empty(n_hypotheses)
+    blocks = _score_blocks(n_hypotheses, n_points)
+    starts = [start for start, _ in blocks]
     point_axis = 1 - axis
-    subscripts = "ij,ij->j" if axis == 1 else "ij,ij->i"
+    counts = np.empty(n_hypotheses, dtype=np.int32)
     masks = []
-    for start, stop in _score_blocks(n_hypotheses, n_points):
-        resid = score_block(start, stop)
-        within = resid <= threshold
-        counts[start:stop] = within.sum(axis=point_axis)
-        sums[start:stop] = np.einsum(subscripts, resid, within)
-        masks.append((start, stop, within))
-    best = _best_by_count_then_distance(counts, sums)
-    start, _, within = next(m for m in masks if m[1] > best)
-    return counts, sums, best, np.take(within, best - start, axis=axis)
+    for start, stop in blocks:
+        within = inliers(start, stop)
+        np.add.reduce(within, axis=point_axis, dtype=np.int32, out=counts[start:stop])
+        masks.append(within)
+    tied = np.flatnonzero(counts == counts.max())
+    if len(tied) == 1:
+        best = int(tied[0])
+    else:
+        subscripts = "ij,ij->j" if axis == 1 else "ij,ij->i"
+        sums = np.empty(n_hypotheses)  # written, and read, only for tied blocks
+        for k in sorted({bisect_right(starts, i) - 1 for i in tied.tolist()}):
+            start, stop = blocks[k]
+            sums[start:stop] = np.einsum(subscripts, residuals(start, stop), masks[k])
+        best = int(tied[np.argmin(sums[tied])])
+    k = bisect_right(starts, best) - 1
+    return counts, best, np.take(masks[k], best - starts[k], axis=axis)
 
 
 def _plane_residuals(pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -416,25 +434,132 @@ def _plane_residuals(pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray) 
     return np.abs(dist, out=dist)
 
 
-def _circle_residuals(
-    pts: np.ndarray, pp: np.ndarray, centers: np.ndarray, cc: np.ndarray, radius: float
+def _squared_distances(
+    pts: np.ndarray, pp: np.ndarray, centers: np.ndarray, cc: np.ndarray
 ) -> np.ndarray:
-    """||p - c| - radius| for every center (rows) and point (columns).
+    """|p - c|^2 for every center (rows) and point (columns), unclamped.
 
-    pp and cc are the squared norms of pts and centers. |p - c| comes
+    pp and cc are the squared norms of pts and centers. |p - c|^2 comes
     from |p|^2 - 2 p.c + |c|^2: one matmul instead of an (h, n, 2)
     broadcast, which dominates the runtime otherwise. The -2 is folded
     into the small operand: scaling by a power of two is exact, so
     (-2 c) @ p.T has the bytes of -2 * (c @ p.T) without a pass over the
-    product.
+    product. Rounding can leave an entry slightly below zero.
     """
-    resid = (-2.0 * centers) @ pts.T
-    resid += pp
-    resid += cc[:, None]
+    x = (-2.0 * centers) @ pts.T
+    x += pp
+    x += cc[:, None]
+    return x
+
+
+def _circle_residuals(
+    pts: np.ndarray, pp: np.ndarray, centers: np.ndarray, cc: np.ndarray, radius: float
+) -> np.ndarray:
+    """||p - c| - radius| for every center (rows) and point (columns),
+    from _squared_distances."""
+    resid = _squared_distances(pts, pp, centers, cc)
     np.maximum(resid, 0.0, out=resid)
     np.sqrt(resid, out=resid)
     resid -= radius
     return np.abs(resid, out=resid)
+
+
+def _circle_inliers(
+    pts: np.ndarray, pp: np.ndarray, centers: np.ndarray, cc: np.ndarray, band: tuple[float, float]
+) -> np.ndarray:
+    """_circle_residuals(...) <= threshold, for band =
+    _squared_distance_band(radius, threshold), without the residuals:
+    two comparisons per pair instead of a clamp, a square root, a
+    subtraction, an absolute value and a comparison."""
+    lo, hi = band
+    x = _squared_distances(pts, pp, centers, cc)
+    within = x >= lo
+    within &= x <= hi
+    return within
+
+
+# Bit patterns of the non-negative doubles, read as int64, run from 0
+# (+0.0) to _INF_BITS (+inf) in the order of the doubles themselves.
+_INF_BITS = 0x7FF0000000000000
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _least_double(pred, guess: float) -> int:
+    """Bit pattern of the least non-negative double x with pred(x) true.
+
+    pred must be monotone over the non-negative doubles (false, then
+    true from some x on), and is taken to hold at +inf. The search
+    gallops out from `guess` by 1, 2, 4, ... bit patterns until pred
+    changes, then bisects the bracket: at most 63 steps of each, and a
+    few in all when guess lies a few ulps from the answer.
+    """
+    false, true = -1, _INF_BITS  # pred fails at `false` and below, holds at `true`
+    g = struct.unpack("<q", struct.pack("<d", guess))[0]
+    g = min(max(g, 0), _INF_BITS)  # a negative or NaN guess clamps to an end
+    step = 1
+    if pred(_double(g)):
+        true = g
+        while true - step > false:
+            if not pred(_double(true - step)):
+                false = true - step
+                break
+            true -= step
+            step *= 2
+    else:
+        false = g
+        while false + step < true:
+            if pred(_double(false + step)):
+                true = false + step
+                break
+            false += step
+            step *= 2
+    while true - false > 1:
+        mid = (false + true) // 2
+        if pred(_double(mid)):
+            true = mid
+        else:
+            false = mid
+    return true
+
+
+def _squared_distance_band(radius: float, threshold: float) -> tuple[float, float]:
+    """The doubles x that pass |sqrt(max(x, 0)) - radius| <= threshold,
+    as the closed interval [lo, hi].
+
+    The rounded square root, the rounded subtraction of radius and each
+    comparison are monotone in x, so the passing doubles form one
+    interval: above every x whose residual falls short of -threshold and
+    below every x whose residual exceeds threshold. Its ends are found
+    by search over the doubles themselves, with exactly the residual
+    test's operations. The algebraic ends (radius -/+ threshold)^2 can
+    round to a neighbour of the true end (they do at the default plane
+    threshold), and a pair on that ulp would change sides. So
+    lo <= x <= hi holds for exactly the doubles the residual test
+    passes: never NaN, and +inf only for an infinite threshold. When the
+    test holds at x = 0 (threshold >= radius), it holds at every x <= 0
+    too, -inf included, through the clamp, and lo is -inf.
+    """
+
+    def reaches(x: float) -> bool:  # residual >= -threshold
+        return math.sqrt(x) - radius >= -threshold
+
+    def exceeds(x: float) -> bool:  # not (residual <= threshold), so NaN exceeds
+        return not (math.sqrt(x) - radius <= threshold)
+
+    # Guesses are squared by a multiply, which overflows to +inf where
+    # ** would raise.
+    if reaches(0.0):
+        lo = -math.inf
+    else:
+        lo = _double(_least_double(reaches, (radius - threshold) * (radius - threshold)))
+    if exceeds(math.inf):
+        hi = _double(_least_double(exceeds, (radius + threshold) * (radius + threshold)) - 1)
+    else:
+        hi = math.inf
+    return lo, hi
 
 
 def _radial_residuals(coords: np.ndarray, center2d: np.ndarray, radius: float) -> np.ndarray:
@@ -470,7 +595,9 @@ def fit_plane_ransac(cloud, params: RansacParams) -> tuple[Plane, np.ndarray]:
 
     Hypotheses are scored in blocks of at most _SCORE_BLOCK_PAIRS
     (point, plane) pairs, so no temporary reaches glibc's mmap threshold
-    and none is mapped and page-faulted afresh on each call.
+    and none is mapped and page-faulted afresh on each call. Distance
+    sums are computed only for blocks holding a hypothesis tied at the
+    top count (_consensus).
     """
     pts = np.asarray(cloud, dtype=float)
     # Finiteness first: estimate_needle_pose reports a non-finite cloud
@@ -508,11 +635,15 @@ def fit_plane_ransac(cloud, params: RansacParams) -> tuple[Plane, np.ndarray]:
 
     normals = cross[valid] / area[valid, None]
     offsets = np.einsum("ij,ij->i", normals, p0[valid])
-    counts, _, best, within = _consensus(
-        lambda a, b: _plane_residuals(pts, normals[a:b], offsets[a:b]),
+
+    def residuals(a: int, b: int) -> np.ndarray:
+        return _plane_residuals(pts, normals[a:b], offsets[a:b])
+
+    counts, best, within = _consensus(
+        lambda a, b: residuals(a, b) <= params.inlier_threshold,
+        residuals,
         len(normals),
         len(pts),
-        params.inlier_threshold,
         axis=1,
     )
     if counts[best] < params.min_inliers:
@@ -556,7 +687,13 @@ def fit_circle_fixed_radius(points2d, radius: float, params: RansacParams) -> np
 
     Candidate centers are scored in blocks of at most _SCORE_BLOCK_PAIRS
     (center, point) pairs, so no temporary reaches glibc's mmap threshold
-    and none is mapped and page-faulted afresh on each call.
+    and none is mapped and page-faulted afresh on each call. A pair is
+    an inlier when its squared distance |p - c|^2 lies in the exact
+    band of squared distances whose residual passes the threshold
+    (_squared_distance_band): the residual test's verdict, bit for bit,
+    for two comparisons instead of a square root and three more passes.
+    Residuals are computed only for blocks holding a center tied at the
+    top count, whose sums break the tie (_consensus).
     """
     pts = np.asarray(points2d, dtype=float)
     if not np.isfinite(pts).all():
@@ -600,11 +737,12 @@ def fit_circle_fixed_radius(points2d, radius: float, params: RansacParams) -> np
 
     pp = np.einsum("ij,ij->i", pts, pts)
     cc = np.einsum("ij,ij->i", centers, centers)
-    counts, _, best, within = _consensus(
+    band = _squared_distance_band(radius, params.inlier_threshold)
+    counts, best, within = _consensus(
+        lambda a, b: _circle_inliers(pts, pp, centers[a:b], cc[a:b], band),
         lambda a, b: _circle_residuals(pts, pp, centers[a:b], cc[a:b], radius),
         len(centers),
         len(pts),
-        params.inlier_threshold,
         axis=0,
     )
     if counts[best] < params.min_inliers:

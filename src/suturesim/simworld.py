@@ -443,9 +443,6 @@ class WorldState:
     def needle_holder(self) -> GripperId | None:
         return self._holder
 
-    def current_targets(self) -> SutureTargets:
-        return self.targets[self.suture_index - 1]
-
     def swage_hint(self) -> np.ndarray:
         """True swage position, for disambiguating estimated endpoints.
 

@@ -246,3 +246,25 @@ def test_signed_angle_about_axis():
     assert geo.signed_angle_about(z, [1, 0, 0], [0, 1, 0]) == pytest.approx(math.pi / 2)
     assert geo.signed_angle_about(z, [0, 1, 0], [1, 0, 0]) == pytest.approx(-math.pi / 2)
     assert geo.signed_angle_about(z, [1, 0, 0], [-1, 0, 0]) == pytest.approx(math.pi)
+
+
+def test_constructors_keep_copies_and_leave_the_callers_arrays_writable():
+    center = np.array([0.01, 0.02, 0.03])
+    normal = np.array([0.0, 1.0, 0.0])
+    rotation = np.eye(3)
+    translation = np.array([0.1, 0.2, 0.3])
+    circle = geo.Circle3D(center, normal, 0.012)
+    plane = geo.Plane(normal, 0.5)
+    transform = geo.RigidTransform(rotation, translation)
+    for kept in (circle.center, circle.normal, plane.normal, transform.rotation, transform.translation):
+        assert not kept.flags.writeable
+    center[0] = 5.0  # the caller's arrays stay writable ...
+    normal[:] = [1.0, 0.0, 0.0]
+    rotation[0, 0] = -1.0
+    translation[2] = 9.0
+    # ... and the objects do not change with them
+    np.testing.assert_array_equal(circle.center, [0.01, 0.02, 0.03])
+    np.testing.assert_array_equal(circle.normal, [0.0, 1.0, 0.0])
+    np.testing.assert_array_equal(plane.normal, [0.0, 1.0, 0.0])
+    np.testing.assert_array_equal(transform.rotation, np.eye(3))
+    np.testing.assert_array_equal(transform.translation, [0.1, 0.2, 0.3])

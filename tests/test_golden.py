@@ -68,21 +68,28 @@ HARSH_NOISE = pc.NoiseModel(
     dropout_fraction=0.0,
     occlusion_arc=0.25 * pc.NeedleSpec().arc_span,
 )
-# setting -> (cloud points, RANSAC iterations in both stages, noise)
+# setting -> (cloud points, RANSAC iterations in both stages, noise,
+# circle inlier threshold). On noise-free clouds many hypotheses tie at
+# the top inlier count, so the residual sums pick the winner. A circle
+# threshold of one radius admits points at the center itself.
 ESTIMATOR_SETTINGS = {
-    "in_loop": (140, 120, SIM_NOISE),
-    "criterion_1": (200, 500, HARSH_NOISE),
-    "many_blocks": (300, 1000, HARSH_NOISE),
+    "in_loop": (140, 120, SIM_NOISE, pc.DEFAULT_CIRCLE_THRESHOLD),
+    "criterion_1": (200, 500, HARSH_NOISE, pc.DEFAULT_CIRCLE_THRESHOLD),
+    "many_blocks": (300, 1000, HARSH_NOISE, pc.DEFAULT_CIRCLE_THRESHOLD),
+    "noise_free": (140, 120, pc.NoiseModel(), pc.DEFAULT_CIRCLE_THRESHOLD),
+    "wide_circle_band": (200, 500, HARSH_NOISE, pc.NEEDLE_RADIUS),
 }
 ESTIMATOR_GOLDEN = {
     "in_loop": "27adf7ede500012465732bf1017dd293d0d3987907762547446e3db1053b44da",
     "criterion_1": "056493717d5a7ddb00f067c3c7fd3d8dd6edd559b432b5da2cd5547b139ad87d",
     "many_blocks": "b6b4c13f0a842fb225364f9ebd44db6b9698b414028ef2aecf7d78c5ecb8dad5",
+    "noise_free": "4594693d143dd4a00fdff50ae508915848697fe665529dc86c7dc09ee50ced58",
+    "wide_circle_band": "edb7eac6d4e182acdcd2660b4b48425a79fbf8300897fb4c6bdd521dee6a638a",
 }
 
 
 def estimator_records(setting: str) -> str:
-    n_points, iterations, noise = ESTIMATOR_SETTINGS[setting]
+    n_points, iterations, noise, circle_threshold = ESTIMATOR_SETTINGS[setting]
     spec = pc.NeedleSpec()
     key = sorted(ESTIMATOR_SETTINGS).index(setting)
     records = []
@@ -101,7 +108,7 @@ def estimator_records(setting: str) -> str:
         plane = pc.RansacParams(iterations=iterations, min_inliers=plane_min, seed=i)
         circle = pc.RansacParams(
             iterations=iterations,
-            inlier_threshold=pc.DEFAULT_CIRCLE_THRESHOLD,
+            inlier_threshold=circle_threshold,
             min_inliers=circle_min,
             seed=i,
         )

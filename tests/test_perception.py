@@ -173,20 +173,87 @@ def hypothesis_counts(n_points):
     return [1, max(1, rows - 1), rows, rows + 1, 5 * rows + 3]
 
 
-def assert_matches_oracle(got, oracle, axis, sum_atol):
-    """Blocked (counts, sums, winner, winner mask) against one-shot
-    (counts, sums, mask) with hypotheses along `axis` of the mask."""
-    counts, sums, best, mask = got
+class RecordingResiduals:
+    """A `residuals` callable for pc._consensus that keeps what it returns,
+    so a test can see which blocks were scored for tie-break sums."""
+
+    def __init__(self, residuals):
+        self.residuals = residuals
+        self.scored = []
+
+    def __call__(self, start, stop):
+        resid = self.residuals(start, stop)
+        self.scored.append((start, stop, resid))
+        return resid
+
+
+def assert_matches_oracle(got, scored, oracle, axis, sum_atol):
+    """Blocked (counts, winner, winner mask) against one-shot (counts,
+    sums, mask) with hypotheses along `axis` of the mask; `scored` holds
+    the blocks pc._consensus scored again for tie-break sums."""
+    counts, best, mask = got
     want_counts, want_sums, want_within = oracle
     np.testing.assert_array_equal(counts, want_counts)
-    if sum_atol == 0.0:
-        np.testing.assert_array_equal(sums, want_sums)
-    else:
-        np.testing.assert_allclose(sums, want_sums, rtol=0.0, atol=sum_atol)
     # most inliers, then lowest sum, then lowest index (lexsort is stable)
     want_best = int(np.lexsort((want_sums, -want_counts))[0])
     assert best == want_best
     np.testing.assert_array_equal(mask, np.take(want_within, want_best, axis=axis))
+
+    # Sums are computed only for the blocks that hold a hypothesis tied
+    # at the top count, once each, and only when there is a tie.
+    h = len(want_counts)
+    tied = np.flatnonzero(want_counts == want_counts.max())
+    blocks = pc._score_blocks(h, want_within.shape[1 - axis])
+    want_scored = [
+        (start, stop)
+        for start, stop in blocks
+        if len(tied) > 1 and ((tied >= start) & (tied < stop)).any()
+    ]
+    assert [(start, stop) for start, stop, _ in scored] == want_scored
+    for start, stop, resid in scored:
+        within = np.take(want_within, np.arange(start, stop), axis=axis)
+        sums = np.einsum("ij,ij->j" if axis == 1 else "ij,ij->i", resid, within)
+        if sum_atol == 0.0:
+            np.testing.assert_array_equal(sums, want_sums[start:stop])
+        else:
+            np.testing.assert_allclose(sums, want_sums[start:stop], rtol=0.0, atol=sum_atol)
+
+
+def blocked_plane_scores(pts, normals, offsets, threshold):
+    def residuals(a, b):
+        return pc._plane_residuals(pts, normals[a:b], offsets[a:b])
+
+    scored = RecordingResiduals(residuals)
+    got = pc._consensus(
+        lambda a, b: residuals(a, b) <= threshold, scored, len(normals), len(pts), axis=1
+    )
+    return got, scored.scored
+
+
+def blocked_circle_scores(pts, centers, radius, threshold):
+    pp = np.einsum("ij,ij->i", pts, pts)
+    cc = np.einsum("ij,ij->i", centers, centers)
+    band = pc._squared_distance_band(radius, threshold)
+    scored = RecordingResiduals(
+        lambda a, b: pc._circle_residuals(pts, pp, centers[a:b], cc[a:b], radius)
+    )
+    got = pc._consensus(
+        lambda a, b: pc._circle_inliers(pts, pp, centers[a:b], cc[a:b], band),
+        scored,
+        len(centers),
+        len(pts),
+        axis=0,
+    )
+    return got, scored.scored
+
+
+def spread_top_ties(h, n_points):
+    """Indices of three hypotheses in three different blocks: the first
+    and the last are to tie with the middle one at the top count, the
+    last also in sum."""
+    blocks = pc._score_blocks(h, n_points)
+    assert len(blocks) >= 3
+    return blocks[0][1] - 1, blocks[len(blocks) // 2][0], blocks[-1][1] - 1
 
 
 # 140 points (the in-loop cloud) give blocks of 58 hypotheses; 9000
@@ -210,12 +277,29 @@ def test_blocked_plane_scores_match_one_shot_oracle(n_points):
         # most n_points times that.
         general = rng.uniform(-0.05, 0.05, (n_points, 3))
         for pts, sum_atol in ((on_axis, 0.0), (general, 16 * n_points * EPS * 0.1)):
-            got = pc._consensus(
-                lambda a, b: pc._plane_residuals(pts, normals[a:b], offsets[a:b]),
-                h, n_points, 0.01, axis=1,
-            )
+            got, scored = blocked_plane_scores(pts, normals, offsets, 0.01)
             oracle = one_shot_plane_scores(pts, normals, offsets, 0.01)
-            assert_matches_oracle(got, oracle, 1, sum_atol)
+            assert_matches_oracle(got, scored, oracle, 1, sum_atol)
+
+
+@pytest.mark.parametrize("n_points", [140, 9000])
+def test_blocked_plane_top_ties_across_blocks_go_to_the_lowest_sum(n_points):
+    # Every point within the threshold of the planes z = 0.002 and
+    # z = 0.0005, and of no other plane: the three hypotheses tie at
+    # the top count, and z = 0.0005, nearer the points' median, has the
+    # lower distance sum. Its second copy ties in sum too and loses on
+    # index.
+    h = hypothesis_counts(n_points)[-1]
+    pts = np.zeros((n_points, 3))
+    pts[:, 2] = np.random.default_rng(3).uniform(-0.001, 0.001, n_points)
+    normals = np.tile([0.0, 0.0, 1.0], (h, 1))
+    offsets = np.full(h, 0.5)
+    first, middle, last = spread_top_ties(h, n_points)
+    offsets[[first, middle, last]] = 0.002, 0.0005, 0.0005
+    got, scored = blocked_plane_scores(pts, normals, offsets, 0.01)
+    oracle = one_shot_plane_scores(pts, normals, offsets, 0.01)
+    assert_matches_oracle(got, scored, oracle, 1, 0.0)
+    assert got[1] == middle and len(scored) == 3
 
 
 @pytest.mark.parametrize("n_points", [140, 9000])
@@ -233,14 +317,63 @@ def test_blocked_circle_scores_match_one_shot_oracle(n_points):
         general = rng.uniform(-0.03, 0.03, (n_points, 2))
         scale = (0.03 * math.sqrt(2) + 0.02 * math.sqrt(2)) ** 2 / (2 * radius)
         for pts, sum_atol in ((on_axis, 0.0), (general, 16 * n_points * EPS * scale)):
-            pp = np.einsum("ij,ij->i", pts, pts)
-            cc = np.einsum("ij,ij->i", centers, centers)
-            got = pc._consensus(
-                lambda a, b: pc._circle_residuals(pts, pp, centers[a:b], cc[a:b], radius),
-                h, n_points, 0.003, axis=0,
-            )
+            got, scored = blocked_circle_scores(pts, centers, radius, 0.003)
             oracle = one_shot_circle_scores(pts, centers, radius, 0.003)
-            assert_matches_oracle(got, oracle, 0, sum_atol)
+            assert_matches_oracle(got, scored, oracle, 0, sum_atol)
+
+
+@pytest.mark.parametrize("n_points", [140, 9000])
+def test_blocked_circle_top_ties_across_blocks_go_to_the_lowest_sum(n_points):
+    # Points on the x axis about one radius from the origin: the centers
+    # (0.0004, 0) and (0, 0) hold all of them and no other center holds
+    # any, and (0, 0) fits them with the lower residual sum.
+    h = hypothesis_counts(n_points)[-1]
+    radius = 0.012
+    pts = np.zeros((n_points, 2))
+    pts[:, 0] = np.random.default_rng(4).uniform(0.0115, 0.0125, n_points)
+    centers = np.full((h, 2), 1.0)
+    first, middle, last = spread_top_ties(h, n_points)
+    centers[[first, middle, last]] = [0.0004, 0.0], [0.0, 0.0], [0.0, 0.0]
+    got, scored = blocked_circle_scores(pts, centers, radius, 0.003)
+    oracle = one_shot_circle_scores(pts, centers, radius, 0.003)
+    assert_matches_oracle(got, scored, oracle, 0, 0.0)
+    assert got[1] == middle and len(scored) == 3
+
+
+def doubles_near(x, ulps=4096):
+    """Every double within `ulps` bit patterns of x (of +0.0 and -0.0
+    for x = -inf, the clamp's side of the band)."""
+    if x == -math.inf:
+        small = np.arange(0, ulps + 1, dtype=np.int64).view(np.float64)
+        return np.concatenate([-small, small])
+    bits = np.array(x).view(np.int64)
+    return np.arange(bits - ulps, bits + ulps + 1, dtype=np.int64).view(np.float64)
+
+
+@pytest.mark.parametrize(
+    "threshold",
+    [pc.DEFAULT_PLANE_THRESHOLD, pc.DEFAULT_CIRCLE_THRESHOLD, pc.NEEDLE_RADIUS, 0.03, 1e-18, 1e300],
+)
+def test_squared_distance_band_is_the_residual_test(threshold):
+    r = pc.NEEDLE_RADIUS
+    lo, hi = pc._squared_distance_band(r, threshold)
+    assert (lo == -math.inf) == (threshold >= r)
+    assert lo <= hi < math.inf
+    rng = np.random.default_rng(5)
+    x = np.concatenate(
+        [doubles_near(lo), doubles_near(hi), rng.uniform(0.0, (3 * r) ** 2, 100_000)]
+    )
+    with np.errstate(invalid="ignore"):
+        want = np.abs(np.sqrt(np.maximum(x, 0.0)) - r) <= threshold
+    np.testing.assert_array_equal((lo <= x) & (x <= hi), want)
+    assert want.any() and not want.all()
+    # NaN and +inf fail both tests; -inf is clamped to 0 by the residual
+    # test, so it passes both exactly when threshold >= radius.
+    special = np.array([np.nan, np.inf, -np.inf])
+    with np.errstate(invalid="ignore"):
+        want = np.abs(np.sqrt(np.maximum(special, 0.0)) - r) <= threshold
+    np.testing.assert_array_equal((lo <= special) & (special <= hi), want)
+    np.testing.assert_array_equal(want, [False, False, threshold >= r])
 
 
 def test_score_blocks_cover_every_hypothesis_once():
@@ -463,6 +596,18 @@ def test_pose_agreement_is_label_agnostic():
     delta = pc.pose_agreement(pose, swapped)
     assert delta.endpoint_dist == 0.0
     assert delta.center_dist == 0.0
+
+
+def test_needle_pose_keeps_copies_of_its_endpoints():
+    circle = geo.Circle3D([0.0, 0.0, 0.0], [0.0, 1.0, 0.0], SPEC.radius)
+    tip = np.array([SPEC.radius, 0.0, 0.0])
+    swage = np.array([-SPEC.radius, 0.0, 0.0])
+    pose = pc.NeedlePose(circle, tip, swage)
+    assert not pose.tip.flags.writeable and not pose.swage.flags.writeable
+    tip[0] = 5.0
+    swage[1] = 5.0
+    np.testing.assert_array_equal(pose.tip, [SPEC.radius, 0.0, 0.0])
+    np.testing.assert_array_equal(pose.swage, [-SPEC.radius, 0.0, 0.0])
 
 
 def test_canonical_normal_rules():
