@@ -6,6 +6,8 @@ perception-gated planning, bounded retries, and an optional
 human-rescue mode. The geometric planners are pure functions over
 observed poses; run_suture owns sequencing, event logging, and the
 error taxonomy (I: insertion, E: extraction, H: handover, T: thread).
+Extraction and handover are retried; one runner, _with_retries, owns
+the retry budget and logs every retry.
 
 Conventions baked in here: the right jaw drives insertions and ends up
 holding the needle after each handover; the left jaw re-grasps for
@@ -84,7 +86,6 @@ class ErrorKind(Enum):
 class Decision(Enum):
     PROCEED = "proceed"
     RETRY = "retry"
-    FAIL = "fail"
 
 
 @dataclass(frozen=True)
@@ -165,6 +166,14 @@ class _PhaseFailure(Exception):
         self.detail = detail
 
 
+class _Retry(Exception):
+    """Internal flow control: one attempt of a retried primitive failed."""
+
+
+# Errors that fail one attempt of a retried primitive, not the whole suture.
+_ATTEMPT_ERRORS = (PerceptionError, MotionError, PlanError)
+
+
 # ---------------------------------------------------------------------------
 # Pure geometric helpers
 
@@ -239,6 +248,21 @@ def plan_insertion(needle: NeedlePose, entry, exit_, params: ControllerParams) -
     ]
 
 
+def _approach(target, gripper_pose: RigidTransform, params: ControllerParams) -> list:
+    """Close a jaw on target, approaching along the horizontal line of sight.
+
+    The approach starts approach_offset short of target and overshoots by
+    (approach_advance - approach_offset) so the closing jaws straddle it.
+    """
+    h = _horizontal_unit(target - gripper_pose.translation)
+    start = target - params.approach_offset * h
+    return [
+        MoveTo(RigidTransform.from_translation(start)),
+        Translate(tuple(params.approach_advance * h)),
+        SetJaw(JawState.CLOSED),
+    ]
+
+
 def plan_extraction(
     observed: NeedlePose,
     left_gripper_pose: RigidTransform,
@@ -247,12 +271,9 @@ def plan_extraction(
 ) -> list:
     """Re-grasp the protruding end with the left jaw and roll the needle out.
 
-    The re-grasp point is the estimated endpoint nearer the left jaw;
-    approach starts approach_offset back along the horizontal line of
-    sight and overshoots by (approach_advance - approach_offset) so the
-    closing jaws straddle the target. The extraction rotation continues
-    the insertion's rolling direction: sign chosen so the grasped end
-    rises.
+    The re-grasp point is the estimated endpoint nearer the left jaw. The
+    extraction rotation continues the insertion's rolling direction: sign
+    chosen so the grasped end rises.
     """
     left_pos = left_gripper_pose.translation
     ends = [observed.tip, observed.swage]
@@ -260,14 +281,10 @@ def plan_extraction(
     regrasp = ends[int(np.argmin(dists))]
     if wound.buried(regrasp):
         raise ExtractionPlanError("no exposed needle endpoint to re-grasp")
-    h = _horizontal_unit(regrasp - left_pos)
-    start = regrasp - params.approach_offset * h
+    script = _approach(regrasp, left_gripper_pose, params)
     s = rotation_sense(observed.normal, regrasp, observed.center, WORLD_UP)
     axis = s * geo.unit(observed.normal)
-    return [
-        MoveTo(RigidTransform.from_translation(start)),
-        Translate(tuple(params.approach_advance * h)),
-        SetJaw(JawState.CLOSED),
+    return script + [
         RotateHeld(tuple(axis), params.extraction_rotation, tuple(observed.center)),
         Translate((0.0, 0.0, params.lift_clear)),
     ]
@@ -289,25 +306,13 @@ def plan_handover(
     ends = [observed.tip, observed.swage]
     dists = [float(np.linalg.norm(e - left_pos)) for e in ends]
     target = ends[int(np.argmax(dists))] + geo.as_point(jitter)
-    h = _horizontal_unit(target - right_gripper_pose.translation)
-    start = target - params.approach_offset * h
-    return [
-        MoveTo(RigidTransform.from_translation(start)),
-        Translate(tuple(params.approach_advance * h)),
-        SetJaw(JawState.CLOSED),
-    ]
+    return _approach(target, right_gripper_pose, params)
 
 
-def recover_extraction(
-    before: NeedlePose, after: NeedlePose, params: ControllerParams, retries_used: int
-) -> Decision:
+def recover_extraction(before: NeedlePose, after: NeedlePose, params: ControllerParams) -> Decision:
     """Did the extraction actually move the needle? Decide from endpoints."""
     moved = pc.pose_agreement(before, after).endpoint_dist
-    if moved >= params.extraction_progress_threshold:
-        return Decision.PROCEED
-    if retries_used < params.max_retries:
-        return Decision.RETRY
-    return Decision.FAIL
+    return Decision.PROCEED if moved >= params.extraction_progress_threshold else Decision.RETRY
 
 
 def recover_handover(before_normal, after_normal, params: ControllerParams) -> Decision:
@@ -350,7 +355,7 @@ def sweep_thread(world: WorldState, wound: WoundSpec, params: ControllerParams) 
     margin = 0.01
     height = wound.ridge_height + 0.004
     start = np.array([0.0, float(ys.min()) - margin, height])
-    run = (float(ys.max()) - float(ys.min()) + 2.0 * margin) * wound.wound_axis
+    run = (float(ys.max()) - float(ys.min()) + 2.0 * margin) * WORLD_Y
     world.execute(gripper, MoveTo(RigidTransform.from_translation(start)))
     world.execute(gripper, Translate(tuple(run)))
     world.mark_swept()
@@ -419,7 +424,7 @@ def _insertion(world: WorldState, i: int, params: ControllerParams) -> None:
     except PerceptionError as exc:
         raise _PhaseFailure(ErrorKind.INSERTION, f"perception: {exc}") from exc
     labeled = label_endpoints(obs, world.swage_hint())
-    d = geo.unit(targets.exit - targets.entry)
+    d = targets.direction
     staging = (targets.entry - params.approach_offset * d) - labeled.tip
     try:
         world.execute(right, Translate(tuple(staging)))
@@ -435,101 +440,84 @@ def _insertion(world: WorldState, i: int, params: ControllerParams) -> None:
     world.execute(right, MoveTo(world.home_poses[right]))
 
 
-def _extraction(world: WorldState, params: ControllerParams) -> None:
+def _with_retries(
+    world: WorldState, state: PipelineState, kind: ErrorKind, params: ControllerParams, attempt
+) -> None:
+    """Run attempt(world, params, k) for k = 0 .. max_retries until one returns.
+
+    This is the only place the retry budget is read. An attempt fails
+    softly by raising _Retry or one of _ATTEMPT_ERRORS; each retry is
+    logged with the state's self-transition before it starts. The last
+    attempt's soft failure is terminal.
+    """
+    for k in range(params.max_retries + 1):
+        if k:
+            world.log_event("retry", primitive=state.value, attempt=k)
+            world.log_event("transition", frm=state.value, to=state.value)
+        try:
+            return attempt(world, params, k)
+        except _Retry as exc:
+            detail = str(exc)
+        except _ATTEMPT_ERRORS as exc:
+            detail = f"attempt failed: {exc}"
+    raise _PhaseFailure(kind, detail)
+
+
+def _extraction(world: WorldState, params: ControllerParams, k: int) -> None:
+    """One extraction attempt: re-grasp the exposed end and roll the needle out."""
     left = GripperId.LEFT
-    for attempt in range(params.max_retries + 1):
-        if attempt:
-            world.log_event("retry", primitive="extraction", attempt=attempt)
-            world.log_event(
-                "transition",
-                frm=PipelineState.EXTRACTION.value,
-                to=PipelineState.EXTRACTION.value,
-            )
-        try:
-            if world.grippers[left].jaw is JawState.CLOSED:
-                world.execute(left, SetJaw(JawState.OPEN))
-            before = world.observe()
-            script = plan_extraction(
-                before, world.grippers[left].pose, params, wound=world.wound
-            )
-            for motion in script:
-                world.execute(left, motion)
-            after = world.observe()
-        except ExtractionPlanError as exc:
-            raise _PhaseFailure(ErrorKind.EXTRACTION, str(exc)) from exc
-        except (PerceptionError, MotionError, PlanError) as exc:
-            if attempt == params.max_retries:
-                raise _PhaseFailure(ErrorKind.EXTRACTION, f"attempt failed: {exc}") from exc
-            continue
-        decision = recover_extraction(before, after, params, attempt)
-        if decision is Decision.PROCEED:
-            return
-        if decision is Decision.FAIL:
-            raise _PhaseFailure(ErrorKind.EXTRACTION, "needle did not clear the tissue")
-    raise _PhaseFailure(ErrorKind.EXTRACTION, "needle did not clear the tissue")
-
-
-def _handover(world: WorldState, params: ControllerParams) -> None:
-    left, right = GripperId.LEFT, GripperId.RIGHT
-    for attempt in range(params.max_retries + 1):
-        jitter = np.zeros(3)
-        if attempt:
-            world.log_event("retry", primitive="handover", attempt=attempt)
-            world.log_event(
-                "transition",
-                frm=PipelineState.HANDOVER.value,
-                to=PipelineState.HANDOVER.value,
-            )
-            theta = world.rng.uniform(0.0, 2.0 * math.pi)
-            mag = world.rng.uniform(0.0, params.handover_jitter_max)
-            jitter = mag * np.array([math.cos(theta), math.sin(theta), 0.0])
-            world.log_event("handover_jitter", magnitude=mag)
-        grasped = False
-        try:
-            obs = world.observe()
-            script = plan_handover(
-                obs,
-                world.grippers[left].pose,
-                world.grippers[right].pose,
-                params,
-                jitter,
-            )
-            world.begin_dual_grasp()
-            for motion in script:
-                world.execute(right, motion)
-            before = world.observe()
-            world.execute(right, Translate(params.handover_test_offset))
-            after = world.observe()
-        except (PerceptionError, MotionError, PlanError) as exc:
-            if world.grippers[right].jaw is JawState.CLOSED:
-                world.execute(right, SetJaw(JawState.OPEN))
-            world.end_dual_grasp()
-            if attempt == params.max_retries:
-                raise _PhaseFailure(ErrorKind.HANDOVER, f"attempt failed: {exc}") from exc
-            continue
-        moved = float(np.linalg.norm(after.center - before.center))
-        if moved < params.handover_miss_epsilon:
-            world.execute(right, SetJaw(JawState.OPEN))
-            world.end_dual_grasp()
-            if attempt == params.max_retries:
-                raise _PhaseFailure(ErrorKind.HANDOVER, "re-grasp never captured the needle")
-            continue
-        if recover_handover(before.normal, after.normal, params) is Decision.RETRY:
-            world.execute(right, SetJaw(JawState.OPEN))
-            world.end_dual_grasp()
-            if attempt == params.max_retries:
-                raise _PhaseFailure(ErrorKind.HANDOVER, "needle pose kept shifting in the jaws")
-            continue
+    if world.grippers[left].jaw is JawState.CLOSED:
         world.execute(left, SetJaw(JawState.OPEN))
+    before = world.observe()
+    try:
+        script = plan_extraction(before, world.grippers[left].pose, params, wound=world.wound)
+    except ExtractionPlanError as exc:
+        raise _PhaseFailure(ErrorKind.EXTRACTION, str(exc)) from exc
+    for motion in script:
+        world.execute(left, motion)
+    after = world.observe()
+    if recover_extraction(before, after, params) is Decision.RETRY:
+        raise _Retry("needle did not clear the tissue")
+
+
+def _handover(world: WorldState, params: ControllerParams, k: int) -> None:
+    """One handover attempt: the right jaw grasps the far end, a test nudge
+    checks the grip, and the left jaw lets go. Retries jitter the target."""
+    left, right = GripperId.LEFT, GripperId.RIGHT
+    jitter = np.zeros(3)
+    if k:
+        theta = world.rng.uniform(0.0, 2.0 * math.pi)
+        mag = world.rng.uniform(0.0, params.handover_jitter_max)
+        jitter = mag * np.array([math.cos(theta), math.sin(theta), 0.0])
+        world.log_event("handover_jitter", magnitude=mag)
+    try:
+        obs = world.observe()
+        script = plan_handover(
+            obs, world.grippers[left].pose, world.grippers[right].pose, params, jitter
+        )
+        world.begin_dual_grasp()
+        for motion in script:
+            world.execute(right, motion)
+        before = world.observe()
+        world.execute(right, Translate(params.handover_test_offset))
+        after = world.observe()
+        if float(np.linalg.norm(after.center - before.center)) < params.handover_miss_epsilon:
+            raise _Retry("re-grasp never captured the needle")
+        if recover_handover(before.normal, after.normal, params) is Decision.RETRY:
+            raise _Retry("needle pose kept shifting in the jaws")
+    except (_Retry, *_ATTEMPT_ERRORS):
+        if world.grippers[right].jaw is JawState.CLOSED:
+            world.execute(right, SetJaw(JawState.OPEN))
         world.end_dual_grasp()
-        try:
-            released = world.observe()
-        except PerceptionError as exc:
-            raise _PhaseFailure(ErrorKind.HANDOVER, f"post-release check failed: {exc}") from exc
-        if float(np.linalg.norm(released.center - after.center)) > params.extraction_progress_threshold:
-            raise _PhaseFailure(ErrorKind.HANDOVER, "needle dropped at release")
-        return
-    raise _PhaseFailure(ErrorKind.HANDOVER, "re-grasp never captured the needle")
+        raise
+    world.execute(left, SetJaw(JawState.OPEN))
+    world.end_dual_grasp()
+    try:
+        released = world.observe()
+    except PerceptionError as exc:
+        raise _PhaseFailure(ErrorKind.HANDOVER, f"post-release check failed: {exc}") from exc
+    if float(np.linalg.norm(released.center - after.center)) > params.extraction_progress_threshold:
+        raise _PhaseFailure(ErrorKind.HANDOVER, "needle dropped at release")
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +592,7 @@ def _attempt_suture(
             sweep_thread(world, world.wound, params)
 
         state = goto(PipelineState.EXTRACTION)
-        _extraction(world, params)
+        _with_retries(world, state, ErrorKind.EXTRACTION, params, _extraction)
         if world.thread_entanglement_check(world.swept) == "entangled":
             raise _PhaseFailure(ErrorKind.THREAD, "thread entangled during extraction")
 
@@ -617,7 +605,7 @@ def _attempt_suture(
                 raise _PhaseFailure(ErrorKind.THREAD, str(exc)) from exc
 
         state = goto(PipelineState.HANDOVER)
-        _handover(world, params)
+        _with_retries(world, state, ErrorKind.HANDOVER, params, _handover)
 
         state = goto(PipelineState.POSE_CORRECTION)
         if enabled.correction:

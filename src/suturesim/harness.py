@@ -150,7 +150,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialLog:
         spec=config.needle,
         wound=config.wound,
         failures=replace(config.failures, intervention_budget=budget),
-        timing=replace(config.timing, durations=dict(config.timing.durations)),
+        timing=config.timing,
         noise=config.noise,
         ransac=config.ransac,
         circle_ransac=config.circle_ransac,

@@ -63,8 +63,8 @@ class NeedleSpec:
     arc_span: float = math.pi
 
     def __post_init__(self):
-        if not (self.radius > 0.0):
-            raise ValueError("needle radius must be positive")
+        if not (0.0 < self.radius < math.inf):
+            raise ValueError("needle radius must be positive and finite")
         if not (0.0 < self.arc_span <= 2.0 * math.pi):
             raise ValueError("arc_span must be in (0, 2*pi]")
 
@@ -79,8 +79,8 @@ class RansacParams:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if not (self.inlier_threshold > 0.0):
-            raise ValueError("inlier_threshold must be positive")
+        if not (0.0 < self.inlier_threshold < math.inf):
+            raise ValueError("inlier_threshold must be positive and finite")
         if self.min_inliers < 3:
             raise ValueError("min_inliers must be >= 3")
 

@@ -92,15 +92,13 @@ class InvariantViolation(AssertionError):
 class WoundSpec:
     """Raised-ridge wound: entries on one face, exits on the other.
 
-    The ridge runs along wound_axis through x = 0, occupying
+    The ridge runs along world y through x = 0, occupying
     |x| <= ridge_half_width, 0 <= z <= ridge_height; the pad surface is
-    z = 0. Entry/exit pairs are matched by index.
+    z = 0. Entry/exit pairs are matched by index, one per suture.
     """
 
     entry_points: np.ndarray
     exit_points: np.ndarray
-    wound_axis: np.ndarray = field(default_factory=lambda: WORLD_Y.copy())
-    n_target_sutures: int = 6
     ridge_half_width: float = 0.005
     ridge_height: float = 0.010
 
@@ -109,17 +107,16 @@ class WoundSpec:
         exits = np.asarray(self.exit_points, dtype=float).reshape(-1, 3)
         if len(entries) == 0 or len(entries) != len(exits):
             raise ValueError("entry/exit point lists must be non-empty and equal length")
-        if self.n_target_sutures != len(entries):
-            raise ValueError("n_target_sutures must equal the number of entry points")
         if not (self.ridge_half_width > 0.0 and self.ridge_height > 0.0):
             raise ValueError("ridge dimensions must be positive")
-        axis = geo.require_unit(self.wound_axis, "wound axis")
         entries.setflags(write=False)
         exits.setflags(write=False)
-        axis.setflags(write=False)
         object.__setattr__(self, "entry_points", entries)
         object.__setattr__(self, "exit_points", exits)
-        object.__setattr__(self, "wound_axis", axis)
+
+    @property
+    def n_target_sutures(self) -> int:
+        return len(self.entry_points)
 
     def entry(self, i: int) -> np.ndarray:
         """Entry point of 1-based suture i."""
@@ -147,7 +144,7 @@ def make_wound(
     ys = (np.arange(n_sutures) - (n_sutures - 1) / 2.0) * spacing
     entries = np.stack([np.full(n_sutures, ridge_half_width), ys, np.full(n_sutures, entry_height)], axis=1)
     exits = np.stack([np.full(n_sutures, -ridge_half_width), ys, np.full(n_sutures, entry_height)], axis=1)
-    return WoundSpec(entries, exits, WORLD_Y.copy(), n_sutures, ridge_half_width, ridge_height)
+    return WoundSpec(entries, exits, ridge_half_width, ridge_height)
 
 
 @dataclass(frozen=True)
@@ -272,7 +269,6 @@ class GripperState:
     id: GripperId
     pose: RigidTransform
     jaw: JawState = JawState.OPEN
-    holding: str = "nothing"  # "nothing" | "needle"
     last_move_dir: np.ndarray | None = None
 
     @property
@@ -411,7 +407,8 @@ class WorldState:
         self._arc_pose: NeedlePose | None = None
         self._frame: tuple[np.ndarray, np.ndarray] | None = None
         self._pieces: list[tuple[float, float, bool]] | None = None
-        self._holder: GripperId | None = None
+        # Grippers holding the needle, in grasp order; the last one moves it.
+        self._holders: list[GripperId] = []
         self._dual_window = False
         self._twist_pending: tuple[np.ndarray, float] | None = None
 
@@ -441,7 +438,7 @@ class WorldState:
 
     @property
     def needle_holder(self) -> GripperId | None:
-        return self._holder
+        return self._holders[-1] if self._holders else None
 
     def swage_hint(self) -> np.ndarray:
         """True swage position, for disambiguating estimated endpoints.
@@ -635,7 +632,7 @@ class WorldState:
 
     def _displace(self, g: GripperState, delta: RigidTransform, displacement: np.ndarray) -> None:
         """Common bookkeeping for a gripper displacement: carry the needle."""
-        if self._holder is g.id:
+        if self.needle_holder is g.id:
             if self._dual_window and self._twist_pending is not None:
                 axis, angle = self._twist_pending
                 self._twist_pending = None
@@ -649,24 +646,13 @@ class WorldState:
 
     def _jaw_open(self, g: GripperState) -> None:
         g.jaw = JawState.OPEN
-        if g.holding != "needle":
+        if g.id not in self._holders:
             return
-        g.holding = "nothing"
-        if self._holder is g.id:
-            other = self._passive_holder()
-            if other is not None:
-                self._holder = other.id
-            else:
-                self._holder = None
-                if not self.needle_buried():
-                    self._drop_needle()
-        # A passive holder releasing changes nothing else.
-
-    def _passive_holder(self) -> GripperState | None:
-        for g in self.grippers.values():
-            if g.holding == "needle" and g.id is not self._holder:
-                return g
-        return None
+        self._holders.remove(g.id)
+        # The other jaw, if it holds the needle, now carries it; with no
+        # holder left, the needle falls unless tissue grips it.
+        if not self._holders and not self.needle_buried():
+            self._drop_needle()
 
     def _drop_needle(self) -> None:
         dz = self._lowest_z() - 0.001
@@ -676,7 +662,7 @@ class WorldState:
 
     def _jaw_close(self, g: GripperState) -> None:
         g.jaw = JawState.CLOSED
-        if g.holding != "nothing" or self._holder is g.id:
+        if g.id in self._holders:
             return
         direction = g.last_move_dir if g.last_move_dir is not None else WORLD_UP
         seg_a = g.position - JAW_CAPTURE_DEPTH * direction
@@ -702,13 +688,9 @@ class WorldState:
             )
             return
 
-        if self._holder is not None and not self._dual_window:
+        if self._holders and not self._dual_window:
             raise InvariantViolation("second grasp outside the handover window")
-        previous = self._holder
-        g.holding = "needle"
-        if previous is not None:
-            self.grippers[previous].holding = "needle"  # stays on as passive holder
-        self._holder = g.id
+        self._holders.append(g.id)  # an earlier holder stays on, passive
 
         seated = False
         if not self.needle_buried():
@@ -839,7 +821,6 @@ class WorldState:
 
         for gid, g in self.grippers.items():
             g.pose = self.home_poses[gid]
-            g.holding = "nothing"
             g.jaw = JawState.OPEN
             g.last_move_dir = None
         self._seat_in_right_jaw(i)
@@ -856,9 +837,8 @@ class WorldState:
         self.needle_true = self.ready_pose(i)
         right = self.grippers[GripperId.RIGHT]
         right.jaw = JawState.CLOSED
-        right.holding = "needle"
         right.pose = RigidTransform.from_translation(self.needle_true.center + 0.004 * WORLD_UP)
-        self._holder = GripperId.RIGHT
+        self._holders = [GripperId.RIGHT]
 
     def advance_suture(self) -> None:
         if self.suture_index >= self.wound.n_target_sutures:
@@ -869,11 +849,8 @@ class WorldState:
     # -- invariants -----------------------------------------------------------------
 
     def _assert_invariants(self) -> None:
-        holders = [g.id for g in self.grippers.values() if g.holding == "needle"]
-        if len(holders) > 1 and not self._dual_window:
-            raise InvariantViolation(f"dual grasp outside handover window: {holders}")
-        if self._holder is not None and self.grippers[self._holder].holding != "needle":
-            raise InvariantViolation("attachment points at a gripper that holds nothing")
+        if len(self._holders) > 1 and not self._dual_window:
+            raise InvariantViolation(f"dual grasp outside handover window: {self._holders}")
 
 
 def _crossings(a: float, b: float, c: float, level: float, span: float) -> list[float]:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -208,14 +210,16 @@ def shifted(pose, delta):
 
 def test_recover_extraction_thresholds():
     before = horizontal_pose()
-    assert ctl.recover_extraction(before, shifted(before, [0.015, 0, 0]), PARAMS, 0) is Decision.RETRY
-    assert ctl.recover_extraction(before, shifted(before, [0.05, 0, 0]), PARAMS, 0) is Decision.PROCEED
+    assert ctl.recover_extraction(before, shifted(before, [0.015, 0, 0]), PARAMS) is Decision.RETRY
+    assert ctl.recover_extraction(before, shifted(before, [0.05, 0, 0]), PARAMS) is Decision.PROCEED
     # exactly at the 2 cm threshold counts as progress
     exact = shifted(before, [PARAMS.extraction_progress_threshold, 0, 0])
-    assert ctl.recover_extraction(before, exact, PARAMS, 0) is Decision.PROCEED
-    # sub-threshold with the retry budget spent fails
+    assert ctl.recover_extraction(before, exact, PARAMS) is Decision.PROCEED
+    # the retry budget is not recover_extraction's: a stalled attempt always
+    # asks for a retry, and _with_retries decides when to give up (pinned by
+    # test_pinned_exhaustion_digests and criterion 4)
     stuck = shifted(before, [0.001, 0, 0])
-    assert ctl.recover_extraction(before, stuck, PARAMS, PARAMS.max_retries) is Decision.FAIL
+    assert ctl.recover_extraction(before, stuck, PARAMS) is Decision.RETRY
 
 
 def test_recover_handover_normal_change():
@@ -363,6 +367,54 @@ def test_scripted_handover_failure_after_exactly_five_retries():
     jitters = events_of(world, "handover_jitter")
     assert len(jitters) == 5
     assert all(0.0 <= e["magnitude"] < PARAMS.handover_jitter_max for e in jitters)
+
+
+# Every way a retried primitive can spend its whole budget, pinned by the
+# sha256 of the trial's event list (JSON, sorted keys). A refactor of the
+# retry code keeps every digest. scenario -> (seed, params, scripted
+# grasps, noise, final failure detail, digest).
+EXHAUSTION = {
+    "extraction_no_progress": (
+        80, PARAMS, [False] * 6, ZERO_NOISE,
+        "needle did not clear the tissue",
+        "c80dff9f4379736e3111abee8c0eb0c853e9b770eaf1325f9fbecd30761282cb",
+    ),
+    "extraction_motion_error": (
+        81, ControllerParams(lift_clear=0.2), None, ZERO_NOISE,
+        "attempt failed: target [-0.007628311267080641, -0.02025276530107268, "
+        "0.21935130294689006] outside workspace",
+        "85d1065006612e6ac1cc177bb784833b2998c9b757374670080e106413e4772e",
+    ),
+    "handover_never_captured": (
+        82, PARAMS, [True] + [False] * 6, ZERO_NOISE,
+        "re-grasp never captured the needle",
+        "0899c8867c63b7ae0a7b45122b0f3016520834964457b2f58057138f8350e633",
+    ),
+    "handover_motion_error": (
+        83, ControllerParams(handover_test_offset=(0.2, 0.0, 0.0)), None, ZERO_NOISE,
+        "attempt failed: target [0.2079464981703719, -0.023746150982643127, "
+        "0.04090871211463571] outside workspace",
+        "2fbaae95bc21bfc368840cae07d3a9d74e8bb11d218eb03273185a88fd2d216b",
+    ),
+    "handover_pose_shifting": (
+        84, ControllerParams(normal_change_epsilon=1e-9), None, sw.SIM_NOISE,
+        "needle pose kept shifting in the jaws",
+        "3c3ba6a40ae7602f1331bd21f997de26c128aba80f7833e694357d03025aed3e",
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(EXHAUSTION))
+def test_pinned_exhaustion_digests(scenario):
+    seed, params, grasps, noise, detail, digest = EXHAUSTION[scenario]
+    world = quiet_world(seed=seed, noise=noise)
+    world.scripted_grasp_outcomes = grasps
+    outcome = ctl.run_suture(world, params, 1)
+    assert outcome.state_after is PipelineState.FAILED
+    assert [e["detail"] for e in events_of(world, "suture_failed")] == [detail]
+    assert len(events_of(world, "retry")) == params.max_retries
+    encoded = json.dumps(world.events, sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(encoded).hexdigest() == digest
 
 
 def test_forced_entanglement_classified_as_thread_error():

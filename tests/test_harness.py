@@ -569,8 +569,10 @@ def test_cli_bad_config_is_usage_exit(tmp_path, capsys):
         ("noise:\n  occlusion_arc_deg: 90\n", [], "noise.occlusion_arc_deg"),
         ("experiment:\n  base_seed: -4\n", [], "base_seed"),
         ("", ["--seed", "-1"], "base_seed"),
+        ("needle:\n  radius: .inf\n", [], "needle"),
+        ("circle_ransac:\n  inlier_threshold: .inf\n", [], "circle_ransac"),
     ],
-    ids=["occlusion_key", "config_seed", "flag_seed"],
+    ids=["occlusion_key", "config_seed", "flag_seed", "infinite_radius", "infinite_threshold"],
 )
 def test_cli_config_rejected_at_load_is_usage_exit(tmp_path, capsys, config_text, flags, field_name):
     cfg = tmp_path / "cfg.yaml"

@@ -100,9 +100,9 @@ def test_wound_validation():
     with pytest.raises(ValueError):
         sw.WoundSpec(np.zeros((0, 3)), np.zeros((0, 3)))
     with pytest.raises(ValueError):
-        sw.WoundSpec(np.zeros((2, 3)), np.zeros((2, 3)), n_target_sutures=3)
+        sw.WoundSpec(np.zeros((2, 3)), np.zeros((3, 3)))
     wound = sw.make_wound()
-    assert wound.n_target_sutures == 6
+    assert wound.n_target_sutures == len(wound.entry_points) == 6
     assert wound.entry(1)[1] == pytest.approx(-0.025)
     assert wound.exit(6)[1] == pytest.approx(0.025)
 
@@ -114,7 +114,7 @@ def test_suture_targets_geometry_and_guards():
     assert np.linalg.norm(t.entry - t.final_center) == pytest.approx(SPEC.radius)
     assert np.linalg.norm(t.exit - t.final_center) == pytest.approx(SPEC.radius)
     assert abs(float(np.dot(t.true_normal, t.direction))) < 1e-12
-    coincident = sw.WoundSpec(np.zeros((1, 3)), np.zeros((1, 3)), n_target_sutures=1)
+    coincident = sw.WoundSpec(np.zeros((1, 3)), np.zeros((1, 3)))
     with pytest.raises(ValueError):
         sw.suture_targets(coincident, 1, SPEC.radius)
     with pytest.raises(ValueError):
@@ -229,7 +229,7 @@ def test_grasp_success_frequency_matches_probability():
     hits = 0
     for _ in range(n):
         world.execute(left, SetJaw(JawState.CLOSED))
-        if world.grippers[left].holding == "needle":
+        if left in world._holders:
             hits += 1
         world.execute(left, SetJaw(JawState.OPEN))
     rate = hits / n
@@ -558,7 +558,7 @@ def test_intervention_reseats_the_needle_as_a_new_world_does():
         after, new = world.grippers[gid], fresh.grippers[gid]
         assert np.array_equal(after.pose.translation, new.pose.translation)
         assert after.jaw is new.jaw
-        assert after.holding == new.holding
+    assert world._holders == fresh._holders == [GripperId.RIGHT]
     assert world.needle_holder is fresh.needle_holder is GripperId.RIGHT
 
 
