@@ -80,7 +80,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("cloud", help="cloud file (one x,y,z per line)")
     p.add_argument("--radius", type=float, default=pc.NEEDLE_RADIUS)
     p.add_argument("--span-deg", type=float, default=180.0)
-    p.add_argument("--iterations", type=int, default=pc.DEFAULT_ITERATIONS)
+    p.add_argument(
+        "--iterations",
+        type=int,
+        default=pc.DEFAULT_ITERATIONS,
+        help="cap on the hypotheses each RANSAC stage draws; a random search stops "
+        "once its best consensus is 99%% certain, an enumeration of every "
+        "hypothesis (no more than the cap) scores them all",
+    )
     p.add_argument("--plane-threshold", type=float, default=pc.DEFAULT_PLANE_THRESHOLD)
     p.add_argument("--circle-threshold", type=float, default=pc.DEFAULT_CIRCLE_THRESHOLD)
     p.add_argument("--min-inliers", type=int, default=pc.DEFAULT_MIN_INLIERS)

@@ -121,8 +121,8 @@ class ControllerParams:
             "handover_miss_epsilon",
             "lift_clear",
         ):
-            if not (getattr(self, name) > 0.0):
-                raise ValueError(f"{name} must be positive")
+            if not (0.0 < getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be positive and finite")
         for name in (
             "insertion_rotation",
             "extraction_rotation",

@@ -9,6 +9,10 @@ The estimator recovers the full 6D pose of a circular suturing needle:
 3. endpoint extraction as the farthest pair of needle inliers, snapped
    onto the fitted circle.
 
+RansacParams.iterations caps the hypotheses a RANSAC stage draws; a
+random search stops sooner, once its best consensus is STOP_CONFIDENCE
+certain (_stop_after).
+
 Also provides the synthetic cloud generator used by the simulator and
 the test suite, and plain-text cloud / pose-record I/O.
 """
@@ -19,7 +23,9 @@ import math
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import partial
+from itertools import accumulate, combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,7 +77,7 @@ class NeedleSpec:
 
 @dataclass(frozen=True)
 class RansacParams:
-    iterations: int = DEFAULT_ITERATIONS
+    iterations: int = DEFAULT_ITERATIONS  # cap on the hypotheses a stage draws
     inlier_threshold: float = DEFAULT_PLANE_THRESHOLD
     min_inliers: int = DEFAULT_MIN_INLIERS
     seed: int = 0
@@ -111,8 +117,8 @@ class NoiseModel:
                 raise ValueError(f"{name} must be in [0, 1)")
         if self.occlusion_arc < 0.0:
             raise ValueError("occlusion_arc must be >= 0")
-        if any(w <= 0.0 for w in self.outlier_box):
-            raise ValueError("outlier_box extents must be positive")
+        if not all(0.0 < w < math.inf for w in self.outlier_box):
+            raise ValueError("outlier_box extents must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -158,6 +164,10 @@ class EstimationDiagnostics:
     plane_rms: float
     circle_inliers: int
     circle_rms: float
+    # index tuples each RANSAC stage drew before it stopped: point triples
+    # for the plane, point pairs for the circle
+    plane_hypotheses: int
+    circle_hypotheses: int
 
 
 class PoseDelta(tuple):
@@ -338,26 +348,58 @@ def synth_needle_cloud(
 # Robust fitting
 
 
-def _hypothesis_indices(n: int, k: int, iterations: int, rng: np.random.Generator) -> np.ndarray:
-    """Index tuples for RANSAC hypotheses.
+def _hypothesis_indices(
+    n: int, k: int, iterations: int, rng: np.random.Generator
+) -> tuple[np.ndarray, bool]:
+    """Index tuples for RANSAC hypotheses, and whether they enumerate all.
 
     Enumerates all combinations when there are no more than `iterations`
     of them (deterministic and exhaustive on small clouds); otherwise
     draws `iterations` random tuples and discards those with repeats.
+    Every tuple is drawn here, up front, so no draw depends on where the
+    search stops.
     """
     n_comb = math.comb(n, k)
     if n_comb <= iterations:
-        return np.array(list(combinations(range(n), k)), dtype=np.intp)
+        return np.array(list(combinations(range(n), k)), dtype=np.intp), True
     idx = rng.integers(0, n, size=(iterations, k))
     keep = np.ones(len(idx), dtype=bool)
     for a in range(k):
         for b in range(a + 1, k):
             keep &= idx[:, a] != idx[:, b]
-    return idx[keep]
+    return idx[keep], False
 
 
-# Hypotheses are scored in blocks of at most this many (hypothesis,
-# point) pairs, or two hypotheses on clouds of over 4096 points: 64 KiB
+# A random search stops once it has drawn, with this confidence, at least
+# one sample made only of inliers of its best consensus so far.
+STOP_CONFIDENCE = 0.99
+_LOG_MISS = math.log(1.0 - STOP_CONFIDENCE)
+
+
+def _stop_after(best: int, n_points: int, sample_size: int, min_inliers: int) -> float:
+    """Samples after which a random search may stop (Fischler & Bolles,
+    1981; Hartley & Zisserman, Multiple View Geometry, 4.7.1).
+
+    With w = best / n_points, a sample of s = sample_size points is all
+    inliers with probability w^s, and k samples all miss with
+    probability (1 - w^s)^k. That falls to 1 - STOP_CONFIDENCE once
+    k >= ln(1 - STOP_CONFIDENCE) / ln(1 - w^s). w^s = 1 stops at once
+    (0.0) and w = 0 never does (inf). Nor does a best count below
+    min_inliers: a search that has found no consensus it may return
+    keeps drawing up to its cap.
+    """
+    if best < min_inliers:
+        return math.inf
+    ws = (best / n_points) ** sample_size
+    if ws >= 1.0:
+        return 0.0
+    if ws == 0.0:
+        return math.inf
+    return _LOG_MISS / math.log1p(-ws)
+
+
+# Hypotheses are scored in blocks of at most this many (row, point)
+# pairs, or two rows on clouds of over 4096 points: 64 KiB
 # per float64 temporary, half of glibc's 128 KiB mmap threshold.
 # Temporaries above the threshold are mapped and page-faulted afresh on
 # every call; below it they reuse heap memory. A block is first scored
@@ -365,66 +407,110 @@ def _hypothesis_indices(n: int, k: int, iterations: int, rng: np.random.Generato
 # at the top count needs their sums (_consensus).
 _SCORE_BLOCK_PAIRS = 8192
 
+# A search's first block holds this many index tuples, and each later
+# block twice as many as the one before, up to the budget above. The stop
+# rule is checked after each block, so a search that saturates early can
+# end after 8 or 24 tuples; one that does not soon runs in full blocks.
+_FIRST_BLOCK = 8
 
-def _score_blocks(n_hypotheses: int, n_points: int) -> list[tuple[int, int]]:
-    """(start, stop) hypothesis slices for block-wise scoring.
 
-    A block holds at least two hypotheses, and the last block absorbs a
-    lone leftover one, unless there is only one hypothesis: one row
-    would go through BLAS gemv and another einsum reduction, which round
-    differently from a block.
+def _score_blocks(
+    n_hypotheses: int, n_points: int, rows_per_hypothesis: int = 1
+) -> list[tuple[int, int]]:
+    """(start, stop) slices of n_hypotheses index tuples for block-wise
+    scoring: 8, 16, 32, ... tuples, capped at the block budget.
+
+    A tuple gives `rows_per_hypothesis` scored rows (a circle's point
+    pair gives two mirror centers), and a block at least two rows. The
+    last block absorbs a lone leftover tuple, unless there is only one:
+    one row would go through BLAS gemv and another einsum reduction,
+    which round differently from a block. The rule counts index tuples,
+    not the hypotheses that survive them: a block of triples can leave a
+    single plane, which fit_plane_ransac carries into the next block.
     """
-    rows = max(2, _SCORE_BLOCK_PAIRS // n_points)
-    stops = list(range(rows, n_hypotheses, rows))
+    cap = max(1, max(2, _SCORE_BLOCK_PAIRS // n_points) // rows_per_hypothesis)
+    size = min(_FIRST_BLOCK, cap)
+    stops = []
+    stop = size
+    while stop < n_hypotheses:
+        stops.append(stop)
+        size = min(2 * size, cap)
+        stop += size
     if stops and n_hypotheses - stops[-1] == 1:
         stops.pop()
     starts = [0, *stops]
     return list(zip(starts, [*stops, n_hypotheses]))
 
 
-def _consensus(inliers, residuals, n_hypotheses: int, n_points: int, axis: int):
-    """Inlier counts of every hypothesis, the winner (most inliers, then
-    lower inlier residual sum, then lower index) and its inlier mask.
+class _Consensus(NamedTuple):
+    counts: np.ndarray  # inlier count of every scored hypothesis, in scoring order
+    best: int  # the winner's index in counts
+    models: tuple  # the winner's block, as `blocks` yielded it
+    row: int  # the winner's row in that block
+    within: np.ndarray  # the winner's inlier mask
+    drawn: int  # index tuples drawn through the last block, scored or empty
 
-    `inliers(start, stop)` returns the boolean inlier mask of those
-    hypotheses against every point, with hypotheses along `axis`, and
-    `residuals(start, stop)` their residuals, in the same layout. Each
-    block's mask is kept (at most _SCORE_BLOCK_PAIRS bytes, well under
-    the mmap threshold), so the winner's mask is read from it instead of
-    scoring its block a second time. Counts are summed in int32, exact
-    for any cloud under 2**31 points.
+
+def _consensus(blocks, inliers, residuals, axis: int, stop_after=None):
+    """Score blocks of hypotheses until the stop rule holds, and pick the
+    winner among those scored: most inliers, then lower inlier residual
+    sum, then lower index. None when `blocks` yields nothing.
+
+    `blocks` yields (drawn, models) for each block of index tuples: the
+    count of tuples drawn through it, and its hypotheses, or None when it
+    gives none to score. `inliers(models)` returns the
+    boolean inlier mask of a block's hypotheses against every point,
+    with hypotheses along `axis`, and `residuals(models)` their
+    residuals, in the same layout. After each scored block, scoring
+    stops once `drawn` reaches stop_after(best count so far); with no
+    stop_after (an exhaustive enumeration) every block is scored, and
+    `drawn` ends at the last block's bound. `blocks` builds a
+    block's hypotheses only when it is asked for the block, so stopping
+    also skips their construction.
+
+    Each block's mask is kept (at most _SCORE_BLOCK_PAIRS bytes, well
+    under the mmap threshold), so the winner's mask is read from it
+    instead of scoring its block a second time. Counts are summed in
+    int32, exact for any cloud under 2**31 points.
 
     Residual sums only break ties at the top count, so only tied
     hypotheses need them: a hypothesis alone at the top count wins
     without any, and otherwise only the blocks that hold a tied
-    hypothesis are scored again. That is the same `residuals` call on
-    the same slice, summed by the same einsum as when every block was
-    summed, so the tied sums, and the winner, keep their bytes. On the
-    30 criterion-1 clouds of tests/test_golden.py a fit scores 13 to 14
-    blocks and scores again 0.3 of them on average in the plane stage,
-    1.7 in the circle stage.
+    hypothesis are scored again, with the same `residuals` call on the
+    same block.
     """
-    blocks = _score_blocks(n_hypotheses, n_points)
-    starts = [start for start, _ in blocks]
     point_axis = 1 - axis
-    counts = np.empty(n_hypotheses, dtype=np.int32)
-    masks = []
-    for start, stop in blocks:
-        within = inliers(start, stop)
-        np.add.reduce(within, axis=point_axis, dtype=np.int32, out=counts[start:stop])
-        masks.append(within)
-    tied = np.flatnonzero(counts == counts.max())
+    scored = []  # (models, mask) of each block scored
+    counts = []
+    top = -1
+    for drawn, models in blocks:
+        if models is None:
+            continue
+        within = inliers(models)
+        block_counts = np.add.reduce(within, axis=point_axis, dtype=np.int32)
+        scored.append((models, within))
+        counts.append(block_counts)
+        top = max(top, int(block_counts.max()))
+        if stop_after is not None and drawn >= stop_after(top):
+            break
+    if not counts:
+        return None
+    starts = list(accumulate((len(c) for c in counts), initial=0))
+    all_counts = np.concatenate(counts)
+    tied = np.flatnonzero(all_counts == top)
     if len(tied) == 1:
         best = int(tied[0])
     else:
         subscripts = "ij,ij->j" if axis == 1 else "ij,ij->i"
-        sums = np.empty(n_hypotheses)  # written, and read, only for tied blocks
+        sums = np.empty(len(all_counts))  # written, and read, only for tied blocks
         for k in sorted({bisect_right(starts, i) - 1 for i in tied.tolist()}):
-            start, stop = blocks[k]
-            sums[start:stop] = np.einsum(subscripts, residuals(start, stop), masks[k])
+            models, within = scored[k]
+            sums[starts[k] : starts[k + 1]] = np.einsum(subscripts, residuals(models), within)
         best = int(tied[np.argmin(sums[tied])])
     k = bisect_right(starts, best) - 1
-    return counts, best, np.take(masks[k], best - starts[k], axis=axis)
+    models, within = scored[k]
+    row = best - starts[k]
+    return _Consensus(all_counts, best, models, row, np.take(within, row, axis=axis), drawn)
 
 
 def _plane_residuals(pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -584,33 +670,9 @@ def _plane_projection(pts: np.ndarray, plane: Plane) -> tuple[np.ndarray, np.nda
     return dist, projected, geo.to_plane_coords(projected, plane)
 
 
-def fit_plane_ransac(cloud, params: RansacParams) -> tuple[Plane, np.ndarray]:
-    """RANSAC plane fit.
-
-    Maximizes the inlier count (ties broken by lower total inlier
-    distance, then lowest hypothesis index), then refits by orthogonal
-    least squares on the consensus set. Returns the refit plane and the
-    indices of cloud points within the threshold of it. A cloud with a
-    NaN or infinite coordinate raises DegenerateInput.
-
-    Hypotheses are scored in blocks of at most _SCORE_BLOCK_PAIRS
-    (point, plane) pairs, so no temporary reaches glibc's mmap threshold
-    and none is mapped and page-faulted afresh on each call. Distance
-    sums are computed only for blocks holding a hypothesis tied at the
-    top count (_consensus).
-    """
-    pts = np.asarray(cloud, dtype=float)
-    # Finiteness first: estimate_needle_pose reports a non-finite cloud
-    # of any shape through this check.
-    if not np.isfinite(pts).all():
-        raise DegenerateInput("cloud has a non-finite coordinate", stage="plane")
-    if pts.ndim != 2 or (len(pts) and pts.shape[1] != 3):
-        raise DegenerateInput("cloud must be an (n, 3) array", stage="plane")
-    if len(pts) < 3:
-        raise DegenerateInput(f"need at least 3 points, got {len(pts)}", stage="plane")
-
-    rng = np.random.default_rng(params.seed)
-    idx = _hypothesis_indices(len(pts), 3, params.iterations, rng)
+def _plane_hypotheses(pts: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit normals and offsets of the planes through the point triples
+    idx (k, 3), in order, without the (near-)collinear triples."""
     p0, p1, p2 = pts[idx[:, 0]], pts[idx[:, 1]], pts[idx[:, 2]]
     e1, e2 = p1 - p0, p2 - p0
     # np.cross(e1, e2), written out: the same multiplies and subtracts in
@@ -630,25 +692,77 @@ def fit_plane_ransac(cloud, params: RansacParams) -> tuple[Plane, np.ndarray]:
         np.einsum("ij,ij->i", e1, e1) * np.einsum("ij,ij->i", e2, e2)
     )
     valid = area > 1e-12 * np.maximum(scale, 1e-30)
-    if not valid.any():
-        raise DegenerateInput("all sampled triples were collinear", stage="plane")
+    if not valid.all():
+        cross, area, p0 = cross[valid], area[valid], p0[valid]
+    normals = cross / area[:, None]
+    return normals, np.einsum("ij,ij->i", normals, p0)
 
-    normals = cross[valid] / area[valid, None]
-    offsets = np.einsum("ij,ij->i", normals, p0[valid])
 
-    def residuals(a: int, b: int) -> np.ndarray:
-        return _plane_residuals(pts, normals[a:b], offsets[a:b])
+def fit_plane_ransac(cloud, params: RansacParams) -> tuple[Plane, np.ndarray, int]:
+    """RANSAC plane fit.
 
-    counts, best, within = _consensus(
-        lambda a, b: residuals(a, b) <= params.inlier_threshold,
+    Maximizes the inlier count (ties broken by lower total inlier
+    distance, then lowest hypothesis index), then refits by orthogonal
+    least squares on the consensus set. Returns the refit plane, the
+    indices of cloud points within the threshold of it, and the number
+    of point triples drawn before the search stopped. A cloud with a NaN
+    or infinite coordinate raises DegenerateInput.
+
+    params.iterations caps the triples drawn. A random search stops
+    early, after a block of hypotheses, once its best consensus is
+    STOP_CONFIDENCE certain (_stop_after, sample size 3); an exhaustive
+    enumeration, on a cloud with no more triples than the cap, scores
+    them all. Hypotheses are built and scored in blocks of at most
+    _SCORE_BLOCK_PAIRS (point, plane) pairs, so no temporary reaches
+    glibc's mmap threshold and none is mapped and page-faulted afresh on
+    each call. Distance sums are computed only for blocks holding a
+    hypothesis tied at the top count (_consensus). A block whose triples
+    leave a single plane, the rest collinear, is scored with the next
+    block: one row would round differently (_score_blocks).
+    """
+    pts = np.asarray(cloud, dtype=float)
+    # Finiteness first: estimate_needle_pose reports a non-finite cloud
+    # of any shape through this check.
+    if not np.isfinite(pts).all():
+        raise DegenerateInput("cloud has a non-finite coordinate", stage="plane")
+    if pts.ndim != 2 or (len(pts) and pts.shape[1] != 3):
+        raise DegenerateInput("cloud must be an (n, 3) array", stage="plane")
+    if len(pts) < 3:
+        raise DegenerateInput(f"need at least 3 points, got {len(pts)}", stage="plane")
+
+    rng = np.random.default_rng(params.seed)
+    idx, enumerated = _hypothesis_indices(len(pts), 3, params.iterations, rng)
+
+    def blocks():
+        held = None  # a lone plane, carried into the next block
+        for a, b in _score_blocks(len(idx), len(pts)):
+            models = _plane_hypotheses(pts, idx[a:b])
+            if held is not None:
+                models = tuple(np.concatenate(pair) for pair in zip(held, models))
+                held = None
+            if len(models[0]) == 1 and b < len(idx):
+                held, models = models, None
+            elif not len(models[0]):
+                models = None
+            yield b, models
+
+    def residuals(models) -> np.ndarray:
+        return _plane_residuals(pts, *models)
+
+    found = _consensus(
+        blocks(),
+        lambda models: residuals(models) <= params.inlier_threshold,
         residuals,
-        len(normals),
-        len(pts),
         axis=1,
+        stop_after=None if enumerated else partial(
+            _stop_after, n_points=len(pts), sample_size=3, min_inliers=params.min_inliers
+        ),
     )
-    if counts[best] < params.min_inliers:
+    if found is None:
+        raise DegenerateInput("all sampled triples were collinear", stage="plane")
+    if found.counts[found.best] < params.min_inliers:
         raise NoConsensus(
-            f"best plane consensus has {counts[best]} inliers < {params.min_inliers}",
+            f"best plane consensus has {found.counts[found.best]} inliers < {params.min_inliers}",
             stage="plane",
         )
 
@@ -658,7 +772,7 @@ def fit_plane_ransac(cloud, params: RansacParams) -> tuple[Plane, np.ndarray]:
     # converges to the threshold-stable set in a few rounds. The loop
     # runs on (normal, offset); one Plane is built, and validated, at
     # exit. add.reduce(...) / n is what ndarray.mean runs.
-    consensus = np.flatnonzero(within)
+    consensus = np.flatnonzero(found.within)
     for _ in range(8):
         sel = pts[consensus]
         centroid = np.add.reduce(sel, axis=0) / len(sel)
@@ -673,23 +787,68 @@ def fit_plane_ransac(cloud, params: RansacParams) -> tuple[Plane, np.ndarray]:
         if len(refreshed) < 3:
             break
         consensus = refreshed
-    return Plane(normal, offset), refreshed  # measured against the final plane on every exit
+    # refreshed is measured against the final plane on every exit
+    return Plane(normal, offset), refreshed, found.drawn
 
 
-def fit_circle_fixed_radius(points2d, radius: float, params: RansacParams) -> np.ndarray:
+def _circle_hypotheses(pts: np.ndarray, idx: np.ndarray, radius: float) -> np.ndarray:
+    """The two mirror centers of each point pair in idx (k, 2) that is
+    closer than 2*radius, side by side: rows 2i and 2i + 1 come from the
+    i-th such pair, so any prefix holds whole pairs. Wider pairs, and
+    coincident ones, give none.
+
+    Built in place; the same operations, in the same order, as
+    mid = 0.5 * (p + q), h = sqrt(max(r^2 - 0.25 d^2, 0)) and
+    perp = (-diff_y, diff_x) / d, with centers mid + h perp and
+    mid - h perp.
+    """
+    p, q = pts[idx[:, 0]], pts[idx[:, 1]]
+    diff = q - p
+    d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    feasible = (d > 1e-12) & (d <= 2.0 * radius)
+    if not feasible.all():
+        p, q, diff, d = p[feasible], q[feasible], diff[feasible], d[feasible]
+    m = len(d)
+    mid = np.add(p, q, out=p)
+    mid *= 0.5
+    h = np.square(d)
+    h *= 0.25
+    np.subtract(radius * radius, h, out=h)
+    np.maximum(h, 0.0, out=h)
+    np.sqrt(h, out=h)
+    perp = np.empty((m, 2))
+    np.negative(diff[:, 1], out=perp[:, 0])
+    perp[:, 1] = diff[:, 0]
+    perp /= d[:, None]
+    perp *= h[:, None]
+    centers = np.empty((m, 2, 2))
+    np.add(mid, perp, out=centers[:, 0])
+    np.subtract(mid, perp, out=centers[:, 1])
+    return centers.reshape(2 * m, 2)
+
+
+def fit_circle_fixed_radius(
+    points2d, radius: float, params: RansacParams
+) -> tuple[np.ndarray, int]:
     """RANSAC circle fit with a known, fixed radius.
 
     Hypotheses come from point pairs: each pair closer than 2*radius
     yields the two mirror centers, pairs wider than 2*radius contribute
     nothing. The winning consensus (count, then lower total residual) is
     polished by Gauss-Newton on sum(|p - c| - r)^2 over the center only.
-    Points with a NaN or infinite coordinate raise DegenerateInput.
+    Returns the center and the number of point pairs drawn before the
+    search stopped. Points with a NaN or infinite coordinate raise
+    DegenerateInput.
 
-    Candidate centers are scored in blocks of at most _SCORE_BLOCK_PAIRS
-    (center, point) pairs, so no temporary reaches glibc's mmap threshold
-    and none is mapped and page-faulted afresh on each call. A pair is
-    an inlier when its squared distance |p - c|^2 lies in the exact
-    band of squared distances whose residual passes the threshold
+    params.iterations caps the pairs drawn. A random search stops early,
+    after a block of pairs, once its best consensus is STOP_CONFIDENCE
+    certain (_stop_after, sample size 2); an exhaustive enumeration, on
+    points with no more pairs than the cap, scores them all. Candidate
+    centers are built and scored in blocks of at most _SCORE_BLOCK_PAIRS
+    (center, point) pairs, so no temporary reaches glibc's mmap
+    threshold and none is mapped and page-faulted afresh on each call. A
+    pair is an inlier when its squared distance |p - c|^2 lies in the
+    exact band of squared distances whose residual passes the threshold
     (_squared_distance_band): the residual test's verdict, bit for bit,
     for two comparisons instead of a square root and three more passes.
     Residuals are computed only for blocks holding a center tied at the
@@ -706,52 +865,35 @@ def fit_circle_fixed_radius(points2d, radius: float, params: RansacParams) -> np
         raise DegenerateInput("radius must be positive", stage="circle")
 
     rng = np.random.default_rng(params.seed)
-    idx = _hypothesis_indices(len(pts), 2, params.iterations, rng)
-    p, q = pts[idx[:, 0]], pts[idx[:, 1]]
-    diff = q - p
-    d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    feasible = (d > 1e-12) & (d <= 2.0 * radius)
-    if not feasible.any():
-        raise NoConsensus("no sampled pair admits a center candidate", stage="circle")
-    # Built in place; the same operations, in the same order, as
-    # mid = 0.5 * (p + q), h = sqrt(max(r^2 - 0.25 d^2, 0)),
-    # perp = (-diff_y, diff_x) / d and centers = [mid + h perp; mid - h perp].
-    diff, d = diff[feasible], d[feasible]
-    m = len(d)
-    mid = p[feasible]
-    mid += q[feasible]
-    mid *= 0.5
-    h = np.square(d)
-    h *= 0.25
-    np.subtract(radius * radius, h, out=h)
-    np.maximum(h, 0.0, out=h)
-    np.sqrt(h, out=h)
-    perp = np.empty((m, 2))
-    np.negative(diff[:, 1], out=perp[:, 0])
-    perp[:, 1] = diff[:, 0]
-    perp /= d[:, None]
-    perp *= h[:, None]
-    centers = np.empty((2 * m, 2))
-    np.add(mid, perp, out=centers[:m])
-    np.subtract(mid, perp, out=centers[m:])
-
+    idx, enumerated = _hypothesis_indices(len(pts), 2, params.iterations, rng)
     pp = np.einsum("ij,ij->i", pts, pts)
-    cc = np.einsum("ij,ij->i", centers, centers)
     band = _squared_distance_band(radius, params.inlier_threshold)
-    counts, best, within = _consensus(
-        lambda a, b: _circle_inliers(pts, pp, centers[a:b], cc[a:b], band),
-        lambda a, b: _circle_residuals(pts, pp, centers[a:b], cc[a:b], radius),
-        len(centers),
-        len(pts),
+
+    def blocks():
+        for a, b in _score_blocks(len(idx), len(pts), rows_per_hypothesis=2):
+            centers = _circle_hypotheses(pts, idx[a:b], radius)
+            yield b, (centers, np.einsum("ij,ij->i", centers, centers)) if len(centers) else None
+
+    found = _consensus(
+        blocks(),
+        lambda models: _circle_inliers(pts, pp, *models, band),
+        lambda models: _circle_residuals(pts, pp, *models, radius),
         axis=0,
+        stop_after=None if enumerated else partial(
+            _stop_after, n_points=len(pts), sample_size=2, min_inliers=params.min_inliers
+        ),
     )
-    if counts[best] < params.min_inliers:
+    if found is None:
+        raise NoConsensus("no sampled pair admits a center candidate", stage="circle")
+    if found.counts[found.best] < params.min_inliers:
         raise NoConsensus(
-            f"best circle consensus has {counts[best]} inliers < {params.min_inliers}",
+            f"best circle consensus has {found.counts[found.best]} inliers < {params.min_inliers}",
             stage="circle",
         )
 
-    return _polish_circle_center(pts[within], centers[best], radius)
+    centers, _ = found.models
+    center = _polish_circle_center(pts[found.within], centers[found.row], radius)
+    return center, found.drawn
 
 
 def _polish_circle_center(inl: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
@@ -937,10 +1079,10 @@ def estimate_needle_pose(
     if pts.size == 0:
         raise DegenerateInput("empty cloud", stage="plane")
 
-    plane, plane_idx = fit_plane_ransac(pts, params)
+    plane, plane_idx, plane_hypotheses = fit_plane_ransac(pts, params)
     plane_res, projected, coords = _plane_projection(pts[plane_idx], plane)
 
-    center2d = fit_circle_fixed_radius(coords, spec.radius, cp)
+    center2d, circle_hypotheses = fit_circle_fixed_radius(coords, spec.radius, cp)
 
     # One feedback pass: refit the plane on the points the circle just
     # identified as needle samples, then redo the in-plane stage against
@@ -992,6 +1134,8 @@ def estimate_needle_pose(
         plane_rms=float(np.sqrt(np.mean(plane_res**2))) if len(plane_idx) else 0.0,
         circle_inliers=n_on_circle,
         circle_rms=float(np.sqrt(np.mean(radial[on_circle] ** 2))),
+        plane_hypotheses=plane_hypotheses,
+        circle_hypotheses=circle_hypotheses,
     )
     return pose, diag
 
@@ -1082,5 +1226,7 @@ def format_pose_record(pose: NeedlePose, diagnostics: EstimationDiagnostics | No
             f"plane_rms: {diagnostics.plane_rms!r}",
             f"circle_inliers: {diagnostics.circle_inliers}",
             f"circle_rms: {diagnostics.circle_rms!r}",
+            f"plane_hypotheses: {diagnostics.plane_hypotheses}",
+            f"circle_hypotheses: {diagnostics.circle_hypotheses}",
         ]
     return "\n".join(lines) + "\n"

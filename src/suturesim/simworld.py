@@ -48,8 +48,10 @@ _ARC_SCAN = 720
 # In-loop sensing defaults, for make_world and harness.ExperimentConfig alike.
 # SIM_NOISE is the plant model for closed-loop runs; the estimator is tested
 # against far harsher clouds separately. Against this benign noise, consensus
-# saturates long before the offline estimator's default hypothesis budget, so
-# 120 RANSAC iterations per stage keep 2000-trial sweeps fast.
+# saturates long before the offline estimator's default hypothesis budget.
+# 120 iterations cap each RANSAC stage; a stage stops sooner, once its best
+# consensus is 99 % certain (perception.STOP_CONFIDENCE), typically after 8
+# or 24 hypotheses.
 SIM_NOISE = NoiseModel(gaussian_sigma=3e-4, outlier_fraction=0.05, dropout_fraction=0.05)
 SIM_RANSAC = RansacParams(iterations=120)
 SIM_CIRCLE_RANSAC = RansacParams(iterations=120, inlier_threshold=pc.DEFAULT_CIRCLE_THRESHOLD)

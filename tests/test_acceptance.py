@@ -161,7 +161,7 @@ def test_criterion_2_oracle_equivalence():
 
         from dataclasses import replace
 
-        fitted = pc.fit_circle_fixed_radius(pts, SPEC.radius, replace(params, seed=seed))
+        fitted, _ = pc.fit_circle_fixed_radius(pts, SPEC.radius, replace(params, seed=seed))
         oracle = trimmed_grid_circle_center(pts, SPEC.radius)
         gap = float(np.linalg.norm(fitted - oracle))
         worst_gap = max(worst_gap, gap)

@@ -377,29 +377,29 @@ EXHAUSTION = {
     "extraction_no_progress": (
         80, PARAMS, [False] * 6, ZERO_NOISE,
         "needle did not clear the tissue",
-        "c80dff9f4379736e3111abee8c0eb0c853e9b770eaf1325f9fbecd30761282cb",
+        "205a381a3aecf5a10714b7774afcf0d6c66b29f0675790bc1e3ca0fc049b20b8",
     ),
     "extraction_motion_error": (
         81, ControllerParams(lift_clear=0.2), None, ZERO_NOISE,
-        "attempt failed: target [-0.007628311267080641, -0.02025276530107268, "
+        "attempt failed: target [-0.007628311267080632, -0.020252765301072683, "
         "0.21935130294689006] outside workspace",
-        "85d1065006612e6ac1cc177bb784833b2998c9b757374670080e106413e4772e",
+        "9d345a82d47b3e8fce84335ddbc6ccaa3adfb82d5b6b45ba2c2cb2a8705cbd64",
     ),
     "handover_never_captured": (
         82, PARAMS, [True] + [False] * 6, ZERO_NOISE,
         "re-grasp never captured the needle",
-        "0899c8867c63b7ae0a7b45122b0f3016520834964457b2f58057138f8350e633",
+        "c21b53224769a809745171e6d4f55f572e5310e69a71b0a5025b0b295644a022",
     ),
     "handover_motion_error": (
         83, ControllerParams(handover_test_offset=(0.2, 0.0, 0.0)), None, ZERO_NOISE,
-        "attempt failed: target [0.2079464981703719, -0.023746150982643127, "
+        "attempt failed: target [0.2079464981703719, -0.02374615098264312, "
         "0.04090871211463571] outside workspace",
-        "2fbaae95bc21bfc368840cae07d3a9d74e8bb11d218eb03273185a88fd2d216b",
+        "727c51cb1e528e5c65dbd5c3bfc89d622a8ee53d8ded6522b84e083494c05188",
     ),
     "handover_pose_shifting": (
         84, ControllerParams(normal_change_epsilon=1e-9), None, sw.SIM_NOISE,
         "needle pose kept shifting in the jaws",
-        "3c3ba6a40ae7602f1331bd21f997de26c128aba80f7833e694357d03025aed3e",
+        "650b64cacd68aa4ebf97da54ed21b81fa9cb212316a6cadc3ede1138f4ab09ff",
     ),
 }
 

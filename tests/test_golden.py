@@ -19,20 +19,20 @@ from suturesim.simworld import SIM_NOISE
 # preset -> (sha256 of the simulate --out log, sha256 of the printed report)
 GOLDEN = {
     "sensing_only": (
-        "14d54d896d481d35ccb918cd2de76a8a135ba7e5380d228aa6d8259ed73f5428",
+        "be779202c2a62372bcc33e28d36e4c2c57f0631d73996d38ea91f76a1e1e28a5",
         "5bda35e0e246d2235f7a8444bf9046d2b8ce37c1ecf3d5194f2ba05a19ecf1ba",
     ),
     "thread_handling": (
-        "4f86edcb618ab9cc59ec4f31d621a012734bc7a6835e9618d2ec01233b22fc25",
+        "c28e02c207d3cdc243d3a4ce3d5f263fde8947ebaf7e220070de754b2fc300fc",
         "8c7cba2f13bf29bf2a99b21d1beb54c4422754a900598e2f4abf28a034ea061b",
     ),
     "stitch": (
-        "64017f4c30f58c9a1d79655de649cac4950e884010182a5868ebe653df91245e",
-        "d7abb6b390641fa29c9440e55d3cb8ac14c8b981b52bcb045a64bce6e2050cdb",
+        "abdcdde1553181fb9807ff8edffb58455a00a365b00cd2d2e8ad0a1888255b89",
+        "88508f6689590f4aee9f70fbae145d3e03480d288161e767f200ef5177de898e",
     ),
     "stitch_human": (
-        "1de43f27bf717531310ba37a82bcc19a090af655c2c9f31620b72f141250ede3",
-        "b12d20dbd53e1a97a313f433341eb7adb1512556de1d29b7eb79f09f110ff007",
+        "eb7cb0d50e64fe84c5b33ffa0fb026a17e712194b7c9f2db201988b2f1063297",
+        "6e3223175f471897539c90011e5530a2ffc1d1b5adfd39466bc7b3e922629e40",
     ),
 }
 
@@ -60,7 +60,9 @@ def test_pinned_sweep_digests(tmp_path, capsys, preset):
 # pure refactor of the estimator keeps every digest. Every tenth cloud
 # asks the circle stage, and every tenth after it the plane stage, for
 # more inliers than the cloud has, so the digest also pins each stage's
-# best consensus count through its NoConsensus message.
+# best consensus count through its NoConsensus message. The pose records
+# carry the hypotheses each stage drew, so the digests also pin where
+# each stage stopped.
 CLOUDS_PER_SETTING = 30
 HARSH_NOISE = pc.NoiseModel(
     gaussian_sigma=5e-4,
@@ -80,11 +82,11 @@ ESTIMATOR_SETTINGS = {
     "wide_circle_band": (200, 500, HARSH_NOISE, pc.NEEDLE_RADIUS),
 }
 ESTIMATOR_GOLDEN = {
-    "in_loop": "27adf7ede500012465732bf1017dd293d0d3987907762547446e3db1053b44da",
-    "criterion_1": "056493717d5a7ddb00f067c3c7fd3d8dd6edd559b432b5da2cd5547b139ad87d",
-    "many_blocks": "b6b4c13f0a842fb225364f9ebd44db6b9698b414028ef2aecf7d78c5ecb8dad5",
-    "noise_free": "4594693d143dd4a00fdff50ae508915848697fe665529dc86c7dc09ee50ced58",
-    "wide_circle_band": "edb7eac6d4e182acdcd2660b4b48425a79fbf8300897fb4c6bdd521dee6a638a",
+    "in_loop": "6e280ee4b2b7bc0c322031fbc57d4473db074f1a8d3061ba10b9df6a21599be0",
+    "criterion_1": "6797c291b6b5ffa7b2742dd83ae8fc756aca315e61f433fda307079f85edf680",
+    "many_blocks": "b31a50a462c7d212f588f9473c23a74300096ca15b094d8af2d609dd14c2aa96",
+    "noise_free": "15b03622dcc1834827a08a8b3f4315f1811f3f599091b1e2716461c0c335bee5",
+    "wide_circle_band": "dfc8cc99cbd4a05c0f0d0c7f89164127cb55a7a2c4aa5c8d62a7cb5303440fc6",
 }
 
 

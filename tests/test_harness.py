@@ -531,6 +531,17 @@ def test_cli_synth_then_estimate(tmp_path, capsys):
     assert np.linalg.norm(np.array(got) - np.array(want["center"])) < 1e-3
 
 
+def test_cli_estimate_prints_the_hypotheses_each_stage_drew(tmp_path, capsys):
+    cloud = tmp_path / "cloud.csv"
+    assert cli.main(["synth", "--out", str(cloud), "--seed", "9"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["estimate", str(cloud), "--iterations", "300"]) == cli.EXIT_OK
+    fields = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    for stage in ("plane", "circle"):
+        drawn = int(fields[f"{stage}_hypotheses"])
+        assert 0 < drawn <= 300
+
+
 def test_cli_estimate_failure_is_runtime_exit(tmp_path, capsys):
     bad = tmp_path / "two_points.csv"
     bad.write_text("0,0,0\n0.001,0,0\n")
@@ -571,8 +582,20 @@ def test_cli_bad_config_is_usage_exit(tmp_path, capsys):
         ("", ["--seed", "-1"], "base_seed"),
         ("needle:\n  radius: .inf\n", [], "needle"),
         ("circle_ransac:\n  inlier_threshold: .inf\n", [], "circle_ransac"),
+        ("noise:\n  outlier_box: [.inf, 0.06, 0.06]\n", [], "outlier_box"),
+        ("controller:\n  approach_offset: .inf\n", [], "approach_offset"),
+        ("controller:\n  l_des: .inf\n", [], "l_des"),
     ],
-    ids=["occlusion_key", "config_seed", "flag_seed", "infinite_radius", "infinite_threshold"],
+    ids=[
+        "occlusion_key",
+        "config_seed",
+        "flag_seed",
+        "infinite_radius",
+        "infinite_threshold",
+        "infinite_outlier_box",
+        "infinite_approach_offset",
+        "infinite_l_des",
+    ],
 )
 def test_cli_config_rejected_at_load_is_usage_exit(tmp_path, capsys, config_text, flags, field_name):
     cfg = tmp_path / "cfg.yaml"

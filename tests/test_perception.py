@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -120,7 +121,7 @@ def test_arc_endpoints_match_pose():
 def test_plane_ransac_exact_horizontal_plane():
     rng = np.random.default_rng(8)
     pts = np.column_stack([rng.uniform(-0.05, 0.05, 50), rng.uniform(-0.05, 0.05, 50), np.full(50, 0.1)])
-    plane, inliers = pc.fit_plane_ransac(pts, pc.RansacParams(seed=1))
+    plane, inliers, _ = pc.fit_plane_ransac(pts, pc.RansacParams(seed=1))
     np.testing.assert_allclose(plane.normal, [0.0, 0.0, 1.0], atol=1e-9)
     assert plane.offset == pytest.approx(0.1, abs=1e-12)
     assert len(inliers) == 50
@@ -137,7 +138,7 @@ def test_plane_ransac_with_outliers_recovers_diagonal_plane():
     )
     outliers = n / math.sqrt(3) + rng.uniform(-0.05, 0.05, size=(30, 3))
     cloud = np.concatenate([onplane, outliers])
-    plane, _ = pc.fit_plane_ransac(cloud, pc.RansacParams(inlier_threshold=1e-4, seed=2))
+    plane, _, _ = pc.fit_plane_ransac(cloud, pc.RansacParams(inlier_threshold=1e-4, seed=2))
     angle = math.degrees(math.acos(min(1.0, abs(float(np.dot(plane.normal, n))))))
     assert angle < 0.5
 
@@ -156,112 +157,161 @@ def test_plane_ransac_errors():
 def test_plane_ransac_returns_the_points_within_threshold_of_its_plane():
     cloud = pc.synth_needle_cloud(random_pose(np.random.default_rng(22)), SPEC, HARSH_NOISE, 200, seed=22)
     params = pc.RansacParams(seed=22)
-    plane, inliers = pc.fit_plane_ransac(cloud, params)
+    plane, inliers, _ = pc.fit_plane_ransac(cloud, params)
     want = np.flatnonzero(np.abs(plane.signed_distance(cloud)) <= params.inlier_threshold)
     np.testing.assert_array_equal(inliers, want)
 
 
 # ---------------------------------------------------------------------------
-# block-wise consensus scoring
+# block-wise consensus scoring and the stop rule
 
 EPS = np.finfo(float).eps
 
 
-def hypothesis_counts(n_points):
-    """1, block - 1, block, block + 1 and many blocks of hypotheses."""
-    rows = max(2, pc._SCORE_BLOCK_PAIRS // n_points)
-    return [1, max(1, rows - 1), rows, rows + 1, 5 * rows + 3]
+def hypothesis_counts(n_points, rows=1):
+    """Index-tuple counts around the block schedule: one, either side of
+    the first block's end, past the second's, and many blocks."""
+    cap = max(1, max(2, pc._SCORE_BLOCK_PAIRS // n_points) // rows)
+    first = min(pc._FIRST_BLOCK, cap)
+    second = first + min(2 * first, cap)
+    return sorted({1, max(1, first - 1), first, first + 1, second + 1, 5 * cap + 3})
 
 
-class RecordingResiduals:
-    """A `residuals` callable for pc._consensus that keeps what it returns,
-    so a test can see which blocks were scored for tie-break sums."""
-
-    def __init__(self, residuals):
-        self.residuals = residuals
-        self.scored = []
-
-    def __call__(self, start, stop):
-        resid = self.residuals(start, stop)
-        self.scored.append((start, stop, resid))
-        return resid
+def stop_rule(n_points, sample_size, min_inliers=3):
+    return partial(pc._stop_after, n_points=n_points, sample_size=sample_size, min_inliers=min_inliers)
 
 
-def assert_matches_oracle(got, scored, oracle, axis, sum_atol):
-    """Blocked (counts, winner, winner mask) against one-shot (counts,
-    sums, mask) with hypotheses along `axis` of the mask; `scored` holds
-    the blocks pc._consensus scored again for tie-break sums."""
-    counts, best, mask = got
+class Blocks:
+    """The fit functions' blocks over given hypotheses, for pc._consensus.
+
+    `models` are arrays with `rows` rows per index tuple, split as
+    pc._score_blocks(n_tuples, n_points, rows) splits the tuples.
+    `bounds` holds each block's (first row, row stop, tuples drawn
+    through it); `rescored` the blocks pc._consensus asked residuals of.
+    """
+
+    def __init__(self, models, n_tuples, n_points, rows):
+        self.models = models
+        self.bounds = [
+            (rows * a, rows * b, b) for a, b in pc._score_blocks(n_tuples, n_points, rows)
+        ]
+        self.yielded = []
+        self.rescored = []
+
+    def __iter__(self):
+        for start, stop, drawn in self.bounds:
+            block = tuple(m[start:stop] for m in self.models)
+            self.yielded.append((block, start, stop))
+            yield drawn, block
+
+    def recording(self, residuals):
+        def recorded(block):
+            resid = residuals(block)
+            start, stop = next((a, b) for y, a, b in self.yielded if y is block)
+            self.rescored.append((start, stop, resid))
+            return resid
+
+        return recorded
+
+
+def scored_prefix(bounds, counts, stop_after):
+    """(row stop, tuples drawn) where the stop rule ends a search whose
+    hypotheses have these inlier counts: the first block whose drawn
+    count reaches stop_after(best count so far), or the last block."""
+    top = -1
+    for _, stop, drawn in bounds:
+        top = max(top, int(counts[:stop].max()))
+        if stop_after is not None and drawn >= stop_after(top):
+            break
+    return stop, drawn
+
+
+def assert_matches_oracle(got, blocks, oracle, axis, sum_atol, stop_after):
+    """Blocked consensus against one-shot (counts, sums, mask) of every
+    hypothesis, with hypotheses along `axis` of the mask: the blocked
+    search must score the prefix the stop rule picks, and agree with
+    one-shot scoring of that prefix."""
     want_counts, want_sums, want_within = oracle
-    np.testing.assert_array_equal(counts, want_counts)
+    stop, drawn = scored_prefix(blocks.bounds, want_counts, stop_after)
+    assert got.drawn == drawn
+    want_counts, want_sums = want_counts[:stop], want_sums[:stop]
+    want_within = np.take(want_within, np.arange(stop), axis=axis)
+    np.testing.assert_array_equal(got.counts, want_counts)
     # most inliers, then lowest sum, then lowest index (lexsort is stable)
     want_best = int(np.lexsort((want_sums, -want_counts))[0])
-    assert best == want_best
-    np.testing.assert_array_equal(mask, np.take(want_within, want_best, axis=axis))
+    assert got.best == want_best
+    np.testing.assert_array_equal(got.within, np.take(want_within, want_best, axis=axis))
+    np.testing.assert_array_equal(got.models[0][got.row], blocks.models[0][want_best])
 
-    # Sums are computed only for the blocks that hold a hypothesis tied
-    # at the top count, once each, and only when there is a tie.
-    h = len(want_counts)
+    # Sums are computed only for the scored blocks that hold a hypothesis
+    # tied at the top count, once each, and only when there is a tie.
     tied = np.flatnonzero(want_counts == want_counts.max())
-    blocks = pc._score_blocks(h, want_within.shape[1 - axis])
-    want_scored = [
-        (start, stop)
-        for start, stop in blocks
-        if len(tied) > 1 and ((tied >= start) & (tied < stop)).any()
+    want_rescored = [
+        (start, end)
+        for start, end, _ in blocks.bounds
+        if end <= stop and len(tied) > 1 and ((tied >= start) & (tied < end)).any()
     ]
-    assert [(start, stop) for start, stop, _ in scored] == want_scored
-    for start, stop, resid in scored:
-        within = np.take(want_within, np.arange(start, stop), axis=axis)
+    assert [(start, end) for start, end, _ in blocks.rescored] == want_rescored
+    for start, end, resid in blocks.rescored:
+        within = np.take(want_within, np.arange(start, end), axis=axis)
         sums = np.einsum("ij,ij->j" if axis == 1 else "ij,ij->i", resid, within)
         if sum_atol == 0.0:
-            np.testing.assert_array_equal(sums, want_sums[start:stop])
+            np.testing.assert_array_equal(sums, want_sums[start:end])
         else:
-            np.testing.assert_allclose(sums, want_sums[start:stop], rtol=0.0, atol=sum_atol)
+            np.testing.assert_allclose(sums, want_sums[start:end], rtol=0.0, atol=sum_atol)
 
 
-def blocked_plane_scores(pts, normals, offsets, threshold):
-    def residuals(a, b):
-        return pc._plane_residuals(pts, normals[a:b], offsets[a:b])
+def blocked_plane_scores(pts, normals, offsets, threshold, stop_after):
+    blocks = Blocks((normals, offsets), len(normals), len(pts), 1)
 
-    scored = RecordingResiduals(residuals)
+    def residuals(block):
+        return pc._plane_residuals(pts, *block)
+
     got = pc._consensus(
-        lambda a, b: residuals(a, b) <= threshold, scored, len(normals), len(pts), axis=1
+        iter(blocks),
+        lambda block: residuals(block) <= threshold,
+        blocks.recording(residuals),
+        axis=1,
+        stop_after=stop_after,
     )
-    return got, scored.scored
+    return got, blocks
 
 
-def blocked_circle_scores(pts, centers, radius, threshold):
+def blocked_circle_scores(pts, centers, radius, threshold, stop_after):
+    """Centers come in mirror pairs, two rows per index tuple."""
     pp = np.einsum("ij,ij->i", pts, pts)
     cc = np.einsum("ij,ij->i", centers, centers)
     band = pc._squared_distance_band(radius, threshold)
-    scored = RecordingResiduals(
-        lambda a, b: pc._circle_residuals(pts, pp, centers[a:b], cc[a:b], radius)
-    )
+    blocks = Blocks((centers, cc), len(centers) // 2, len(pts), 2)
     got = pc._consensus(
-        lambda a, b: pc._circle_inliers(pts, pp, centers[a:b], cc[a:b], band),
-        scored,
-        len(centers),
-        len(pts),
+        iter(blocks),
+        lambda block: pc._circle_inliers(pts, pp, *block, band),
+        blocks.recording(lambda block: pc._circle_residuals(pts, pp, *block, radius)),
         axis=0,
+        stop_after=stop_after,
     )
-    return got, scored.scored
+    return got, blocks
 
 
-def spread_top_ties(h, n_points):
-    """Indices of three hypotheses in three different blocks: the first
+def spread_top_ties(bounds):
+    """Rows of three hypotheses in three different blocks: the first
     and the last are to tie with the middle one at the top count, the
     last also in sum."""
-    blocks = pc._score_blocks(h, n_points)
-    assert len(blocks) >= 3
-    return blocks[0][1] - 1, blocks[len(blocks) // 2][0], blocks[-1][1] - 1
+    assert len(bounds) >= 3
+    return bounds[0][1] - 1, bounds[len(bounds) // 2][0], bounds[-1][1] - 1
 
 
-# 140 points (the in-loop cloud) give blocks of 58 hypotheses; 9000
-# points are over the block budget on their own, so blocks hold the
-# two-hypothesis minimum.
+# 140 points (the in-loop cloud) cap blocks at 58 planes or 29 center
+# pairs; 9000 points are over the block budget on their own, so blocks
+# hold the two-row minimum. Each case is scored both as an exhaustive
+# enumeration (no stop rule) and as a random search under the stop rule.
+# At 140 points some searches stop early; at 9000 the few hypotheses
+# never reach a consensus share that stops one, and the tie tests below
+# stop there instead.
 @pytest.mark.parametrize("n_points", [140, 9000])
 def test_blocked_plane_scores_match_one_shot_oracle(n_points):
     rng = np.random.default_rng(n_points)
+    stopped_early = False
     for h in hypothesis_counts(n_points):
         normals = rng.normal(size=(h, 3))
         normals /= np.linalg.norm(normals, axis=1)[:, None]
@@ -277,9 +327,12 @@ def test_blocked_plane_scores_match_one_shot_oracle(n_points):
         # most n_points times that.
         general = rng.uniform(-0.05, 0.05, (n_points, 3))
         for pts, sum_atol in ((on_axis, 0.0), (general, 16 * n_points * EPS * 0.1)):
-            got, scored = blocked_plane_scores(pts, normals, offsets, 0.01)
             oracle = one_shot_plane_scores(pts, normals, offsets, 0.01)
-            assert_matches_oracle(got, scored, oracle, 1, sum_atol)
+            for stop_after in (None, stop_rule(n_points, 3)):
+                got, blocks = blocked_plane_scores(pts, normals, offsets, 0.01, stop_after)
+                assert_matches_oracle(got, blocks, oracle, 1, sum_atol, stop_after)
+                stopped_early |= got.drawn < h
+    assert stopped_early or n_points == 9000
 
 
 @pytest.mark.parametrize("n_points", [140, 9000])
@@ -294,20 +347,27 @@ def test_blocked_plane_top_ties_across_blocks_go_to_the_lowest_sum(n_points):
     pts[:, 2] = np.random.default_rng(3).uniform(-0.001, 0.001, n_points)
     normals = np.tile([0.0, 0.0, 1.0], (h, 1))
     offsets = np.full(h, 0.5)
-    first, middle, last = spread_top_ties(h, n_points)
+    first, middle, last = spread_top_ties(Blocks((), h, n_points, 1).bounds)
     offsets[[first, middle, last]] = 0.002, 0.0005, 0.0005
-    got, scored = blocked_plane_scores(pts, normals, offsets, 0.01)
     oracle = one_shot_plane_scores(pts, normals, offsets, 0.01)
-    assert_matches_oracle(got, scored, oracle, 1, 0.0)
-    assert got[1] == middle and len(scored) == 3
+    got, blocks = blocked_plane_scores(pts, normals, offsets, 0.01, None)
+    assert_matches_oracle(got, blocks, oracle, 1, 0.0, None)
+    assert got.best == middle and len(blocks.rescored) == 3
+    # Under the stop rule, the first plane holds every point (w = 1), so
+    # the search ends with its block and the later ties are never scored.
+    stop_after = stop_rule(n_points, 3)
+    got, blocks = blocked_plane_scores(pts, normals, offsets, 0.01, stop_after)
+    assert_matches_oracle(got, blocks, oracle, 1, 0.0, stop_after)
+    assert got.best == first and got.drawn == first + 1 and not blocks.rescored
 
 
 @pytest.mark.parametrize("n_points", [140, 9000])
 def test_blocked_circle_scores_match_one_shot_oracle(n_points):
     rng = np.random.default_rng(n_points + 1)
     radius = 0.012
-    for h in hypothesis_counts(n_points):
-        centers = rng.uniform(-0.02, 0.02, (h, 2))
+    stopped_early = False
+    for pairs in hypothesis_counts(n_points, rows=2):
+        centers = rng.uniform(-0.02, 0.02, (2 * pairs, 2))
         # As for planes: points on the x axis are scored bit for bit alike,
         # points in general position within a few ulps per residual. Near
         # the ring a residual's rounding error is that of |p|^2 - 2 p.c +
@@ -317,9 +377,12 @@ def test_blocked_circle_scores_match_one_shot_oracle(n_points):
         general = rng.uniform(-0.03, 0.03, (n_points, 2))
         scale = (0.03 * math.sqrt(2) + 0.02 * math.sqrt(2)) ** 2 / (2 * radius)
         for pts, sum_atol in ((on_axis, 0.0), (general, 16 * n_points * EPS * scale)):
-            got, scored = blocked_circle_scores(pts, centers, radius, 0.003)
             oracle = one_shot_circle_scores(pts, centers, radius, 0.003)
-            assert_matches_oracle(got, scored, oracle, 0, sum_atol)
+            for stop_after in (None, stop_rule(n_points, 2)):
+                got, blocks = blocked_circle_scores(pts, centers, radius, 0.003, stop_after)
+                assert_matches_oracle(got, blocks, oracle, 0, sum_atol, stop_after)
+                stopped_early |= got.drawn < pairs
+    assert stopped_early or n_points == 9000
 
 
 @pytest.mark.parametrize("n_points", [140, 9000])
@@ -327,17 +390,143 @@ def test_blocked_circle_top_ties_across_blocks_go_to_the_lowest_sum(n_points):
     # Points on the x axis about one radius from the origin: the centers
     # (0.0004, 0) and (0, 0) hold all of them and no other center holds
     # any, and (0, 0) fits them with the lower residual sum.
-    h = hypothesis_counts(n_points)[-1]
+    pairs = hypothesis_counts(n_points, rows=2)[-1]
     radius = 0.012
     pts = np.zeros((n_points, 2))
     pts[:, 0] = np.random.default_rng(4).uniform(0.0115, 0.0125, n_points)
-    centers = np.full((h, 2), 1.0)
-    first, middle, last = spread_top_ties(h, n_points)
+    centers = np.full((2 * pairs, 2), 1.0)
+    first, middle, last = spread_top_ties(Blocks((), pairs, n_points, 2).bounds)
     centers[[first, middle, last]] = [0.0004, 0.0], [0.0, 0.0], [0.0, 0.0]
-    got, scored = blocked_circle_scores(pts, centers, radius, 0.003)
     oracle = one_shot_circle_scores(pts, centers, radius, 0.003)
-    assert_matches_oracle(got, scored, oracle, 0, 0.0)
-    assert got[1] == middle and len(scored) == 3
+    got, blocks = blocked_circle_scores(pts, centers, radius, 0.003, None)
+    assert_matches_oracle(got, blocks, oracle, 0, 0.0, None)
+    assert got.best == middle and len(blocks.rescored) == 3
+    # Under the stop rule the first center holds every point (w = 1).
+    stop_after = stop_rule(n_points, 2)
+    got, blocks = blocked_circle_scores(pts, centers, radius, 0.003, stop_after)
+    assert_matches_oracle(got, blocks, oracle, 0, 0.0, stop_after)
+    assert got.best == first and 2 * got.drawn == first + 1 and not blocks.rescored
+
+
+def synthetic_consensus(counts, n_points, stop_after):
+    """pc._consensus over hypotheses whose inlier masks hold the given
+    counts (leading points), in the plane stage's blocks; residuals are
+    all zero, so ties go to the lowest index."""
+    counts = np.asarray(counts)
+    blocks = Blocks((counts,), len(counts), n_points, 1)
+    return pc._consensus(
+        iter(blocks),
+        lambda block: np.arange(n_points) < block[0][:, None],
+        lambda block: np.zeros((len(block[0]), n_points)),
+        axis=0,
+        stop_after=stop_after,
+    ), blocks
+
+
+@pytest.mark.parametrize("sample_size", [2, 3])
+def test_stop_count_is_the_textbook_formula(sample_size):
+    # 200 points: blocks end after 8, 24, 56, 96, 136, ... tuples.
+    n_points, h = 200, 500
+    for best in (30, 60, 100, 150, 190, 200):
+        w = best / n_points
+        needed = math.log(0.01) / math.log(1.0 - w**sample_size) if w < 1.0 else 0.0
+        stop_after = stop_rule(n_points, sample_size, min_inliers=15)
+        assert stop_after(best) == pytest.approx(needed, rel=1e-12, abs=0.0)
+        counts = np.full(h, 5)
+        counts[0] = best
+        got, blocks = synthetic_consensus(counts, n_points, stop_after)
+        ends = [drawn for _, _, drawn in blocks.bounds]
+        want = next((end for end in ends if end >= needed), h)
+        assert got.drawn == want == len(got.counts)
+        assert got.best == 0
+
+
+def test_enumeration_scores_every_hypothesis():
+    # Noise-free points: the first hypothesis holds every point (w = 1),
+    # so a random search stops after its first block of 8 tuples. With
+    # no more tuples than the cap, the search enumerates them all.
+    rng = np.random.default_rng(25)
+    plane_pts = np.column_stack([rng.uniform(-0.05, 0.05, (12, 2)), np.full(12, 0.02)])
+    _, _, drawn = pc.fit_plane_ransac(plane_pts, pc.RansacParams(min_inliers=3, seed=0))
+    assert drawn == math.comb(12, 3) == 220
+    params = pc.RansacParams(iterations=219, min_inliers=3, seed=0)
+    _, _, drawn = pc.fit_plane_ransac(plane_pts, params)
+    assert drawn == pc._FIRST_BLOCK
+
+    theta = np.sort(rng.uniform(0.0, 0.9 * math.pi, 20))
+    ring = 0.012 * np.column_stack([np.cos(theta), np.sin(theta)])
+    _, drawn = pc.fit_circle_fixed_radius(ring, 0.012, pc.RansacParams(seed=0))
+    assert drawn == math.comb(20, 2) == 190
+    params = pc.RansacParams(iterations=189, seed=0)
+    _, drawn = pc.fit_circle_fixed_radius(ring, 0.012, params)
+    assert drawn == pc._FIRST_BLOCK
+
+
+def test_collinear_triples_inside_a_block(monkeypatch):
+    # Points 0, 1 and 3-10 lie on one line, point 2 off it. The 165
+    # triples are enumerated in blocks ending at 8, 24, 56, 120 and 165.
+    # Of the first block's triples, (0, 1, k), only (0, 1, 2) spans a
+    # plane: that lone plane is carried into the second block, never
+    # scored as one row. Every triple of the last block, (3, 4, 5) on,
+    # is collinear, and the search still reports all 165 drawn.
+    direction = geo.unit([1.0, 2.0, 3.0])
+    line = 0.01 + np.outer(np.linspace(-0.04, 0.04, 10), direction)
+    off = 0.01 + 0.02 * geo.unit(np.cross(direction, [0.0, 0.0, 1.0]))
+    pts = np.insert(line, 2, off, axis=0)
+    yielded, results = [], []
+    consensus = pc._consensus
+
+    def recording(blocks, *args, **kwargs):
+        blocks = list(blocks)
+        yielded.extend(blocks)
+        results.append(consensus(iter(blocks), *args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(pc, "_consensus", recording)
+    _, inliers, drawn = pc.fit_plane_ransac(pts, pc.RansacParams(min_inliers=3, seed=0))
+    assert drawn == math.comb(11, 3) == 165
+    assert [b for b, _ in yielded] == [8, 24, 56, 120, 165]
+    rows = [None if models is None else len(models[0]) for _, models in yielded]
+    assert rows[0] is None and rows[-1] is None
+    assert rows[1] == 1 + 8  # (0, 1, 2), then (0, 2, k) for k = 3..10
+    assert 1 not in rows
+    # The scored planes are those of every non-collinear triple, in order.
+    idx, enumerated = pc._hypothesis_indices(11, 3, 500, np.random.default_rng(0))
+    normals, offsets = pc._plane_hypotheses(pts, idx)
+    assert enumerated and len(normals) == math.comb(10, 2)  # point 2 and two on the line
+    scored = [models for _, models in yielded if models is not None]
+    np.testing.assert_array_equal(np.concatenate([m[0] for m in scored]), normals)
+    np.testing.assert_array_equal(np.concatenate([m[1] for m in scored]), offsets)
+    want_counts, _, _ = one_shot_plane_scores(pts, normals, offsets, pc.DEFAULT_PLANE_THRESHOLD)
+    np.testing.assert_array_equal(results[0].counts, want_counts)
+    assert len(inliers) == 11
+
+
+def test_stop_waits_for_min_inliers():
+    # The first blocks' best, 10 of 20 points, would stop the search
+    # after 24 pairs, but it is below min_inliers: the search goes on to
+    # the block holding hypothesis 100, whose 20 inliers stop it at once.
+    counts = np.full(500, 10)
+    counts[100] = 20
+    got, blocks = synthetic_consensus(counts, 20, stop_rule(20, 2, min_inliers=15))
+    block_end = next(drawn for start, stop, drawn in blocks.bounds if start <= 100 < stop)
+    assert (got.best, got.drawn) == (100, block_end)
+    assert stop_rule(20, 2, min_inliers=3)(10) < 24
+    # Never reached: every hypothesis up to the cap is scored.
+    got, _ = synthetic_consensus(np.full(500, 10), 20, stop_rule(20, 2, min_inliers=15))
+    assert got.drawn == len(got.counts) == 500
+
+
+def test_stop_rule_at_no_and_full_consensus_raises_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sample_size in (2, 3):
+            assert pc._stop_after(0, 100, sample_size, 0) == math.inf  # w = 0
+            assert pc._stop_after(100, 100, sample_size, 3) == 0.0  # w = 1
+            got, _ = synthetic_consensus(np.zeros(100), 100, stop_rule(100, sample_size, 0))
+            assert got.drawn == 100 and got.best == 0
+            got, _ = synthetic_consensus(np.full(100, 100), 100, stop_rule(100, sample_size))
+            assert got.drawn == pc._FIRST_BLOCK and got.best == 0
 
 
 def doubles_near(x, ulps=4096):
@@ -377,16 +566,23 @@ def test_squared_distance_band_is_the_residual_test(threshold):
 
 
 def test_score_blocks_cover_every_hypothesis_once():
-    for n_points in (1, 140, 200, 4096, 4097, 9000):
-        for h in range(1, 130):
-            blocks = pc._score_blocks(h, n_points)
-            assert blocks[0][0] == 0 and blocks[-1][1] == h
-            assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
-            # two hypotheses at least, unless there is only one
-            assert all(stop - start >= min(2, h) for start, stop in blocks)
-            # the budget, one absorbed leftover hypothesis over it at most
-            cap = max(pc._SCORE_BLOCK_PAIRS + n_points, 3 * n_points)
-            assert all((stop - start) * n_points <= cap for start, stop in blocks)
+    for rows in (1, 2):
+        for n_points in (1, 140, 200, 4096, 4097, 9000):
+            for h in range(1, 130):
+                blocks = pc._score_blocks(h, n_points, rows)
+                assert blocks[0][0] == 0 and blocks[-1][1] == h
+                assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+                # two rows at least, unless there is only one
+                assert all((stop - start) * rows >= min(2, h * rows) for start, stop in blocks)
+                # the budget, one absorbed leftover hypothesis over it at most
+                cap = max(pc._SCORE_BLOCK_PAIRS + rows * n_points, 3 * rows * n_points)
+                assert all((stop - start) * rows * n_points <= cap for start, stop in blocks)
+                # 8 tuples, then each block twice the one before, up to the budget
+                sizes = [stop - start for start, stop in blocks]
+                most = max(1, max(2, pc._SCORE_BLOCK_PAIRS // n_points) // rows)
+                if len(sizes) > 1:
+                    assert sizes[0] == min(pc._FIRST_BLOCK, most)
+                assert all(b == min(2 * a, most) for a, b in zip(sizes, sizes[1:-1]))
 
 
 # Criterion 1's point: tracemalloc peaks were 1.7 MB (plane) and 2.6 MB
@@ -410,7 +606,7 @@ def test_ransac_scoring_memory_stays_bounded():
     cloud = pc.synth_needle_cloud(pose, SPEC, HARSH_NOISE, 200, seed=4)
     plane_params = pc.RansacParams(seed=4)
     circle_params = pc.RansacParams(inlier_threshold=pc.DEFAULT_CIRCLE_THRESHOLD, seed=4)
-    plane, idx = pc.fit_plane_ransac(cloud, plane_params)
+    plane, idx, _ = pc.fit_plane_ransac(cloud, plane_params)
     projected = cloud[idx] - np.outer(plane.signed_distance(cloud[idx]), plane.normal)
     coords = geo.to_plane_coords(projected, plane)
     assert len(coords) > 100
@@ -430,7 +626,7 @@ def test_circle_fit_exact_points():
     truth = np.array([0.004, -0.002])
     ang = rng.uniform(0, 1.8 * math.pi, 80)
     pts = truth + 0.012 * np.column_stack([np.cos(ang), np.sin(ang)])
-    center = pc.fit_circle_fixed_radius(pts, 0.012, pc.RansacParams(seed=6))
+    center, _ = pc.fit_circle_fixed_radius(pts, 0.012, pc.RansacParams(seed=6))
     np.testing.assert_allclose(center, truth, atol=1e-9)
 
 
@@ -442,7 +638,7 @@ def test_circle_fit_matches_grid_oracle_with_outliers():
     good += rng.normal(0, 2e-4, good.shape)
     bad = rng.uniform(-0.02, 0.02, size=(6, 2))
     pts = np.concatenate([good, bad])
-    center = pc.fit_circle_fixed_radius(
+    center, _ = pc.fit_circle_fixed_radius(
         pts, 0.012, pc.RansacParams(inlier_threshold=6e-4, min_inliers=10, seed=7)
     )
     oracle = trimmed_grid_circle_center(pts, 0.012)
