@@ -25,9 +25,18 @@ class ConfigError(ValueError):
 
 
 def _number(value, path: str) -> float:
+    """Every number the loader reads, triples, degrees and durations
+    included, passes here: a NaN or infinite value is rejected under its
+    own dotted path."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer past the largest double
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return number
 
 
 def _integer(value, path: str) -> int:

@@ -375,9 +375,12 @@ def _check_fields(record: dict, fields: dict, lineno: int) -> None:
 def iter_logs(path) -> Iterator[TrialLog]:
     """Parse a log one trial at a time, yielding each at its trial_end.
 
-    Only the open trial's events are held. The header's trial count is
-    checked once the file ends, so a consumer that tallies before it
-    prints shows nothing for a log cut at a trial boundary.
+    Only the open trial's events are held. Each event's `n` must be its
+    index within its trial, and each trial_end's sutures_completed the
+    trial's count of suture_closed events, so a dropped, duplicated or
+    reordered event line is refused. The header's trial count is checked
+    once the file ends, so a consumer that tallies before it prints shows
+    nothing for a log cut at a trial boundary.
     """
     open_trial: dict | None = None
     events: list = []
@@ -420,7 +423,11 @@ def iter_logs(path) -> Iterator[TrialLog]:
                 if open_trial is None or record.get("trial") != open_trial["trial"]:
                     raise LogFormatError(f"line {lineno}: event outside its trial")
                 _check_fields(record, _EVENT_FIELDS, lineno)
-                events.append(record["data"])
+                data = record["data"]
+                n = data.get("n")
+                if type(n) is not int or n != len(events):
+                    raise LogFormatError(f"line {lineno}: event n {n!r:.40}, expected {len(events)}")
+                events.append(data)
             elif kind == "trial_end":
                 if open_trial is None or record.get("trial") != open_trial["trial"]:
                     raise LogFormatError(f"line {lineno}: trial_end without matching trial_start")
@@ -438,6 +445,12 @@ def iter_logs(path) -> Iterator[TrialLog]:
                     )
                 except ValueError as exc:
                     raise LogFormatError(f"line {lineno}: {exc}") from exc
+                closed = sum(event.get("kind") == "suture_closed" for event in events)
+                if log.sutures_completed != closed:
+                    raise LogFormatError(
+                        f"line {lineno}: sutures_completed {log.sutures_completed}, "
+                        f"but the trial logs {closed} suture_closed events"
+                    )
                 read += 1
                 yield log
                 open_trial = None

@@ -20,11 +20,9 @@ the test suite, and plain-text cloud / pose-record I/O.
 from __future__ import annotations
 
 import math
-import struct
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate, combinations
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -402,9 +400,7 @@ def _stop_after(best: int, n_points: int, sample_size: int, min_inliers: int) ->
 # pairs, or two rows on clouds of over 4096 points: 64 KiB
 # per float64 temporary, half of glibc's 128 KiB mmap threshold.
 # Temporaries above the threshold are mapped and page-faulted afresh on
-# every call; below it they reuse heap memory. A block is first scored
-# for its inlier mask alone; its residuals are computed only when a tie
-# at the top count needs their sums (_consensus).
+# every call; below it they reuse heap memory.
 _SCORE_BLOCK_PAIRS = 8192
 
 # A search's first block holds this many index tuples, and each later
@@ -443,74 +439,57 @@ def _score_blocks(
 
 
 class _Consensus(NamedTuple):
-    counts: np.ndarray  # inlier count of every scored hypothesis, in scoring order
-    best: int  # the winner's index in counts
+    count: int  # the winner's inlier count
     models: tuple  # the winner's block, as `blocks` yielded it
     row: int  # the winner's row in that block
     within: np.ndarray  # the winner's inlier mask
     drawn: int  # index tuples drawn through the last block, scored or empty
 
 
-def _consensus(blocks, inliers, residuals, axis: int, stop_after=None):
+def _consensus(blocks, residuals, threshold: float, axis: int, stop_after=None):
     """Score blocks of hypotheses until the stop rule holds, and pick the
     winner among those scored: most inliers, then lower inlier residual
     sum, then lower index. None when `blocks` yields nothing.
 
     `blocks` yields (drawn, models) for each block of index tuples: the
     count of tuples drawn through it, and its hypotheses, or None when it
-    gives none to score. `inliers(models)` returns the
-    boolean inlier mask of a block's hypotheses against every point,
-    with hypotheses along `axis`, and `residuals(models)` their
-    residuals, in the same layout. After each scored block, scoring
-    stops once `drawn` reaches stop_after(best count so far); with no
-    stop_after (an exhaustive enumeration) every block is scored, and
-    `drawn` ends at the last block's bound. `blocks` builds a
-    block's hypotheses only when it is asked for the block, so stopping
-    also skips their construction.
+    gives none to score. `residuals(models)` returns the residuals of a
+    block's hypotheses against every point, with hypotheses along
+    `axis`; a point within `threshold` of a hypothesis is its inlier.
+    After each scored block, scoring stops once `drawn` reaches
+    stop_after(best count so far); with no stop_after (an exhaustive
+    enumeration) every block is scored, and `drawn` ends at the last
+    block's bound. `blocks` builds a block's hypotheses only when it is
+    asked for the block, so stopping also skips their construction.
 
-    Each block's mask is kept (at most _SCORE_BLOCK_PAIRS bytes, well
-    under the mmap threshold), so the winner's mask is read from it
-    instead of scoring its block a second time. Counts are summed in
-    int32, exact for any cloud under 2**31 points.
-
-    Residual sums only break ties at the top count, so only tied
-    hypotheses need them: a hypothesis alone at the top count wins
-    without any, and otherwise only the blocks that hold a tied
-    hypothesis are scored again, with the same `residuals` call on the
-    same block.
+    Each block is scored in one pass. Counts are summed in int32, exact
+    for any cloud under 2**31 points. Residual sums only break ties, so
+    a block's are summed only when its top count reaches the best so
+    far. A later block takes over on a higher count, or on an equal count
+    with a strictly lower sum.
     """
     point_axis = 1 - axis
-    scored = []  # (models, mask) of each block scored
-    counts = []
-    top = -1
+    subscripts = "ij,ij->j" if axis == 1 else "ij,ij->i"
+    best = None  # (count, sum, models, row, block mask) of the winner so far
     for drawn, models in blocks:
         if models is None:
             continue
-        within = inliers(models)
-        block_counts = np.add.reduce(within, axis=point_axis, dtype=np.int32)
-        scored.append((models, within))
-        counts.append(block_counts)
-        top = max(top, int(block_counts.max()))
-        if stop_after is not None and drawn >= stop_after(top):
+        resid = residuals(models)
+        within = resid <= threshold
+        counts = np.add.reduce(within, axis=point_axis, dtype=np.int32)
+        top = int(counts.max())
+        if best is None or top >= best[0]:
+            sums = np.einsum(subscripts, resid, within)
+            rows = (counts == top).nonzero()[0]
+            row = int(rows[sums[rows].argmin()])
+            if best is None or top > best[0] or sums[row] < best[1]:
+                best = (top, sums[row], models, row, within)
+        if stop_after is not None and drawn >= stop_after(best[0]):
             break
-    if not counts:
+    if best is None:
         return None
-    starts = list(accumulate((len(c) for c in counts), initial=0))
-    all_counts = np.concatenate(counts)
-    tied = np.flatnonzero(all_counts == top)
-    if len(tied) == 1:
-        best = int(tied[0])
-    else:
-        subscripts = "ij,ij->j" if axis == 1 else "ij,ij->i"
-        sums = np.empty(len(all_counts))  # written, and read, only for tied blocks
-        for k in sorted({bisect_right(starts, i) - 1 for i in tied.tolist()}):
-            models, within = scored[k]
-            sums[starts[k] : starts[k + 1]] = np.einsum(subscripts, residuals(models), within)
-        best = int(tied[np.argmin(sums[tied])])
-    k = bisect_right(starts, best) - 1
-    models, within = scored[k]
-    row = best - starts[k]
-    return _Consensus(all_counts, best, models, row, np.take(within, row, axis=axis), drawn)
+    count, _, models, row, within = best
+    return _Consensus(count, models, row, within.take(row, axis=axis), drawn)
 
 
 def _plane_residuals(pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -520,132 +499,26 @@ def _plane_residuals(pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray) 
     return np.abs(dist, out=dist)
 
 
-def _squared_distances(
-    pts: np.ndarray, pp: np.ndarray, centers: np.ndarray, cc: np.ndarray
+def _circle_residuals(
+    pts: np.ndarray, pp: np.ndarray, centers: np.ndarray, cc: np.ndarray, radius: float
 ) -> np.ndarray:
-    """|p - c|^2 for every center (rows) and point (columns), unclamped.
+    """||p - c| - radius| for every center (rows) and point (columns).
 
     pp and cc are the squared norms of pts and centers. |p - c|^2 comes
     from |p|^2 - 2 p.c + |c|^2: one matmul instead of an (h, n, 2)
     broadcast, which dominates the runtime otherwise. The -2 is folded
     into the small operand: scaling by a power of two is exact, so
     (-2 c) @ p.T has the bytes of -2 * (c @ p.T) without a pass over the
-    product. Rounding can leave an entry slightly below zero.
+    product. Rounding can leave |p - c|^2 slightly below zero, so it is
+    clamped before the square root.
     """
-    x = (-2.0 * centers) @ pts.T
-    x += pp
-    x += cc[:, None]
-    return x
-
-
-def _circle_residuals(
-    pts: np.ndarray, pp: np.ndarray, centers: np.ndarray, cc: np.ndarray, radius: float
-) -> np.ndarray:
-    """||p - c| - radius| for every center (rows) and point (columns),
-    from _squared_distances."""
-    resid = _squared_distances(pts, pp, centers, cc)
+    resid = (-2.0 * centers) @ pts.T
+    resid += pp
+    resid += cc[:, None]
     np.maximum(resid, 0.0, out=resid)
     np.sqrt(resid, out=resid)
     resid -= radius
     return np.abs(resid, out=resid)
-
-
-def _circle_inliers(
-    pts: np.ndarray, pp: np.ndarray, centers: np.ndarray, cc: np.ndarray, band: tuple[float, float]
-) -> np.ndarray:
-    """_circle_residuals(...) <= threshold, for band =
-    _squared_distance_band(radius, threshold), without the residuals:
-    two comparisons per pair instead of a clamp, a square root, a
-    subtraction, an absolute value and a comparison."""
-    lo, hi = band
-    x = _squared_distances(pts, pp, centers, cc)
-    within = x >= lo
-    within &= x <= hi
-    return within
-
-
-# Bit patterns of the non-negative doubles, read as int64, run from 0
-# (+0.0) to _INF_BITS (+inf) in the order of the doubles themselves.
-_INF_BITS = 0x7FF0000000000000
-
-
-def _double(bits: int) -> float:
-    return struct.unpack("<d", struct.pack("<q", bits))[0]
-
-
-def _least_double(pred, guess: float) -> int:
-    """Bit pattern of the least non-negative double x with pred(x) true.
-
-    pred must be monotone over the non-negative doubles (false, then
-    true from some x on), and is taken to hold at +inf. The search
-    gallops out from `guess` by 1, 2, 4, ... bit patterns until pred
-    changes, then bisects the bracket: at most 63 steps of each, and a
-    few in all when guess lies a few ulps from the answer.
-    """
-    false, true = -1, _INF_BITS  # pred fails at `false` and below, holds at `true`
-    g = struct.unpack("<q", struct.pack("<d", guess))[0]
-    g = min(max(g, 0), _INF_BITS)  # a negative or NaN guess clamps to an end
-    step = 1
-    if pred(_double(g)):
-        true = g
-        while true - step > false:
-            if not pred(_double(true - step)):
-                false = true - step
-                break
-            true -= step
-            step *= 2
-    else:
-        false = g
-        while false + step < true:
-            if pred(_double(false + step)):
-                true = false + step
-                break
-            false += step
-            step *= 2
-    while true - false > 1:
-        mid = (false + true) // 2
-        if pred(_double(mid)):
-            true = mid
-        else:
-            false = mid
-    return true
-
-
-def _squared_distance_band(radius: float, threshold: float) -> tuple[float, float]:
-    """The doubles x that pass |sqrt(max(x, 0)) - radius| <= threshold,
-    as the closed interval [lo, hi].
-
-    The rounded square root, the rounded subtraction of radius and each
-    comparison are monotone in x, so the passing doubles form one
-    interval: above every x whose residual falls short of -threshold and
-    below every x whose residual exceeds threshold. Its ends are found
-    by search over the doubles themselves, with exactly the residual
-    test's operations. The algebraic ends (radius -/+ threshold)^2 can
-    round to a neighbour of the true end (they do at the default plane
-    threshold), and a pair on that ulp would change sides. So
-    lo <= x <= hi holds for exactly the doubles the residual test
-    passes: never NaN, and +inf only for an infinite threshold. When the
-    test holds at x = 0 (threshold >= radius), it holds at every x <= 0
-    too, -inf included, through the clamp, and lo is -inf.
-    """
-
-    def reaches(x: float) -> bool:  # residual >= -threshold
-        return math.sqrt(x) - radius >= -threshold
-
-    def exceeds(x: float) -> bool:  # not (residual <= threshold), so NaN exceeds
-        return not (math.sqrt(x) - radius <= threshold)
-
-    # Guesses are squared by a multiply, which overflows to +inf where
-    # ** would raise.
-    if reaches(0.0):
-        lo = -math.inf
-    else:
-        lo = _double(_least_double(reaches, (radius - threshold) * (radius - threshold)))
-    if exceeds(math.inf):
-        hi = _double(_least_double(exceeds, (radius + threshold) * (radius + threshold)) - 1)
-    else:
-        hi = math.inf
-    return lo, hi
 
 
 def _radial_residuals(coords: np.ndarray, center2d: np.ndarray, radius: float) -> np.ndarray:
@@ -715,10 +588,9 @@ def fit_plane_ransac(cloud, params: RansacParams) -> tuple[Plane, np.ndarray, in
     them all. Hypotheses are built and scored in blocks of at most
     _SCORE_BLOCK_PAIRS (point, plane) pairs, so no temporary reaches
     glibc's mmap threshold and none is mapped and page-faulted afresh on
-    each call. Distance sums are computed only for blocks holding a
-    hypothesis tied at the top count (_consensus). A block whose triples
-    leave a single plane, the rest collinear, is scored with the next
-    block: one row would round differently (_score_blocks).
+    each call. A block whose triples leave a single plane, the rest
+    collinear, is scored with the next block: one row would round
+    differently (_score_blocks).
     """
     pts = np.asarray(cloud, dtype=float)
     # Finiteness first: estimate_needle_pose reports a non-finite cloud
@@ -746,13 +618,10 @@ def fit_plane_ransac(cloud, params: RansacParams) -> tuple[Plane, np.ndarray, in
                 models = None
             yield b, models
 
-    def residuals(models) -> np.ndarray:
-        return _plane_residuals(pts, *models)
-
     found = _consensus(
         blocks(),
-        lambda models: residuals(models) <= params.inlier_threshold,
-        residuals,
+        lambda models: _plane_residuals(pts, *models),
+        params.inlier_threshold,
         axis=1,
         stop_after=None if enumerated else partial(
             _stop_after, n_points=len(pts), sample_size=3, min_inliers=params.min_inliers
@@ -760,9 +629,9 @@ def fit_plane_ransac(cloud, params: RansacParams) -> tuple[Plane, np.ndarray, in
     )
     if found is None:
         raise DegenerateInput("all sampled triples were collinear", stage="plane")
-    if found.counts[found.best] < params.min_inliers:
+    if found.count < params.min_inliers:
         raise NoConsensus(
-            f"best plane consensus has {found.counts[found.best]} inliers < {params.min_inliers}",
+            f"best plane consensus has {found.count} inliers < {params.min_inliers}",
             stage="plane",
         )
 
@@ -846,13 +715,7 @@ def fit_circle_fixed_radius(
     points with no more pairs than the cap, scores them all. Candidate
     centers are built and scored in blocks of at most _SCORE_BLOCK_PAIRS
     (center, point) pairs, so no temporary reaches glibc's mmap
-    threshold and none is mapped and page-faulted afresh on each call. A
-    pair is an inlier when its squared distance |p - c|^2 lies in the
-    exact band of squared distances whose residual passes the threshold
-    (_squared_distance_band): the residual test's verdict, bit for bit,
-    for two comparisons instead of a square root and three more passes.
-    Residuals are computed only for blocks holding a center tied at the
-    top count, whose sums break the tie (_consensus).
+    threshold and none is mapped and page-faulted afresh on each call.
     """
     pts = np.asarray(points2d, dtype=float)
     if not np.isfinite(pts).all():
@@ -867,7 +730,6 @@ def fit_circle_fixed_radius(
     rng = np.random.default_rng(params.seed)
     idx, enumerated = _hypothesis_indices(len(pts), 2, params.iterations, rng)
     pp = np.einsum("ij,ij->i", pts, pts)
-    band = _squared_distance_band(radius, params.inlier_threshold)
 
     def blocks():
         for a, b in _score_blocks(len(idx), len(pts), rows_per_hypothesis=2):
@@ -876,8 +738,8 @@ def fit_circle_fixed_radius(
 
     found = _consensus(
         blocks(),
-        lambda models: _circle_inliers(pts, pp, *models, band),
         lambda models: _circle_residuals(pts, pp, *models, radius),
+        params.inlier_threshold,
         axis=0,
         stop_after=None if enumerated else partial(
             _stop_after, n_points=len(pts), sample_size=2, min_inliers=params.min_inliers
@@ -885,9 +747,9 @@ def fit_circle_fixed_radius(
     )
     if found is None:
         raise NoConsensus("no sampled pair admits a center candidate", stage="circle")
-    if found.counts[found.best] < params.min_inliers:
+    if found.count < params.min_inliers:
         raise NoConsensus(
-            f"best circle consensus has {found.counts[found.best]} inliers < {params.min_inliers}",
+            f"best circle consensus has {found.count} inliers < {params.min_inliers}",
             stage="circle",
         )
 

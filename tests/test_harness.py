@@ -276,6 +276,19 @@ def edit_first_trial_end(old, new):
     return mutate
 
 
+def first_suture_closed(lines):
+    return next(i for i, line in enumerate(lines) if '"kind":"suture_closed"' in line)
+
+
+def tamper_first_suture_closed(edit):
+    """Apply edit(lines, k) at the first suture_closed event line k."""
+
+    def mutate(lines):
+        return edit(lines, first_suture_closed(lines))
+
+    return mutate
+
+
 def test_log_writes_from_an_iterator_match_a_list(tmp_path, nominal_logs):
     _, logs = nominal_logs
     listed, streamed = tmp_path / "list.jsonl", tmp_path / "iter.jsonl"
@@ -312,6 +325,30 @@ def test_log_writes_from_an_iterator_match_a_list(tmp_path, nominal_logs):
         ),
         (edit_first_trial_end('"sutures_completed":6', '"sutures_completed":-1'), "negative"),
         (edit_first_trial_end('"status":"wound_closed"', '"status":"closed"'), "terminal status"),
+        # Each tampered event line shifts the `n` of the line at 0-based
+        # index k, the first suture_closed's own place: line k + 1.
+        pytest.param(
+            tamper_first_suture_closed(lambda lines, k: lines[:k] + lines[k + 1 :]),
+            lambda lines: f"line {first_suture_closed(lines) + 1}: event n",
+            id="drop_suture_closed",
+        ),
+        pytest.param(
+            tamper_first_suture_closed(lambda lines, k: lines[: k + 1] + lines[k:]),
+            lambda lines: f"line {first_suture_closed(lines) + 2}: event n",
+            id="duplicate_suture_closed",
+        ),
+        pytest.param(
+            tamper_first_suture_closed(
+                lambda lines, k: lines[:k] + [lines[k + 1], lines[k]] + lines[k + 2 :]
+            ),
+            lambda lines: f"line {first_suture_closed(lines) + 1}: event n",
+            id="swap_suture_closed",
+        ),
+        pytest.param(
+            edit_first_trial_end('"sutures_completed":6', '"sutures_completed":5'),
+            "sutures_completed 5, but the trial logs 6 suture_closed events",
+            id="sutures_completed_mismatch",
+        ),
     ],
 )
 def test_malformed_log_files_raise(tmp_path, capsys, nominal_logs, mutate, fragment):
@@ -321,6 +358,8 @@ def test_malformed_log_files_raise(tmp_path, capsys, nominal_logs, mutate, fragm
     lines = path.read_text().splitlines()
     bad = tmp_path / "bad.jsonl"
     bad.write_text("\n".join(mutate(lines)) + "\n")
+    if callable(fragment):
+        fragment = fragment(lines)
     with pytest.raises(LogFormatError) as err:
         read_logs(bad)
     assert fragment in str(err.value)
@@ -585,6 +624,14 @@ def test_cli_bad_config_is_usage_exit(tmp_path, capsys):
         ("noise:\n  outlier_box: [.inf, 0.06, 0.06]\n", [], "outlier_box"),
         ("controller:\n  approach_offset: .inf\n", [], "approach_offset"),
         ("controller:\n  l_des: .inf\n", [], "l_des"),
+        ("noise:\n  gaussian_sigma: .nan\n", [], "noise.gaussian_sigma"),
+        ("experiment:\n  thread_length: .inf\n", [], "experiment.thread_length"),
+        ("timing:\n  perception_period: .inf\n", [], "timing.perception_period"),
+        ("timing:\n  durations:\n    move_to: .inf\n", [], "timing.durations.move_to"),
+        ("wound:\n  ridge_height: .inf\n", [], "wound.ridge_height"),
+        ("wound:\n  spacing: .inf\n", [], "wound.spacing"),
+        ("controller:\n  correction_corner: [.inf, 0, 0]\n", [], "controller.correction_corner[0]"),
+        ("controller:\n  handover_test_offset: [.nan, 0, 0]\n", [], "controller.handover_test_offset[0]"),
     ],
     ids=[
         "occlusion_key",
@@ -595,6 +642,14 @@ def test_cli_bad_config_is_usage_exit(tmp_path, capsys):
         "infinite_outlier_box",
         "infinite_approach_offset",
         "infinite_l_des",
+        "nan_gaussian_sigma",
+        "infinite_thread_length",
+        "infinite_perception_period",
+        "infinite_duration",
+        "infinite_ridge_height",
+        "infinite_spacing",
+        "infinite_correction_corner",
+        "nan_handover_test_offset",
     ],
 )
 def test_cli_config_rejected_at_load_is_usage_exit(tmp_path, capsys, config_text, flags, field_name):

@@ -187,7 +187,8 @@ class Blocks:
     `models` are arrays with `rows` rows per index tuple, split as
     pc._score_blocks(n_tuples, n_points, rows) splits the tuples.
     `bounds` holds each block's (first row, row stop, tuples drawn
-    through it); `rescored` the blocks pc._consensus asked residuals of.
+    through it); `scored` the (first row, row stop, residuals) of each
+    block pc._consensus asked residuals of.
     """
 
     def __init__(self, models, n_tuples, n_points, rows):
@@ -196,7 +197,7 @@ class Blocks:
             (rows * a, rows * b, b) for a, b in pc._score_blocks(n_tuples, n_points, rows)
         ]
         self.yielded = []
-        self.rescored = []
+        self.scored = []
 
     def __iter__(self):
         for start, stop, drawn in self.bounds:
@@ -208,10 +209,15 @@ class Blocks:
         def recorded(block):
             resid = residuals(block)
             start, stop = next((a, b) for y, a, b in self.yielded if y is block)
-            self.rescored.append((start, stop, resid))
+            self.scored.append((start, stop, resid))
             return resid
 
         return recorded
+
+    def winner(self, got):
+        """The row, among all hypotheses, of the consensus got picked."""
+        start = next(a for y, a, _ in self.yielded if y is got.models)
+        return start + got.row
 
 
 def scored_prefix(bounds, counts, stop_after):
@@ -229,30 +235,24 @@ def scored_prefix(bounds, counts, stop_after):
 def assert_matches_oracle(got, blocks, oracle, axis, sum_atol, stop_after):
     """Blocked consensus against one-shot (counts, sums, mask) of every
     hypothesis, with hypotheses along `axis` of the mask: the blocked
-    search must score the prefix the stop rule picks, and agree with
-    one-shot scoring of that prefix."""
+    search must score the prefix the stop rule picks, each block once,
+    and agree with one-shot scoring of that prefix."""
     want_counts, want_sums, want_within = oracle
     stop, drawn = scored_prefix(blocks.bounds, want_counts, stop_after)
     assert got.drawn == drawn
+    assert [(start, end) for start, end, _ in blocks.scored] == [
+        (start, end) for start, end, _ in blocks.bounds if end <= stop
+    ]
     want_counts, want_sums = want_counts[:stop], want_sums[:stop]
-    want_within = np.take(want_within, np.arange(stop), axis=axis)
-    np.testing.assert_array_equal(got.counts, want_counts)
     # most inliers, then lowest sum, then lowest index (lexsort is stable)
     want_best = int(np.lexsort((want_sums, -want_counts))[0])
-    assert got.best == want_best
+    assert blocks.winner(got) == want_best
+    assert got.count == want_counts[want_best]
     np.testing.assert_array_equal(got.within, np.take(want_within, want_best, axis=axis))
     np.testing.assert_array_equal(got.models[0][got.row], blocks.models[0][want_best])
 
-    # Sums are computed only for the scored blocks that hold a hypothesis
-    # tied at the top count, once each, and only when there is a tie.
-    tied = np.flatnonzero(want_counts == want_counts.max())
-    want_rescored = [
-        (start, end)
-        for start, end, _ in blocks.bounds
-        if end <= stop and len(tied) > 1 and ((tied >= start) & (tied < end)).any()
-    ]
-    assert [(start, end) for start, end, _ in blocks.rescored] == want_rescored
-    for start, end, resid in blocks.rescored:
+    # Each block's inlier residual sums, the tie-break, against one-shot's.
+    for start, end, resid in blocks.scored:
         within = np.take(want_within, np.arange(start, end), axis=axis)
         sums = np.einsum("ij,ij->j" if axis == 1 else "ij,ij->i", resid, within)
         if sum_atol == 0.0:
@@ -263,14 +263,10 @@ def assert_matches_oracle(got, blocks, oracle, axis, sum_atol, stop_after):
 
 def blocked_plane_scores(pts, normals, offsets, threshold, stop_after):
     blocks = Blocks((normals, offsets), len(normals), len(pts), 1)
-
-    def residuals(block):
-        return pc._plane_residuals(pts, *block)
-
     got = pc._consensus(
         iter(blocks),
-        lambda block: residuals(block) <= threshold,
-        blocks.recording(residuals),
+        blocks.recording(lambda block: pc._plane_residuals(pts, *block)),
+        threshold,
         axis=1,
         stop_after=stop_after,
     )
@@ -281,12 +277,11 @@ def blocked_circle_scores(pts, centers, radius, threshold, stop_after):
     """Centers come in mirror pairs, two rows per index tuple."""
     pp = np.einsum("ij,ij->i", pts, pts)
     cc = np.einsum("ij,ij->i", centers, centers)
-    band = pc._squared_distance_band(radius, threshold)
     blocks = Blocks((centers, cc), len(centers) // 2, len(pts), 2)
     got = pc._consensus(
         iter(blocks),
-        lambda block: pc._circle_inliers(pts, pp, *block, band),
         blocks.recording(lambda block: pc._circle_residuals(pts, pp, *block, radius)),
+        threshold,
         axis=0,
         stop_after=stop_after,
     )
@@ -296,7 +291,8 @@ def blocked_circle_scores(pts, centers, radius, threshold, stop_after):
 def spread_top_ties(bounds):
     """Rows of three hypotheses in three different blocks: the first
     and the last are to tie with the middle one at the top count, the
-    last also in sum."""
+    last also in sum. The middle row opens its block, so the row after
+    it, which is to copy it, lies in the same block."""
     assert len(bounds) >= 3
     return bounds[0][1] - 1, bounds[len(bounds) // 2][0], bounds[-1][1] - 1
 
@@ -338,27 +334,28 @@ def test_blocked_plane_scores_match_one_shot_oracle(n_points):
 @pytest.mark.parametrize("n_points", [140, 9000])
 def test_blocked_plane_top_ties_across_blocks_go_to_the_lowest_sum(n_points):
     # Every point within the threshold of the planes z = 0.002 and
-    # z = 0.0005, and of no other plane: the three hypotheses tie at
-    # the top count, and z = 0.0005, nearer the points' median, has the
-    # lower distance sum. Its second copy ties in sum too and loses on
-    # index.
+    # z = 0.0005, and of no other plane: their hypotheses tie at the
+    # top count, and z = 0.0005, nearer the points' median, has the
+    # lower distance sum. Its copies, the next row in its own block and
+    # one in the last block, tie in sum too and lose on index.
     h = hypothesis_counts(n_points)[-1]
     pts = np.zeros((n_points, 3))
     pts[:, 2] = np.random.default_rng(3).uniform(-0.001, 0.001, n_points)
     normals = np.tile([0.0, 0.0, 1.0], (h, 1))
     offsets = np.full(h, 0.5)
     first, middle, last = spread_top_ties(Blocks((), h, n_points, 1).bounds)
-    offsets[[first, middle, last]] = 0.002, 0.0005, 0.0005
+    offsets[[first, middle, middle + 1, last]] = 0.002, 0.0005, 0.0005, 0.0005
     oracle = one_shot_plane_scores(pts, normals, offsets, 0.01)
     got, blocks = blocked_plane_scores(pts, normals, offsets, 0.01, None)
     assert_matches_oracle(got, blocks, oracle, 1, 0.0, None)
-    assert got.best == middle and len(blocks.rescored) == 3
+    assert blocks.winner(got) == middle and got.count == n_points
     # Under the stop rule, the first plane holds every point (w = 1), so
     # the search ends with its block and the later ties are never scored.
     stop_after = stop_rule(n_points, 3)
     got, blocks = blocked_plane_scores(pts, normals, offsets, 0.01, stop_after)
     assert_matches_oracle(got, blocks, oracle, 1, 0.0, stop_after)
-    assert got.best == first and got.drawn == first + 1 and not blocks.rescored
+    assert blocks.winner(got) == first and got.drawn == first + 1
+    assert len(blocks.scored) == 1
 
 
 @pytest.mark.parametrize("n_points", [140, 9000])
@@ -389,35 +386,38 @@ def test_blocked_circle_scores_match_one_shot_oracle(n_points):
 def test_blocked_circle_top_ties_across_blocks_go_to_the_lowest_sum(n_points):
     # Points on the x axis about one radius from the origin: the centers
     # (0.0004, 0) and (0, 0) hold all of them and no other center holds
-    # any, and (0, 0) fits them with the lower residual sum.
+    # any, and (0, 0) fits them with the lower residual sum. Its copies,
+    # the mirror row in its own block and one in the last block, lose on
+    # index.
     pairs = hypothesis_counts(n_points, rows=2)[-1]
     radius = 0.012
     pts = np.zeros((n_points, 2))
     pts[:, 0] = np.random.default_rng(4).uniform(0.0115, 0.0125, n_points)
     centers = np.full((2 * pairs, 2), 1.0)
     first, middle, last = spread_top_ties(Blocks((), pairs, n_points, 2).bounds)
-    centers[[first, middle, last]] = [0.0004, 0.0], [0.0, 0.0], [0.0, 0.0]
+    centers[[first, middle, middle + 1, last]] = [0.0004, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]
     oracle = one_shot_circle_scores(pts, centers, radius, 0.003)
     got, blocks = blocked_circle_scores(pts, centers, radius, 0.003, None)
     assert_matches_oracle(got, blocks, oracle, 0, 0.0, None)
-    assert got.best == middle and len(blocks.rescored) == 3
+    assert blocks.winner(got) == middle and got.count == n_points
     # Under the stop rule the first center holds every point (w = 1).
     stop_after = stop_rule(n_points, 2)
     got, blocks = blocked_circle_scores(pts, centers, radius, 0.003, stop_after)
     assert_matches_oracle(got, blocks, oracle, 0, 0.0, stop_after)
-    assert got.best == first and 2 * got.drawn == first + 1 and not blocks.rescored
+    assert blocks.winner(got) == first and 2 * got.drawn == first + 1
+    assert len(blocks.scored) == 1
 
 
 def synthetic_consensus(counts, n_points, stop_after):
     """pc._consensus over hypotheses whose inlier masks hold the given
-    counts (leading points), in the plane stage's blocks; residuals are
-    all zero, so ties go to the lowest index."""
+    counts (leading points), in the plane stage's blocks; inlier
+    residuals are all zero, so ties go to the lowest index."""
     counts = np.asarray(counts)
     blocks = Blocks((counts,), len(counts), n_points, 1)
     return pc._consensus(
         iter(blocks),
-        lambda block: np.arange(n_points) < block[0][:, None],
-        lambda block: np.zeros((len(block[0]), n_points)),
+        blocks.recording(lambda block: (np.arange(n_points) >= block[0][:, None]) * 1.0),
+        0.5,
         axis=0,
         stop_after=stop_after,
     ), blocks
@@ -437,8 +437,8 @@ def test_stop_count_is_the_textbook_formula(sample_size):
         got, blocks = synthetic_consensus(counts, n_points, stop_after)
         ends = [drawn for _, _, drawn in blocks.bounds]
         want = next((end for end in ends if end >= needed), h)
-        assert got.drawn == want == len(got.counts)
-        assert got.best == 0
+        assert got.drawn == want == blocks.scored[-1][1]
+        assert blocks.winner(got) == 0 and got.count == best
 
 
 def test_enumeration_scores_every_hypothesis():
@@ -497,8 +497,18 @@ def test_collinear_triples_inside_a_block(monkeypatch):
     scored = [models for _, models in yielded if models is not None]
     np.testing.assert_array_equal(np.concatenate([m[0] for m in scored]), normals)
     np.testing.assert_array_equal(np.concatenate([m[1] for m in scored]), offsets)
-    want_counts, _, _ = one_shot_plane_scores(pts, normals, offsets, pc.DEFAULT_PLANE_THRESHOLD)
-    np.testing.assert_array_equal(results[0].counts, want_counts)
+    # The winner holds the most inliers, with its one-shot mask. The 45
+    # planes all hold the line and point 2, so their sums differ only by
+    # rounding, and which one wins is left to the bytes.
+    want_counts, _, want_within = one_shot_plane_scores(
+        pts, normals, offsets, pc.DEFAULT_PLANE_THRESHOLD
+    )
+    got = results[0]
+    winner = got.row
+    for models in scored[: [m is got.models for m in scored].index(True)]:
+        winner += len(models[0])
+    assert got.count == want_counts[winner] == want_counts.max() == 11
+    np.testing.assert_array_equal(got.within, want_within[:, winner])
     assert len(inliers) == 11
 
 
@@ -510,11 +520,11 @@ def test_stop_waits_for_min_inliers():
     counts[100] = 20
     got, blocks = synthetic_consensus(counts, 20, stop_rule(20, 2, min_inliers=15))
     block_end = next(drawn for start, stop, drawn in blocks.bounds if start <= 100 < stop)
-    assert (got.best, got.drawn) == (100, block_end)
+    assert (blocks.winner(got), got.count, got.drawn) == (100, 20, block_end)
     assert stop_rule(20, 2, min_inliers=3)(10) < 24
     # Never reached: every hypothesis up to the cap is scored.
-    got, _ = synthetic_consensus(np.full(500, 10), 20, stop_rule(20, 2, min_inliers=15))
-    assert got.drawn == len(got.counts) == 500
+    got, blocks = synthetic_consensus(np.full(500, 10), 20, stop_rule(20, 2, min_inliers=15))
+    assert got.drawn == blocks.scored[-1][1] == 500
 
 
 def test_stop_rule_at_no_and_full_consensus_raises_no_warning():
@@ -523,46 +533,10 @@ def test_stop_rule_at_no_and_full_consensus_raises_no_warning():
         for sample_size in (2, 3):
             assert pc._stop_after(0, 100, sample_size, 0) == math.inf  # w = 0
             assert pc._stop_after(100, 100, sample_size, 3) == 0.0  # w = 1
-            got, _ = synthetic_consensus(np.zeros(100), 100, stop_rule(100, sample_size, 0))
-            assert got.drawn == 100 and got.best == 0
-            got, _ = synthetic_consensus(np.full(100, 100), 100, stop_rule(100, sample_size))
-            assert got.drawn == pc._FIRST_BLOCK and got.best == 0
-
-
-def doubles_near(x, ulps=4096):
-    """Every double within `ulps` bit patterns of x (of +0.0 and -0.0
-    for x = -inf, the clamp's side of the band)."""
-    if x == -math.inf:
-        small = np.arange(0, ulps + 1, dtype=np.int64).view(np.float64)
-        return np.concatenate([-small, small])
-    bits = np.array(x).view(np.int64)
-    return np.arange(bits - ulps, bits + ulps + 1, dtype=np.int64).view(np.float64)
-
-
-@pytest.mark.parametrize(
-    "threshold",
-    [pc.DEFAULT_PLANE_THRESHOLD, pc.DEFAULT_CIRCLE_THRESHOLD, pc.NEEDLE_RADIUS, 0.03, 1e-18, 1e300],
-)
-def test_squared_distance_band_is_the_residual_test(threshold):
-    r = pc.NEEDLE_RADIUS
-    lo, hi = pc._squared_distance_band(r, threshold)
-    assert (lo == -math.inf) == (threshold >= r)
-    assert lo <= hi < math.inf
-    rng = np.random.default_rng(5)
-    x = np.concatenate(
-        [doubles_near(lo), doubles_near(hi), rng.uniform(0.0, (3 * r) ** 2, 100_000)]
-    )
-    with np.errstate(invalid="ignore"):
-        want = np.abs(np.sqrt(np.maximum(x, 0.0)) - r) <= threshold
-    np.testing.assert_array_equal((lo <= x) & (x <= hi), want)
-    assert want.any() and not want.all()
-    # NaN and +inf fail both tests; -inf is clamped to 0 by the residual
-    # test, so it passes both exactly when threshold >= radius.
-    special = np.array([np.nan, np.inf, -np.inf])
-    with np.errstate(invalid="ignore"):
-        want = np.abs(np.sqrt(np.maximum(special, 0.0)) - r) <= threshold
-    np.testing.assert_array_equal((lo <= special) & (special <= hi), want)
-    np.testing.assert_array_equal(want, [False, False, threshold >= r])
+            got, blocks = synthetic_consensus(np.zeros(100), 100, stop_rule(100, sample_size, 0))
+            assert got.drawn == 100 and blocks.winner(got) == 0 and got.count == 0
+            got, blocks = synthetic_consensus(np.full(100, 100), 100, stop_rule(100, sample_size))
+            assert got.drawn == pc._FIRST_BLOCK and blocks.winner(got) == 0
 
 
 def test_score_blocks_cover_every_hypothesis_once():
