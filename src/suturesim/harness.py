@@ -17,7 +17,14 @@ import pickle
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 
-from .controller import NEXT_STATE, ControllerParams, PipelineState, PrimitiveSet, run_suture
+from .controller import (
+    NEXT_STATE,
+    ControllerParams,
+    ErrorKind,
+    PipelineState,
+    PrimitiveSet,
+    run_suture,
+)
 from .perception import NeedleSpec, NoiseModel, RansacParams
 from .simworld import (
     SIM_CIRCLE_RANSAC,
@@ -33,6 +40,12 @@ from .simworld import (
 )
 
 LOG_FORMAT_VERSION = 2
+
+# terminal status -> the errors a trial that ends in it may carry
+_STATUS_ERRORS = {
+    "wound_closed": frozenset([None]),
+    "failed": frozenset(kind.value for kind in ErrorKind),
+}
 
 #: preset name -> (enabled primitives, human-intervention budget)
 PRESETS: dict[str, tuple[PrimitiveSet, int]] = {
@@ -106,14 +119,19 @@ class TrialLog:
     status: str  # "wound_closed" | "failed"
     error: str | None  # I/E/H/T letter when status == "failed"
     sutures_completed: int
-    elapsed: float  # simulation seconds
+    elapsed: float  # simulation seconds, finite and >= 0
     events: list
 
     def __post_init__(self):
-        if self.status not in ("wound_closed", "failed"):
+        errors = _STATUS_ERRORS.get(self.status)
+        if errors is None:
             raise ValueError(f"unknown terminal status {self.status!r}")
+        if self.error not in errors:
+            raise ValueError(f"{self.status} trial with error {self.error!r:.40}")
         if self.sutures_completed < 0:
             raise ValueError(f"negative sutures_completed {self.sutures_completed}")
+        if not (0.0 <= self.elapsed < math.inf):
+            raise ValueError(f"elapsed {self.elapsed!r} is not a finite, non-negative time")
 
 
 @dataclass
@@ -378,9 +396,11 @@ def iter_logs(path) -> Iterator[TrialLog]:
     Only the open trial's events are held. Each event's `n` must be its
     index within its trial, and each trial_end's sutures_completed the
     trial's count of suture_closed events, so a dropped, duplicated or
-    reordered event line is refused. The header's trial count is checked
-    once the file ends, so a consumer that tallies before it prints shows
-    nothing for a log cut at a trial boundary.
+    reordered event line is refused. A trial_end's error must fit its
+    status, and its elapsed be finite and non-negative (TrialLog). The
+    header's trial count is checked once the file ends, so a consumer
+    that tallies before it prints shows nothing for a log cut at a trial
+    boundary.
     """
     open_trial: dict | None = None
     events: list = []

@@ -2,16 +2,24 @@
 
 The estimator recovers the full 6D pose of a circular suturing needle:
 
-1. robust plane fit (RANSAC over 3-point hypotheses, orthogonal
-   least-squares refit),
+1. robust plane fit (RANSAC over 3-point hypotheses, one orthogonal
+   least-squares refit of the winner's consensus),
 2. fixed-radius circle fit in plane coordinates (RANSAC over 2-point
-   hypotheses, Gauss-Newton refinement of the center),
-3. endpoint extraction as the farthest pair of needle inliers, snapped
-   onto the fitted circle.
+   hypotheses, Gauss-Newton refinement of the center down to nanometre
+   steps),
+3. one feedback pass: a plane refit on the points near the circle, one
+   ring selection and one Gauss-Newton polish against it,
+4. endpoint extraction as the farthest pair of needle inliers, snapped
+   onto the fitted circle, then re-placed from the known arc span when
+   the visible extent agrees with it.
+
+Each refinement runs once, not to a fixed point: the feedback pass
+corrects the plane anyway, and a sub-nanometre Gauss-Newton step is
+about a millionth of the 0.3-0.5 mm sensor noise.
 
 RansacParams.iterations caps the hypotheses a RANSAC stage draws; a
-random search stops sooner, once its best consensus is STOP_CONFIDENCE
-certain (_stop_after).
+random search scores them in blocks of 16, 32, 64, ... and stops after
+a block once its best consensus is STOP_CONFIDENCE certain (_stop_after).
 
 Also provides the synthetic cloud generator used by the simulator and
 the test suite, and plain-text cloud / pose-record I/O.
@@ -406,15 +414,18 @@ _SCORE_BLOCK_PAIRS = 8192
 # A search's first block holds this many index tuples, and each later
 # block twice as many as the one before, up to the budget above. The stop
 # rule is checked after each block, so a search that saturates early can
-# end after 8 or 24 tuples; one that does not soon runs in full blocks.
-_FIRST_BLOCK = 8
+# end after 16 or 48 tuples; one that does not soon runs in full blocks.
+# A plane search at criterion 1's noise point cannot stop after 8
+# triples (that needs w^3 >= 0.44), so a first block of 8 would only add
+# a round of scoring.
+_FIRST_BLOCK = 16
 
 
 def _score_blocks(
     n_hypotheses: int, n_points: int, rows_per_hypothesis: int = 1
 ) -> list[tuple[int, int]]:
     """(start, stop) slices of n_hypotheses index tuples for block-wise
-    scoring: 8, 16, 32, ... tuples, capped at the block budget.
+    scoring: 16, 32, 64, ... tuples, capped at the block budget.
 
     A tuple gives `rows_per_hypothesis` scored rows (a circle's point
     pair gives two mirror centers), and a block at least two rows. The
@@ -575,11 +586,11 @@ def fit_plane_ransac(cloud, params: RansacParams) -> tuple[Plane, np.ndarray, in
     """RANSAC plane fit.
 
     Maximizes the inlier count (ties broken by lower total inlier
-    distance, then lowest hypothesis index), then refits by orthogonal
-    least squares on the consensus set. Returns the refit plane, the
-    indices of cloud points within the threshold of it, and the number
-    of point triples drawn before the search stopped. A cloud with a NaN
-    or infinite coordinate raises DegenerateInput.
+    distance, then lowest hypothesis index), then refits once by
+    orthogonal least squares on the consensus set. Returns the refit
+    plane, the indices of cloud points within the threshold of it, and
+    the number of point triples drawn before the search stopped. A cloud
+    with a NaN or infinite coordinate raises DegenerateInput.
 
     params.iterations caps the triples drawn. A random search stops
     early, after a block of hypotheses, once its best consensus is
@@ -635,29 +646,20 @@ def fit_plane_ransac(cloud, params: RansacParams) -> tuple[Plane, np.ndarray, in
             stage="plane",
         )
 
-    # Iterate the consensus refit: a slightly tilted winning hypothesis
-    # admits a slightly tilted inlier band, and a single SVD refit
-    # inherits that tilt. Re-selecting inliers against each refit plane
-    # converges to the threshold-stable set in a few rounds. The loop
-    # runs on (normal, offset); one Plane is built, and validated, at
-    # exit. add.reduce(...) / n is what ndarray.mean runs.
-    consensus = np.flatnonzero(found.within)
-    for _ in range(8):
-        sel = pts[consensus]
-        centroid = np.add.reduce(sel, axis=0) / len(sel)
-        _, _, vt = np.linalg.svd(sel - centroid, full_matrices=False)
-        normal = _canonical(vt[-1])
-        offset = float(normal.dot(centroid))
-        dist = pts @ normal
-        dist -= offset
-        refreshed = np.flatnonzero(np.abs(dist, out=dist) <= params.inlier_threshold)
-        if len(refreshed) == len(consensus) and np.array_equal(refreshed, consensus):
-            break
-        if len(refreshed) < 3:
-            break
-        consensus = refreshed
-    # refreshed is measured against the final plane on every exit
-    return Plane(normal, offset), refreshed, found.drawn
+    # One orthogonal least-squares refit of the winner's consensus, then
+    # its band inliers against the refit plane. A tilted winner leaves a
+    # slight tilt here; the feedback pass in estimate_needle_pose refits
+    # the plane from circle-gated points, which removes it.
+    # add.reduce(...) / n is what ndarray.mean runs.
+    sel = pts[found.within]
+    centroid = np.add.reduce(sel, axis=0) / len(sel)
+    _, _, vt = np.linalg.svd(sel - centroid, full_matrices=False)
+    normal = _canonical(vt[-1])
+    offset = float(normal.dot(centroid))
+    dist = pts @ normal
+    dist -= offset
+    inliers = np.flatnonzero(np.abs(dist, out=dist) <= params.inlier_threshold)
+    return Plane(normal, offset), inliers, found.drawn
 
 
 def _circle_hypotheses(pts: np.ndarray, idx: np.ndarray, radius: float) -> np.ndarray:
@@ -759,7 +761,8 @@ def fit_circle_fixed_radius(
 
 
 def _polish_circle_center(inl: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    """Gauss-Newton on sum(|p - c| - r)^2 over the center only.
+    """Gauss-Newton on sum(|p - c| - r)^2 over the center only, until a
+    step is under a nanometre (at most 30 steps).
 
     Works in buffers allocated once. The jacobian's columns stay strided
     views of one (n, 2) array: BLAS sums a strided dot product in another
@@ -792,7 +795,7 @@ def _polish_circle_center(inl: np.ndarray, center: np.ndarray, radius: float) ->
         step1 = -(a * g1 - b * g0) / det
         center[0] += step0
         center[1] += step1
-        if step0 * step0 + step1 * step1 < 1e-24:
+        if step0 * step0 + step1 * step1 < 1e-18:
             break
     return center
 
@@ -957,23 +960,18 @@ def estimate_needle_pose(
         if len(idx2) >= 2:
             res2, proj2, coords2 = _plane_projection(pts[idx2], better)
             # The corrected plane tilts by well under a degree, so the
-            # pass-one center carries over as a warm start; reselecting
-            # the ring and polishing replaces a full second consensus
+            # pass-one center carries over as a warm start; one ring
+            # selection and one polish replace a full second consensus
             # search at a fraction of its cost.
             carried = geo.project_point_to_plane(
                 geo.from_plane_coords(center2d, plane), better
             )
             c2 = geo.to_plane_coords(carried, better)
-            ok = False
-            for _ in range(2):
-                ring = _radial_residuals(coords2, c2, spec.radius) <= cp.inlier_threshold
-                if np.count_nonzero(ring) < 2:
-                    break
-                c2 = _polish_circle_center(coords2[ring], c2, spec.radius)
-                ok = True
-            if ok:
+            ring = _radial_residuals(coords2, c2, spec.radius) <= cp.inlier_threshold
+            if np.count_nonzero(ring) >= 2:
                 plane, plane_idx, plane_res = better, idx2, res2
-                projected, coords, center2d = proj2, coords2, c2
+                projected, coords = proj2, coords2
+                center2d = _polish_circle_center(coords2[ring], c2, spec.radius)
     center = geo.from_plane_coords(center2d, plane)
 
     radial = _radial_residuals(coords, center2d, spec.radius)

@@ -57,6 +57,21 @@ def trimmed_grid_circle_center(points2d, radius, trim=0.7):
     return center
 
 
+def gauss_newton_circle_center(points2d, center, radius, tol=1e-15, max_steps=200):
+    """Fixed-radius circle center by Gauss-Newton through np.linalg.lstsq,
+    iterated until a step is shorter than `tol` meters."""
+    pts = np.asarray(points2d, dtype=float)
+    c = np.array(center, dtype=float)
+    for _ in range(max_steps):
+        u = pts - c
+        d = np.linalg.norm(u, axis=1)
+        step = np.linalg.lstsq(-u / d[:, None], radius - d, rcond=None)[0]
+        c = c + step
+        if np.linalg.norm(step) < tol:
+            break
+    return c
+
+
 def sampled_visible_intervals(world, m=720):
     """Unburied arc intervals by scan and bisection.
 

@@ -377,29 +377,29 @@ EXHAUSTION = {
     "extraction_no_progress": (
         80, PARAMS, [False] * 6, ZERO_NOISE,
         "needle did not clear the tissue",
-        "205a381a3aecf5a10714b7774afcf0d6c66b29f0675790bc1e3ca0fc049b20b8",
+        "ac3219f82bd79c16f5bca21863ecd043aecb782fd2c26efdba269e52d9446f4a",
     ),
     "extraction_motion_error": (
         81, ControllerParams(lift_clear=0.2), None, ZERO_NOISE,
-        "attempt failed: target [-0.007628311267080632, -0.020252765301072683, "
+        "attempt failed: target [-0.007628311267080643, -0.020252765301072683, "
         "0.21935130294689006] outside workspace",
-        "9d345a82d47b3e8fce84335ddbc6ccaa3adfb82d5b6b45ba2c2cb2a8705cbd64",
+        "69bd70f2f7cb80cffcb143bafc231f2238a867761d589211de9785b288789d56",
     ),
     "handover_never_captured": (
         82, PARAMS, [True] + [False] * 6, ZERO_NOISE,
         "re-grasp never captured the needle",
-        "c21b53224769a809745171e6d4f55f572e5310e69a71b0a5025b0b295644a022",
+        "99496c651eb68ec1da0ad8ecd3b5565e52a487661a2b4121c9e7a41fa0da53f2",
     ),
     "handover_motion_error": (
         83, ControllerParams(handover_test_offset=(0.2, 0.0, 0.0)), None, ZERO_NOISE,
         "attempt failed: target [0.2079464981703719, -0.02374615098264312, "
         "0.04090871211463571] outside workspace",
-        "727c51cb1e528e5c65dbd5c3bfc89d622a8ee53d8ded6522b84e083494c05188",
+        "e8c8ed937aefde8f80769adbf93708a2839e91866f2eb173d493ecafcf45261f",
     ),
     "handover_pose_shifting": (
         84, ControllerParams(normal_change_epsilon=1e-9), None, sw.SIM_NOISE,
         "needle pose kept shifting in the jaws",
-        "650b64cacd68aa4ebf97da54ed21b81fa9cb212316a6cadc3ede1138f4ab09ff",
+        "35d4f54a6b12f5049caf771f74bd18eb5ca5e0c0e0a7916631064e4ec90e59b1",
     ),
 }
 

@@ -19,20 +19,20 @@ from suturesim.simworld import SIM_NOISE
 # preset -> (sha256 of the simulate --out log, sha256 of the printed report)
 GOLDEN = {
     "sensing_only": (
-        "be779202c2a62372bcc33e28d36e4c2c57f0631d73996d38ea91f76a1e1e28a5",
+        "1fc7e70fb635268cef72b32d0019801e58687932bf62a858eeba9fb98b5e01fe",
         "5bda35e0e246d2235f7a8444bf9046d2b8ce37c1ecf3d5194f2ba05a19ecf1ba",
     ),
     "thread_handling": (
-        "c28e02c207d3cdc243d3a4ce3d5f263fde8947ebaf7e220070de754b2fc300fc",
+        "308e86c37d99893ecc3cc73d089998c8f58564d4c91c11833443beba4a242d28",
         "8c7cba2f13bf29bf2a99b21d1beb54c4422754a900598e2f4abf28a034ea061b",
     ),
     "stitch": (
-        "abdcdde1553181fb9807ff8edffb58455a00a365b00cd2d2e8ad0a1888255b89",
-        "88508f6689590f4aee9f70fbae145d3e03480d288161e767f200ef5177de898e",
+        "80559771863b1d7e5e2f66ebd27fc6ebdc2a55c346009321b7b344daab64f203",
+        "d7abb6b390641fa29c9440e55d3cb8ac14c8b981b52bcb045a64bce6e2050cdb",
     ),
     "stitch_human": (
-        "eb7cb0d50e64fe84c5b33ffa0fb026a17e712194b7c9f2db201988b2f1063297",
-        "6e3223175f471897539c90011e5530a2ffc1d1b5adfd39466bc7b3e922629e40",
+        "0b83d25acac06664ab4231858f6ce871aaad01a47ab0335c0afe6fdf73f936c8",
+        "b12d20dbd53e1a97a313f433341eb7adb1512556de1d29b7eb79f09f110ff007",
     ),
 }
 
@@ -82,11 +82,11 @@ ESTIMATOR_SETTINGS = {
     "wide_circle_band": (200, 500, HARSH_NOISE, pc.NEEDLE_RADIUS),
 }
 ESTIMATOR_GOLDEN = {
-    "in_loop": "6e280ee4b2b7bc0c322031fbc57d4473db074f1a8d3061ba10b9df6a21599be0",
-    "criterion_1": "6797c291b6b5ffa7b2742dd83ae8fc756aca315e61f433fda307079f85edf680",
-    "many_blocks": "b31a50a462c7d212f588f9473c23a74300096ca15b094d8af2d609dd14c2aa96",
-    "noise_free": "15b03622dcc1834827a08a8b3f4315f1811f3f599091b1e2716461c0c335bee5",
-    "wide_circle_band": "dfc8cc99cbd4a05c0f0d0c7f89164127cb55a7a2c4aa5c8d62a7cb5303440fc6",
+    "in_loop": "8c64e4085700430134ea17c441ef2302eb9d58a2a07339430730b7c065067c79",
+    "criterion_1": "ea93da4cade40f01925cb588cc257c0509b1e0c65251a230d90506a57d5e2a69",
+    "many_blocks": "2d048b44cf46a885c8715ffe9d65dcca4654d99eba1c8656c2eb18642a099ce3",
+    "noise_free": "b50468c1130f849b867017e3218aa2437fed7c5ee533bfa0f288e4f96db50326",
+    "wide_circle_band": "529f1061e08618a1a45a8ce5743489d227bf60ab4171fa25f5d2e99dc77795b4",
 }
 
 

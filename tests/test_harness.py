@@ -2,6 +2,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -276,6 +277,16 @@ def edit_first_trial_end(old, new):
     return mutate
 
 
+def set_first_trial_end_elapsed(raw):
+    def mutate(lines):
+        k = first_trial_end(lines)
+        edited, n = re.subn(r'"elapsed":[^,}]+', f'"elapsed":{raw}', lines[k])
+        assert n == 1
+        return lines[:k] + [edited] + lines[k + 1 :]
+
+    return mutate
+
+
 def first_suture_closed(lines):
     return next(i for i, line in enumerate(lines) if '"kind":"suture_closed"' in line)
 
@@ -348,6 +359,26 @@ def test_log_writes_from_an_iterator_match_a_list(tmp_path, nominal_logs):
             edit_first_trial_end('"sutures_completed":6', '"sutures_completed":5'),
             "sutures_completed 5, but the trial logs 6 suture_closed events",
             id="sutures_completed_mismatch",
+        ),
+        pytest.param(set_first_trial_end_elapsed("NaN"), "elapsed nan", id="nan_elapsed"),
+        pytest.param(set_first_trial_end_elapsed("-1e9"), "elapsed -1000000000.0", id="negative_elapsed"),
+        pytest.param(
+            edit_first_trial_end(
+                '"error":null,"record":"trial_end","status":"wound_closed"',
+                '"error":"Z","record":"trial_end","status":"failed"',
+            ),
+            "failed trial with error 'Z'",
+            id="unknown_error_kind",
+        ),
+        pytest.param(
+            edit_first_trial_end('"status":"wound_closed"', '"status":"failed"'),
+            "failed trial with error None",
+            id="failed_without_error",
+        ),
+        pytest.param(
+            edit_first_trial_end('"error":null', '"error":"I"'),
+            "wound_closed trial with error 'I'",
+            id="closed_with_error",
         ),
     ],
 )

@@ -11,6 +11,7 @@ from suturesim import perception as pc
 
 from oracles import (
     brute_force_farthest_pair,
+    gauss_newton_circle_center,
     one_shot_circle_scores,
     one_shot_plane_scores,
     trimmed_grid_circle_center,
@@ -160,6 +161,33 @@ def test_plane_ransac_returns_the_points_within_threshold_of_its_plane():
     plane, inliers, _ = pc.fit_plane_ransac(cloud, params)
     want = np.flatnonzero(np.abs(plane.signed_distance(cloud)) <= params.inlier_threshold)
     np.testing.assert_array_equal(inliers, want)
+
+
+def test_plane_ransac_refits_the_winning_consensus_once(monkeypatch):
+    # The returned plane is the SVD least-squares plane of the winner's
+    # consensus, with no re-selection round after it, and the returned
+    # inliers are exactly the points within the threshold of that plane.
+    found = []
+    consensus = pc._consensus
+
+    def recording(*args, **kwargs):
+        found.append(consensus(*args, **kwargs))
+        return found[-1]
+
+    monkeypatch.setattr(pc, "_consensus", recording)
+    rng = np.random.default_rng(23)
+    for seed in range(8):
+        cloud = pc.synth_needle_cloud(random_pose(rng), SPEC, HARSH_NOISE, 200, seed=seed)
+        params = pc.RansacParams(seed=seed)
+        plane, inliers, _ = pc.fit_plane_ransac(cloud, params)
+        sel = cloud[found[-1].within]
+        centroid = sel.mean(axis=0)
+        normal = np.linalg.svd(sel - centroid)[2][-1]
+        normal = normal if np.dot(normal, plane.normal) > 0.0 else -normal
+        np.testing.assert_allclose(plane.normal, normal, rtol=0.0, atol=1e-12)
+        assert plane.offset == pytest.approx(float(normal @ centroid), rel=0.0, abs=1e-12)
+        want = np.flatnonzero(np.abs(cloud @ normal - normal @ centroid) <= params.inlier_threshold)
+        np.testing.assert_array_equal(inliers, want)
 
 
 # ---------------------------------------------------------------------------
@@ -463,16 +491,18 @@ def test_enumeration_scores_every_hypothesis():
 
 
 def test_collinear_triples_inside_a_block(monkeypatch):
-    # Points 0, 1 and 3-10 lie on one line, point 2 off it. The 165
-    # triples are enumerated in blocks ending at 8, 24, 56, 120 and 165.
-    # Of the first block's triples, (0, 1, k), only (0, 1, 2) spans a
-    # plane: that lone plane is carried into the second block, never
-    # scored as one row. Every triple of the last block, (3, 4, 5) on,
-    # is collinear, and the search still reports all 165 drawn.
+    # Points 0 and 3-10 lie on one line; points 1 and 2 are one point
+    # off it, given twice. The 165 triples are enumerated in blocks
+    # ending at 16, 48, 112 and 165. Of the second block's triples, only
+    # (0, 2, 10) spans a plane: the rest are collinear, or hold both
+    # copies of the off point. That lone plane is carried into the third
+    # block, never scored as one row. Every triple of the last block,
+    # (3, 4, 8) on, is collinear, and the search still reports all 165
+    # drawn.
     direction = geo.unit([1.0, 2.0, 3.0])
-    line = 0.01 + np.outer(np.linspace(-0.04, 0.04, 10), direction)
+    line = 0.01 + np.outer(np.linspace(-0.04, 0.04, 9), direction)
     off = 0.01 + 0.02 * geo.unit(np.cross(direction, [0.0, 0.0, 1.0]))
-    pts = np.insert(line, 2, off, axis=0)
+    pts = np.concatenate([line[:1], [off, off], line[1:]])
     yielded, results = [], []
     consensus = pc._consensus
 
@@ -485,21 +515,24 @@ def test_collinear_triples_inside_a_block(monkeypatch):
     monkeypatch.setattr(pc, "_consensus", recording)
     _, inliers, drawn = pc.fit_plane_ransac(pts, pc.RansacParams(min_inliers=3, seed=0))
     assert drawn == math.comb(11, 3) == 165
-    assert [b for b, _ in yielded] == [8, 24, 56, 120, 165]
+    assert [b for b, _ in yielded] == [16, 48, 112, 165]
     rows = [None if models is None else len(models[0]) for _, models in yielded]
-    assert rows[0] is None and rows[-1] is None
-    assert rows[1] == 1 + 8  # (0, 1, 2), then (0, 2, k) for k = 3..10
+    assert rows[1] is None and rows[-1] is None
+    assert rows[0] == 8 + 7  # (0, 1, k) for k = 3..10, (0, 2, k) for k = 3..9
+    # (0, 2, 10), then (1, a, b) and (2, a, b) for 3 <= a < b <= 10
+    assert rows[2] == 1 + 2 * math.comb(8, 2)
     assert 1 not in rows
     # The scored planes are those of every non-collinear triple, in order.
     idx, enumerated = pc._hypothesis_indices(11, 3, 500, np.random.default_rng(0))
     normals, offsets = pc._plane_hypotheses(pts, idx)
-    assert enumerated and len(normals) == math.comb(10, 2)  # point 2 and two on the line
+    # one copy of the off point and two points on the line
+    assert enumerated and len(normals) == 2 * math.comb(9, 2)
     scored = [models for _, models in yielded if models is not None]
     np.testing.assert_array_equal(np.concatenate([m[0] for m in scored]), normals)
     np.testing.assert_array_equal(np.concatenate([m[1] for m in scored]), offsets)
-    # The winner holds the most inliers, with its one-shot mask. The 45
-    # planes all hold the line and point 2, so their sums differ only by
-    # rounding, and which one wins is left to the bytes.
+    # The winner holds the most inliers, with its one-shot mask. The 72
+    # planes all hold the line and the off point, so their sums differ
+    # only by rounding, and which one wins is left to the bytes.
     want_counts, _, want_within = one_shot_plane_scores(
         pts, normals, offsets, pc.DEFAULT_PLANE_THRESHOLD
     )
@@ -551,7 +584,7 @@ def test_score_blocks_cover_every_hypothesis_once():
                 # the budget, one absorbed leftover hypothesis over it at most
                 cap = max(pc._SCORE_BLOCK_PAIRS + rows * n_points, 3 * rows * n_points)
                 assert all((stop - start) * rows * n_points <= cap for start, stop in blocks)
-                # 8 tuples, then each block twice the one before, up to the budget
+                # _FIRST_BLOCK tuples, then each block twice the one before, up to the budget
                 sizes = [stop - start for start, stop in blocks]
                 most = max(1, max(2, pc._SCORE_BLOCK_PAIRS // n_points) // rows)
                 if len(sizes) > 1:
@@ -577,7 +610,8 @@ def traced_peak(fn):
 
 def test_ransac_scoring_memory_stays_bounded():
     pose = pc.make_needle_pose([0.0, 0.01, 0.02], geo.unit([0.2, 1.0, 0.1]), [1.0, 0.0, 0.0], SPEC)
-    cloud = pc.synth_needle_cloud(pose, SPEC, HARSH_NOISE, 200, seed=4)
+    # 220 points, so that the circle stage gets over 100 plane inliers
+    cloud = pc.synth_needle_cloud(pose, SPEC, HARSH_NOISE, 220, seed=4)
     plane_params = pc.RansacParams(seed=4)
     circle_params = pc.RansacParams(inlier_threshold=pc.DEFAULT_CIRCLE_THRESHOLD, seed=4)
     plane, idx, _ = pc.fit_plane_ransac(cloud, plane_params)
@@ -602,6 +636,21 @@ def test_circle_fit_exact_points():
     pts = truth + 0.012 * np.column_stack([np.cos(ang), np.sin(ang)])
     center, _ = pc.fit_circle_fixed_radius(pts, 0.012, pc.RansacParams(seed=6))
     np.testing.assert_allclose(center, truth, atol=1e-9)
+
+
+def test_polished_center_matches_a_tight_gauss_newton_oracle():
+    # Polishing stops at nanometre steps; the center it stops at lies
+    # within a nanometre of Gauss-Newton run to femtometre steps.
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        truth = rng.uniform(-0.01, 0.01, 2)
+        ang = rng.uniform(0.0, rng.uniform(0.5, 1.0) * math.pi, 60) + rng.uniform(0.0, 2 * math.pi)
+        pts = truth + 0.012 * np.column_stack([np.cos(ang), np.sin(ang)])
+        pts += rng.normal(0.0, 5e-4, pts.shape)
+        start = truth + rng.normal(0.0, 3e-4, 2)
+        got = pc._polish_circle_center(pts, start, 0.012)
+        want = gauss_newton_circle_center(pts, start, 0.012)
+        assert np.linalg.norm(got - want) < 1e-9
 
 
 def test_circle_fit_matches_grid_oracle_with_outliers():
