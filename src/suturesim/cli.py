@@ -84,9 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--iterations",
         type=int,
         default=pc.DEFAULT_ITERATIONS,
-        help="cap on the hypotheses each RANSAC stage draws; a random search stops "
-        "once its best consensus is 99%% certain, an enumeration of every "
-        "hypothesis (no more than the cap) scores them all",
+        help="cap on the random samples each RANSAC stage draws; a stage stops "
+        "once its best consensus is 99%% certain",
     )
     p.add_argument("--plane-threshold", type=float, default=pc.DEFAULT_PLANE_THRESHOLD)
     p.add_argument("--circle-threshold", type=float, default=pc.DEFAULT_CIRCLE_THRESHOLD)

@@ -394,13 +394,13 @@ def iter_logs(path) -> Iterator[TrialLog]:
     """Parse a log one trial at a time, yielding each at its trial_end.
 
     Only the open trial's events are held. Each event's `n` must be its
-    index within its trial, and each trial_end's sutures_completed the
-    trial's count of suture_closed events, so a dropped, duplicated or
-    reordered event line is refused. A trial_end's error must fit its
-    status, and its elapsed be finite and non-negative (TrialLog). The
-    header's trial count is checked once the file ends, so a consumer
-    that tallies before it prints shows nothing for a log cut at a trial
-    boundary.
+    index within its trial, and each trial_end must agree with the end of
+    its trial's trace (_trace_end_problem), so a dropped, duplicated or
+    reordered event line, or a relabelled outcome, is refused. A
+    trial_end's error must fit its status, and its elapsed be finite and
+    non-negative (TrialLog). The header's trial count is checked once
+    the file ends, so a consumer that tallies before it prints shows
+    nothing for a log cut at a trial boundary.
     """
     open_trial: dict | None = None
     events: list = []
@@ -465,12 +465,9 @@ def iter_logs(path) -> Iterator[TrialLog]:
                     )
                 except ValueError as exc:
                     raise LogFormatError(f"line {lineno}: {exc}") from exc
-                closed = sum(event.get("kind") == "suture_closed" for event in events)
-                if log.sutures_completed != closed:
-                    raise LogFormatError(
-                        f"line {lineno}: sutures_completed {log.sutures_completed}, "
-                        f"but the trial logs {closed} suture_closed events"
-                    )
+                problem = _trace_end_problem(log)
+                if problem is not None:
+                    raise LogFormatError(f"line {lineno}: {problem}")
                 read += 1
                 yield log
                 open_trial = None
@@ -607,8 +604,6 @@ def validate_event_trace(
     attempt_no = 0  # a fresh attempt (post-intervention) gets a fresh retry budget
     interventions = 0
     observed_since_mark = False
-    closed = 0
-    last_terminal = None
 
     for k, event in enumerate(log.events):
         if event.get("n") != k:
@@ -643,7 +638,6 @@ def validate_event_trace(
         elif kind == "suture_attempt":
             attempt_no += 1
             observed_since_mark = False
-            last_terminal = None
         elif kind == "observation":
             if event.get("ok"):
                 observed_since_mark = True
@@ -663,27 +657,41 @@ def validate_event_trace(
             if budget is not None and interventions > budget:
                 fail(k, f"interventions exceed the budget of {budget}")
             observed_since_mark = False
-        elif kind == "suture_closed":
-            closed += 1
-            last_terminal = "closed"
-        elif kind == "suture_failed":
-            last_terminal = ("failed", event.get("error"))
 
-    if log.status == "wound_closed":
-        if last_terminal != "closed" or closed != n_sutures:
-            raise TraceInvariantError(
-                f"trial {log.trial}: wound_closed status but {closed} closures"
-            )
-    else:
-        if not isinstance(last_terminal, tuple):
-            raise TraceInvariantError(
-                f"trial {log.trial}: failed status but the trace does not end in a failure"
-            )
-        if last_terminal[1] != log.error:
-            raise TraceInvariantError(
-                f"trial {log.trial}: status error {log.error!r} != trace error {last_terminal[1]!r}"
-            )
+    problem = _trace_end_problem(log, n_sutures)
+    if problem is not None:
+        raise TraceInvariantError(f"trial {log.trial}: {problem}")
+
+
+def _trace_end_problem(log: TrialLog, n_sutures: int | None = None) -> str | None:
+    """What contradicts the trial's outcome at the end of its trace, or None.
+
+    sutures_completed must be the trace's count of suture_closed events,
+    and the status must match the trial's last terminal event: the last
+    suture_closed or suture_failed after its last suture_attempt. A
+    wound_closed trial ends in suture_closed, with n_sutures closures
+    when n_sutures is given; a failed one ends in a suture_failed that
+    carries the trial's error.
+    """
+    closed = 0
+    last = {}  # the last terminal event, or {} when there is none
+    for event in log.events:
+        kind = event.get("kind")
+        if kind == "suture_attempt":
+            last = {}
+        elif kind in ("suture_closed", "suture_failed"):
+            closed += kind == "suture_closed"
+            last = event
+    last_kind = last.get("kind")
     if log.sutures_completed != closed:
-        raise TraceInvariantError(
-            f"trial {log.trial}: sutures_completed={log.sutures_completed} but trace closed {closed}"
-        )
+        return f"sutures_completed {log.sutures_completed}, but the trial logs {closed} suture_closed events"
+    if log.status == "wound_closed":
+        if last_kind != "suture_closed":
+            return "wound_closed status, but the trace does not end in a suture_closed"
+        if n_sutures is not None and closed != n_sutures:
+            return f"wound_closed status, but {closed} of {n_sutures} sutures closed"
+    elif last_kind != "suture_failed":
+        return "failed status, but the trace does not end in a suture_failed"
+    elif last.get("error") != log.error:
+        return f"status error {log.error!r}, but the last suture_failed carries {last.get('error')!r}"
+    return None

@@ -17,9 +17,10 @@ Each refinement runs once, not to a fixed point: the feedback pass
 corrects the plane anyway, and a sub-nanometre Gauss-Newton step is
 about a millionth of the 0.3-0.5 mm sensor noise.
 
-RansacParams.iterations caps the hypotheses a RANSAC stage draws; a
-random search scores them in blocks of 16, 32, 64, ... and stops after
-a block once its best consensus is STOP_CONFIDENCE certain (_stop_after).
+Each RANSAC stage keeps the first hypothesis with the most inliers.
+RansacParams.iterations caps the random samples it draws; it scores
+their hypotheses in blocks of 16, 32, 64, ... samples and stops after a
+block once its best consensus is STOP_CONFIDENCE certain (_stop_after).
 
 Also provides the synthetic cloud generator used by the simulator and
 the test suite, and plain-text cloud / pose-record I/O.
@@ -30,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -356,24 +356,17 @@ def synth_needle_cloud(
 
 def _hypothesis_indices(
     n: int, k: int, iterations: int, rng: np.random.Generator
-) -> tuple[np.ndarray, bool]:
-    """Index tuples for RANSAC hypotheses, and whether they enumerate all.
-
-    Enumerates all combinations when there are no more than `iterations`
-    of them (deterministic and exhaustive on small clouds); otherwise
-    draws `iterations` random tuples and discards those with repeats.
-    Every tuple is drawn here, up front, so no draw depends on where the
-    search stops.
+) -> np.ndarray:
+    """Index tuples for RANSAC hypotheses: `iterations` random k-tuples
+    of n points, without those that repeat a point. Every tuple is drawn
+    here, up front, so no draw depends on where the search stops.
     """
-    n_comb = math.comb(n, k)
-    if n_comb <= iterations:
-        return np.array(list(combinations(range(n), k)), dtype=np.intp), True
     idx = rng.integers(0, n, size=(iterations, k))
     keep = np.ones(len(idx), dtype=bool)
     for a in range(k):
         for b in range(a + 1, k):
             keep &= idx[:, a] != idx[:, b]
-    return idx[keep], False
+    return idx[keep]
 
 
 # A random search stops once it has drawn, with this confidence, at least
@@ -425,15 +418,9 @@ def _score_blocks(
     n_hypotheses: int, n_points: int, rows_per_hypothesis: int = 1
 ) -> list[tuple[int, int]]:
     """(start, stop) slices of n_hypotheses index tuples for block-wise
-    scoring: 16, 32, 64, ... tuples, capped at the block budget.
-
-    A tuple gives `rows_per_hypothesis` scored rows (a circle's point
-    pair gives two mirror centers), and a block at least two rows. The
-    last block absorbs a lone leftover tuple, unless there is only one:
-    one row would go through BLAS gemv and another einsum reduction,
-    which round differently from a block. The rule counts index tuples,
-    not the hypotheses that survive them: a block of triples can leave a
-    single plane, which fit_plane_ransac carries into the next block.
+    scoring: 16, 32, 64, ... tuples, capped at the block budget; the last
+    block holds what is left. A tuple gives `rows_per_hypothesis` scored
+    rows (a circle's point pair gives two mirror centers).
     """
     cap = max(1, max(2, _SCORE_BLOCK_PAIRS // n_points) // rows_per_hypothesis)
     size = min(_FIRST_BLOCK, cap)
@@ -443,8 +430,6 @@ def _score_blocks(
         stops.append(stop)
         size = min(2 * size, cap)
         stop += size
-    if stops and n_hypotheses - stops[-1] == 1:
-        stops.pop()
     starts = [0, *stops]
     return list(zip(starts, [*stops, n_hypotheses]))
 
@@ -457,56 +442,40 @@ class _Consensus(NamedTuple):
     drawn: int  # index tuples drawn through the last block, scored or empty
 
 
-def _consensus(blocks, residuals, threshold: float, axis: int, stop_after=None):
-    """Score blocks of hypotheses until the stop rule holds, and pick the
-    winner among those scored: most inliers, then lower inlier residual
-    sum, then lower index. None when `blocks` yields nothing.
+def _consensus(blocks, residuals, threshold: float, stop_after):
+    """Score blocks of hypotheses until the stop rule holds, and return
+    the first hypothesis scored with the most inliers (Fischler & Bolles,
+    1981). None when `blocks` yields nothing.
 
     `blocks` yields (drawn, models) for each block of index tuples: the
     count of tuples drawn through it, and its hypotheses, or None when it
-    gives none to score. `residuals(models)` returns the residuals of a
-    block's hypotheses against every point, with hypotheses along
-    `axis`; a point within `threshold` of a hypothesis is its inlier.
-    After each scored block, scoring stops once `drawn` reaches
-    stop_after(best count so far); with no stop_after (an exhaustive
-    enumeration) every block is scored, and `drawn` ends at the last
-    block's bound. `blocks` builds a block's hypotheses only when it is
-    asked for the block, so stopping also skips their construction.
-
-    Each block is scored in one pass. Counts are summed in int32, exact
-    for any cloud under 2**31 points. Residual sums only break ties, so
-    a block's are summed only when its top count reaches the best so
-    far. A later block takes over on a higher count, or on an equal count
-    with a strictly lower sum.
+    gives none to score. `residuals(models)` returns a block's
+    (hypotheses, points) residuals; a point within `threshold` of a
+    hypothesis is its inlier. After each scored block, scoring stops once
+    `drawn` reaches stop_after(best count so far); `drawn` otherwise ends
+    at the last block's bound. `blocks` builds a block's hypotheses only
+    when it is asked for the block, so stopping also skips their
+    construction. Counts are summed in int32, exact for any cloud under
+    2**31 points.
     """
-    point_axis = 1 - axis
-    subscripts = "ij,ij->j" if axis == 1 else "ij,ij->i"
-    best = None  # (count, sum, models, row, block mask) of the winner so far
+    best = None  # (count, models, row, within) of the winner so far
     for drawn, models in blocks:
         if models is None:
             continue
-        resid = residuals(models)
-        within = resid <= threshold
-        counts = np.add.reduce(within, axis=point_axis, dtype=np.int32)
-        top = int(counts.max())
-        if best is None or top >= best[0]:
-            sums = np.einsum(subscripts, resid, within)
-            rows = (counts == top).nonzero()[0]
-            row = int(rows[sums[rows].argmin()])
-            if best is None or top > best[0] or sums[row] < best[1]:
-                best = (top, sums[row], models, row, within)
-        if stop_after is not None and drawn >= stop_after(best[0]):
+        within = residuals(models) <= threshold
+        counts = np.add.reduce(within, axis=1, dtype=np.int32)
+        row = int(counts.argmax())
+        if best is None or counts[row] > best[0]:
+            best = (int(counts[row]), models, row, within[row])
+        if drawn >= stop_after(best[0]):
             break
-    if best is None:
-        return None
-    count, _, models, row, within = best
-    return _Consensus(count, models, row, within.take(row, axis=axis), drawn)
+    return None if best is None else _Consensus(*best, drawn)
 
 
 def _plane_residuals(pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """|p . n - offset| for every point (rows) and plane (columns)."""
-    dist = pts @ normals.T
-    dist -= offsets
+    """|p . n - offset| for every plane (rows) and point (columns)."""
+    dist = normals @ pts.T
+    dist -= offsets[:, None]
     return np.abs(dist, out=dist)
 
 
@@ -585,23 +554,18 @@ def _plane_hypotheses(pts: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.
 def fit_plane_ransac(cloud, params: RansacParams) -> tuple[Plane, np.ndarray, int]:
     """RANSAC plane fit.
 
-    Maximizes the inlier count (ties broken by lower total inlier
-    distance, then lowest hypothesis index), then refits once by
-    orthogonal least squares on the consensus set. Returns the refit
+    The first hypothesis with the most inliers wins, and its consensus
+    set is refit once by orthogonal least squares. Returns the refit
     plane, the indices of cloud points within the threshold of it, and
     the number of point triples drawn before the search stopped. A cloud
     with a NaN or infinite coordinate raises DegenerateInput.
 
-    params.iterations caps the triples drawn. A random search stops
-    early, after a block of hypotheses, once its best consensus is
-    STOP_CONFIDENCE certain (_stop_after, sample size 3); an exhaustive
-    enumeration, on a cloud with no more triples than the cap, scores
-    them all. Hypotheses are built and scored in blocks of at most
-    _SCORE_BLOCK_PAIRS (point, plane) pairs, so no temporary reaches
-    glibc's mmap threshold and none is mapped and page-faulted afresh on
-    each call. A block whose triples leave a single plane, the rest
-    collinear, is scored with the next block: one row would round
-    differently (_score_blocks).
+    params.iterations caps the triples drawn. The search stops early,
+    after a block of hypotheses, once its best consensus is
+    STOP_CONFIDENCE certain (_stop_after, sample size 3). Hypotheses are
+    built and scored in blocks of at most _SCORE_BLOCK_PAIRS (plane,
+    point) pairs, so no temporary reaches glibc's mmap threshold and none
+    is mapped and page-faulted afresh on each call.
     """
     pts = np.asarray(cloud, dtype=float)
     # Finiteness first: estimate_needle_pose reports a non-finite cloud
@@ -614,32 +578,21 @@ def fit_plane_ransac(cloud, params: RansacParams) -> tuple[Plane, np.ndarray, in
         raise DegenerateInput(f"need at least 3 points, got {len(pts)}", stage="plane")
 
     rng = np.random.default_rng(params.seed)
-    idx, enumerated = _hypothesis_indices(len(pts), 3, params.iterations, rng)
+    idx = _hypothesis_indices(len(pts), 3, params.iterations, rng)
 
     def blocks():
-        held = None  # a lone plane, carried into the next block
         for a, b in _score_blocks(len(idx), len(pts)):
             models = _plane_hypotheses(pts, idx[a:b])
-            if held is not None:
-                models = tuple(np.concatenate(pair) for pair in zip(held, models))
-                held = None
-            if len(models[0]) == 1 and b < len(idx):
-                held, models = models, None
-            elif not len(models[0]):
-                models = None
-            yield b, models
+            yield b, models if len(models[0]) else None
 
     found = _consensus(
         blocks(),
         lambda models: _plane_residuals(pts, *models),
         params.inlier_threshold,
-        axis=1,
-        stop_after=None if enumerated else partial(
-            _stop_after, n_points=len(pts), sample_size=3, min_inliers=params.min_inliers
-        ),
+        partial(_stop_after, n_points=len(pts), sample_size=3, min_inliers=params.min_inliers),
     )
     if found is None:
-        raise DegenerateInput("all sampled triples were collinear", stage="plane")
+        raise DegenerateInput("no sampled triple spans a plane", stage="plane")
     if found.count < params.min_inliers:
         raise NoConsensus(
             f"best plane consensus has {found.count} inliers < {params.min_inliers}",
@@ -705,19 +658,17 @@ def fit_circle_fixed_radius(
 
     Hypotheses come from point pairs: each pair closer than 2*radius
     yields the two mirror centers, pairs wider than 2*radius contribute
-    nothing. The winning consensus (count, then lower total residual) is
-    polished by Gauss-Newton on sum(|p - c| - r)^2 over the center only.
-    Returns the center and the number of point pairs drawn before the
-    search stopped. Points with a NaN or infinite coordinate raise
-    DegenerateInput.
+    nothing. The first center with the most inliers wins, and is polished
+    by Gauss-Newton on sum(|p - c| - r)^2 over its inliers. Returns the
+    center and the number of point pairs drawn before the search stopped.
+    Points with a NaN or infinite coordinate raise DegenerateInput.
 
-    params.iterations caps the pairs drawn. A random search stops early,
-    after a block of pairs, once its best consensus is STOP_CONFIDENCE
-    certain (_stop_after, sample size 2); an exhaustive enumeration, on
-    points with no more pairs than the cap, scores them all. Candidate
-    centers are built and scored in blocks of at most _SCORE_BLOCK_PAIRS
-    (center, point) pairs, so no temporary reaches glibc's mmap
-    threshold and none is mapped and page-faulted afresh on each call.
+    params.iterations caps the pairs drawn. The search stops early, after
+    a block of pairs, once its best consensus is STOP_CONFIDENCE certain
+    (_stop_after, sample size 2). Candidate centers are built and scored
+    in blocks of at most _SCORE_BLOCK_PAIRS (center, point) pairs, so no
+    temporary reaches glibc's mmap threshold and none is mapped and
+    page-faulted afresh on each call.
     """
     pts = np.asarray(points2d, dtype=float)
     if not np.isfinite(pts).all():
@@ -730,7 +681,7 @@ def fit_circle_fixed_radius(
         raise DegenerateInput("radius must be positive", stage="circle")
 
     rng = np.random.default_rng(params.seed)
-    idx, enumerated = _hypothesis_indices(len(pts), 2, params.iterations, rng)
+    idx = _hypothesis_indices(len(pts), 2, params.iterations, rng)
     pp = np.einsum("ij,ij->i", pts, pts)
 
     def blocks():
@@ -742,10 +693,7 @@ def fit_circle_fixed_radius(
         blocks(),
         lambda models: _circle_residuals(pts, pp, *models, radius),
         params.inlier_threshold,
-        axis=0,
-        stop_after=None if enumerated else partial(
-            _stop_after, n_points=len(pts), sample_size=2, min_inliers=params.min_inliers
-        ),
+        partial(_stop_after, n_points=len(pts), sample_size=2, min_inliers=params.min_inliers),
     )
     if found is None:
         raise NoConsensus("no sampled pair admits a center candidate", stage="circle")

@@ -127,24 +127,21 @@ def sampled_visible_intervals(world, m=720):
 def one_shot_plane_scores(pts, normals, offsets, threshold):
     """The plane stage's consensus scores with every (point, plane) pair at once.
 
-    Returns inlier counts, inlier distance sums and the (n, h) inlier
-    mask, computed the way fit_plane_ransac did before it scored in blocks.
+    Returns inlier counts and the (h, n) inlier mask, computed the way
+    fit_plane_ransac did before it scored in blocks.
     """
-    dist = np.abs(pts @ normals.T - offsets)  # (n, h)
-    within = dist <= threshold
-    return within.sum(axis=0), np.einsum("ij,ij->j", dist, within), within
+    within = (np.abs(pts @ normals.T - offsets) <= threshold).T  # (h, n)
+    return within.sum(axis=1), within
 
 
 def one_shot_circle_scores(pts, centers, radius, threshold):
     """The circle stage's consensus scores with every (center, point) pair at once.
 
-    Returns inlier counts, inlier residual sums and the (h, n) inlier
-    mask, computed the way fit_circle_fixed_radius did before it scored
-    in blocks.
+    Returns inlier counts and the (h, n) inlier mask, computed the way
+    fit_circle_fixed_radius did before it scored in blocks.
     """
     pp = np.einsum("ij,ij->i", pts, pts)
     cc = np.einsum("ij,ij->i", centers, centers)
     d2 = np.maximum(pp[None, :] - 2.0 * (centers @ pts.T) + cc[:, None], 0.0)
-    resid = np.abs(np.sqrt(d2) - radius)
-    within = resid <= threshold
-    return within.sum(axis=1), np.einsum("ij,ij->i", resid, within), within
+    within = np.abs(np.sqrt(d2) - radius) <= threshold
+    return within.sum(axis=1), within

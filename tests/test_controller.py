@@ -377,29 +377,29 @@ EXHAUSTION = {
     "extraction_no_progress": (
         80, PARAMS, [False] * 6, ZERO_NOISE,
         "needle did not clear the tissue",
-        "ac3219f82bd79c16f5bca21863ecd043aecb782fd2c26efdba269e52d9446f4a",
+        "cd5ff869e914d799707a412621a82309a7c7bd2e86fd053ac13dece62a72ed4f",
     ),
     "extraction_motion_error": (
         81, ControllerParams(lift_clear=0.2), None, ZERO_NOISE,
         "attempt failed: target [-0.007628311267080643, -0.020252765301072683, "
         "0.21935130294689006] outside workspace",
-        "69bd70f2f7cb80cffcb143bafc231f2238a867761d589211de9785b288789d56",
+        "042df1977c83edbc9fbb9b8b101900be81b80d7281675ad90d8567bdd144f3b1",
     ),
     "handover_never_captured": (
         82, PARAMS, [True] + [False] * 6, ZERO_NOISE,
         "re-grasp never captured the needle",
-        "99496c651eb68ec1da0ad8ecd3b5565e52a487661a2b4121c9e7a41fa0da53f2",
+        "fed0a8fe67c2031e2386870f6968e5efe5811da306590e03b3d1e4012a57b628",
     ),
     "handover_motion_error": (
         83, ControllerParams(handover_test_offset=(0.2, 0.0, 0.0)), None, ZERO_NOISE,
-        "attempt failed: target [0.2079464981703719, -0.02374615098264312, "
+        "attempt failed: target [0.2079464981703719, -0.023746150982643127, "
         "0.04090871211463571] outside workspace",
-        "e8c8ed937aefde8f80769adbf93708a2839e91866f2eb173d493ecafcf45261f",
+        "aaf5b63cd8c8b0b6521aa94f162e5da7bc171e2c07adfdd4620679047694b8f9",
     ),
     "handover_pose_shifting": (
         84, ControllerParams(normal_change_epsilon=1e-9), None, sw.SIM_NOISE,
         "needle pose kept shifting in the jaws",
-        "35d4f54a6b12f5049caf771f74bd18eb5ca5e0c0e0a7916631064e4ec90e59b1",
+        "e236a8348fab3220a8494dce553e8641a8dd26739a1e415a4f79bdb10abfe497",
     ),
 }
 

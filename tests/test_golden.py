@@ -19,19 +19,19 @@ from suturesim.simworld import SIM_NOISE
 # preset -> (sha256 of the simulate --out log, sha256 of the printed report)
 GOLDEN = {
     "sensing_only": (
-        "1fc7e70fb635268cef72b32d0019801e58687932bf62a858eeba9fb98b5e01fe",
+        "5034de6dd879b9ba42201912b90f742b5152c2e23af938706bd2b2490f16b811",
         "5bda35e0e246d2235f7a8444bf9046d2b8ce37c1ecf3d5194f2ba05a19ecf1ba",
     ),
     "thread_handling": (
-        "308e86c37d99893ecc3cc73d089998c8f58564d4c91c11833443beba4a242d28",
+        "9c609e585cbbc0989b22d0b81869734952a614b5861372f2ee27cf584d0d3d28",
         "8c7cba2f13bf29bf2a99b21d1beb54c4422754a900598e2f4abf28a034ea061b",
     ),
     "stitch": (
-        "80559771863b1d7e5e2f66ebd27fc6ebdc2a55c346009321b7b344daab64f203",
+        "b7cb1559646ad5d81e8f7add6c8f7c13388466b08c97b0015af8cda3157a2230",
         "d7abb6b390641fa29c9440e55d3cb8ac14c8b981b52bcb045a64bce6e2050cdb",
     ),
     "stitch_human": (
-        "0b83d25acac06664ab4231858f6ce871aaad01a47ab0335c0afe6fdf73f936c8",
+        "c8297603d9824bcc3da2ca2768086c8a528d62a9e8acabab2140fbb3243c5b2b",
         "b12d20dbd53e1a97a313f433341eb7adb1512556de1d29b7eb79f09f110ff007",
     ),
 }
@@ -72,7 +72,7 @@ HARSH_NOISE = pc.NoiseModel(
 )
 # setting -> (cloud points, RANSAC iterations in both stages, noise,
 # circle inlier threshold). On noise-free clouds many hypotheses tie at
-# the top inlier count, so the residual sums pick the winner. A circle
+# the top inlier count, and the first drawn wins. A circle
 # threshold of one radius admits points at the center itself.
 ESTIMATOR_SETTINGS = {
     "in_loop": (140, 120, SIM_NOISE, pc.DEFAULT_CIRCLE_THRESHOLD),
@@ -82,11 +82,11 @@ ESTIMATOR_SETTINGS = {
     "wide_circle_band": (200, 500, HARSH_NOISE, pc.NEEDLE_RADIUS),
 }
 ESTIMATOR_GOLDEN = {
-    "in_loop": "8c64e4085700430134ea17c441ef2302eb9d58a2a07339430730b7c065067c79",
-    "criterion_1": "ea93da4cade40f01925cb588cc257c0509b1e0c65251a230d90506a57d5e2a69",
-    "many_blocks": "2d048b44cf46a885c8715ffe9d65dcca4654d99eba1c8656c2eb18642a099ce3",
-    "noise_free": "b50468c1130f849b867017e3218aa2437fed7c5ee533bfa0f288e4f96db50326",
-    "wide_circle_band": "529f1061e08618a1a45a8ce5743489d227bf60ab4171fa25f5d2e99dc77795b4",
+    "in_loop": "b489bd4e247c097d783aa28c8296e84882d406669a1cc4bf505e6d85b192ac5a",
+    "criterion_1": "f5fa737a90bbd67e2b4bc293d44ebf907511f6bcd9c42c373ac2a5a313e2fcfe",
+    "many_blocks": "8f885d495e9aa0a5e5a72c30aa618fe7b09d5025d22cde7837539591318ebbe7",
+    "noise_free": "9e40aea5622511b44e99029d2e82592ebfc85df657d6f837771478af24d31a20",
+    "wide_circle_band": "b20b4ce8763c8b6cd2068ebfe265f35fa4c38f8e61b4b45af5d7bca1085bcfe0",
 }
 
 

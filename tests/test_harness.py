@@ -300,6 +300,25 @@ def tamper_first_suture_closed(edit):
     return mutate
 
 
+def fail_last_suture_of_first_trial(error, status):
+    """Turn the first trial's last suture_closed into a suture_failed
+    with error I, and its trial_end into 5 sutures, `error` and `status`."""
+
+    def mutate(lines):
+        end = first_trial_end(lines)
+        k = max(i for i in range(end) if '"kind":"suture_closed"' in lines[i])
+        failed = lines[k].replace('"kind":"suture_closed"', '"error":"I","kind":"suture_failed"')
+        trial_end = re.sub(
+            r'"error":null,"record":"trial_end","status":"wound_closed","sutures_completed":6',
+            f'"error":{error},"record":"trial_end","status":"{status}","sutures_completed":5',
+            lines[end],
+        )
+        assert failed != lines[k] and trial_end != lines[end]
+        return lines[:k] + [failed] + lines[k + 1 : end] + [trial_end] + lines[end + 1 :]
+
+    return mutate
+
+
 def test_log_writes_from_an_iterator_match_a_list(tmp_path, nominal_logs):
     _, logs = nominal_logs
     listed, streamed = tmp_path / "list.jsonl", tmp_path / "iter.jsonl"
@@ -379,6 +398,25 @@ def test_log_writes_from_an_iterator_match_a_list(tmp_path, nominal_logs):
             edit_first_trial_end('"error":null', '"error":"I"'),
             "wound_closed trial with error 'I'",
             id="closed_with_error",
+        ),
+        # A trial_end must agree with its trial's last terminal event.
+        pytest.param(
+            edit_first_trial_end(
+                '"error":null,"record":"trial_end","status":"wound_closed"',
+                '"error":"I","record":"trial_end","status":"failed"',
+            ),
+            "failed status, but the trace does not end in a suture_failed",
+            id="failed_after_a_closure",
+        ),
+        pytest.param(
+            fail_last_suture_of_first_trial("null", "wound_closed"),
+            "wound_closed status, but the trace does not end in a suture_closed",
+            id="closed_after_a_failure",
+        ),
+        pytest.param(
+            fail_last_suture_of_first_trial('"E"', "failed"),
+            "status error 'E', but the last suture_failed carries 'I'",
+            id="failed_with_another_error",
         ),
     ],
 )

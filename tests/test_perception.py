@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -150,6 +151,10 @@ def test_plane_ransac_errors():
     line = np.outer(np.linspace(0, 1, 30), np.array([1.0, 2.0, 3.0]))
     with pytest.raises(pc.DegenerateInput):
         pc.fit_plane_ransac(line, pc.RansacParams(seed=3))
+    # Seed 0 draws the one triple (3, 2, 2), which repeats a point.
+    tetra = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(pc.DegenerateInput, match="no sampled triple spans a plane"):
+        pc.fit_plane_ransac(tetra, pc.RansacParams(iterations=1, seed=0))
     spread = np.random.default_rng(5).uniform(-1, 1, size=(30, 3))
     with pytest.raises(pc.NoConsensus):
         pc.fit_plane_ransac(spread, pc.RansacParams(inlier_threshold=1e-9, min_inliers=25, seed=4))
@@ -193,9 +198,6 @@ def test_plane_ransac_refits_the_winning_consensus_once(monkeypatch):
 # ---------------------------------------------------------------------------
 # block-wise consensus scoring and the stop rule
 
-EPS = np.finfo(float).eps
-
-
 def hypothesis_counts(n_points, rows=1):
     """Index-tuple counts around the block schedule: one, either side of
     the first block's end, past the second's, and many blocks."""
@@ -209,14 +211,19 @@ def stop_rule(n_points, sample_size, min_inliers=3):
     return partial(pc._stop_after, n_points=n_points, sample_size=sample_size, min_inliers=min_inliers)
 
 
+def score_all(best):
+    """A stop rule that never holds: every block is scored."""
+    return math.inf
+
+
 class Blocks:
     """The fit functions' blocks over given hypotheses, for pc._consensus.
 
     `models` are arrays with `rows` rows per index tuple, split as
     pc._score_blocks(n_tuples, n_points, rows) splits the tuples.
     `bounds` holds each block's (first row, row stop, tuples drawn
-    through it); `scored` the (first row, row stop, residuals) of each
-    block pc._consensus asked residuals of.
+    through it); `scored` the (first row, row stop) of each block
+    pc._consensus asked residuals of.
     """
 
     def __init__(self, models, n_tuples, n_points, rows):
@@ -235,10 +242,8 @@ class Blocks:
 
     def recording(self, residuals):
         def recorded(block):
-            resid = residuals(block)
-            start, stop = next((a, b) for y, a, b in self.yielded if y is block)
-            self.scored.append((start, stop, resid))
-            return resid
+            self.scored.append(next((a, b) for y, a, b in self.yielded if y is block))
+            return residuals(block)
 
         return recorded
 
@@ -252,41 +257,26 @@ def scored_prefix(bounds, counts, stop_after):
     """(row stop, tuples drawn) where the stop rule ends a search whose
     hypotheses have these inlier counts: the first block whose drawn
     count reaches stop_after(best count so far), or the last block."""
-    top = -1
     for _, stop, drawn in bounds:
-        top = max(top, int(counts[:stop].max()))
-        if stop_after is not None and drawn >= stop_after(top):
+        if drawn >= stop_after(int(counts[:stop].max())):
             break
     return stop, drawn
 
 
-def assert_matches_oracle(got, blocks, oracle, axis, sum_atol, stop_after):
-    """Blocked consensus against one-shot (counts, sums, mask) of every
-    hypothesis, with hypotheses along `axis` of the mask: the blocked
-    search must score the prefix the stop rule picks, each block once,
-    and agree with one-shot scoring of that prefix."""
-    want_counts, want_sums, want_within = oracle
+def assert_matches_oracle(got, blocks, oracle, stop_after):
+    """Blocked consensus against one-shot (counts, (h, n) mask) of every
+    hypothesis: the blocked search must score the prefix the stop rule
+    picks, each block once, and pick the first hypothesis of that prefix
+    with the most inliers."""
+    want_counts, want_within = oracle
     stop, drawn = scored_prefix(blocks.bounds, want_counts, stop_after)
     assert got.drawn == drawn
-    assert [(start, end) for start, end, _ in blocks.scored] == [
-        (start, end) for start, end, _ in blocks.bounds if end <= stop
-    ]
-    want_counts, want_sums = want_counts[:stop], want_sums[:stop]
-    # most inliers, then lowest sum, then lowest index (lexsort is stable)
-    want_best = int(np.lexsort((want_sums, -want_counts))[0])
+    assert blocks.scored == [(start, end) for start, end, _ in blocks.bounds if end <= stop]
+    want_best = int(want_counts[:stop].argmax())
     assert blocks.winner(got) == want_best
     assert got.count == want_counts[want_best]
-    np.testing.assert_array_equal(got.within, np.take(want_within, want_best, axis=axis))
+    np.testing.assert_array_equal(got.within, want_within[want_best])
     np.testing.assert_array_equal(got.models[0][got.row], blocks.models[0][want_best])
-
-    # Each block's inlier residual sums, the tie-break, against one-shot's.
-    for start, end, resid in blocks.scored:
-        within = np.take(want_within, np.arange(start, end), axis=axis)
-        sums = np.einsum("ij,ij->j" if axis == 1 else "ij,ij->i", resid, within)
-        if sum_atol == 0.0:
-            np.testing.assert_array_equal(sums, want_sums[start:end])
-        else:
-            np.testing.assert_allclose(sums, want_sums[start:end], rtol=0.0, atol=sum_atol)
 
 
 def blocked_plane_scores(pts, normals, offsets, threshold, stop_after):
@@ -295,8 +285,7 @@ def blocked_plane_scores(pts, normals, offsets, threshold, stop_after):
         iter(blocks),
         blocks.recording(lambda block: pc._plane_residuals(pts, *block)),
         threshold,
-        axis=1,
-        stop_after=stop_after,
+        stop_after,
     )
     return got, blocks
 
@@ -310,28 +299,27 @@ def blocked_circle_scores(pts, centers, radius, threshold, stop_after):
         iter(blocks),
         blocks.recording(lambda block: pc._circle_residuals(pts, pp, *block, radius)),
         threshold,
-        axis=0,
-        stop_after=stop_after,
+        stop_after,
     )
     return got, blocks
 
 
 def spread_top_ties(bounds):
     """Rows of three hypotheses in three different blocks: the first
-    and the last are to tie with the middle one at the top count, the
-    last also in sum. The middle row opens its block, so the row after
-    it, which is to copy it, lies in the same block."""
+    and the last are to tie with the middle one at the top count. The
+    middle row opens its block, so the row after it, which is to copy
+    it, lies in the same block."""
     assert len(bounds) >= 3
     return bounds[0][1] - 1, bounds[len(bounds) // 2][0], bounds[-1][1] - 1
 
 
 # 140 points (the in-loop cloud) cap blocks at 58 planes or 29 center
 # pairs; 9000 points are over the block budget on their own, so blocks
-# hold the two-row minimum. Each case is scored both as an exhaustive
-# enumeration (no stop rule) and as a random search under the stop rule.
-# At 140 points some searches stop early; at 9000 the few hypotheses
-# never reach a consensus share that stops one, and the tie tests below
-# stop there instead.
+# hold the two-row minimum. Each case is scored both in full (a stop
+# rule that never holds) and under the stop rule. At 140 points some
+# searches stop early; at 9000 the few hypotheses never reach a
+# consensus share that stops one, and the tie tests below stop there
+# instead.
 @pytest.mark.parametrize("n_points", [140, 9000])
 def test_blocked_plane_scores_match_one_shot_oracle(n_points):
     rng = np.random.default_rng(n_points)
@@ -342,30 +330,29 @@ def test_blocked_plane_scores_match_one_shot_oracle(n_points):
         offsets = rng.uniform(-0.02, 0.02, h)
         # Points on the z axis make each matrix-product entry one rounded
         # product, which every BLAS kernel rounds alike, so every count
-        # and sum must match bit for bit.
+        # must match bit for bit.
         on_axis = np.zeros((n_points, 3))
         on_axis[:, 2] = rng.uniform(-0.05, 0.05, n_points)
         # Points in general position: BLAS rounds the edge tiles of a
         # product by the product's shape, so a distance may move by a few
-        # ulps of |p| between a block and the whole, and each sum by at
-        # most n_points times that.
+        # ulps of |p| between a block and the whole, which moves a count
+        # only for a point that close to the threshold.
         general = rng.uniform(-0.05, 0.05, (n_points, 3))
-        for pts, sum_atol in ((on_axis, 0.0), (general, 16 * n_points * EPS * 0.1)):
+        for pts in (on_axis, general):
             oracle = one_shot_plane_scores(pts, normals, offsets, 0.01)
-            for stop_after in (None, stop_rule(n_points, 3)):
+            for stop_after in (score_all, stop_rule(n_points, 3)):
                 got, blocks = blocked_plane_scores(pts, normals, offsets, 0.01, stop_after)
-                assert_matches_oracle(got, blocks, oracle, 1, sum_atol, stop_after)
+                assert_matches_oracle(got, blocks, oracle, stop_after)
                 stopped_early |= got.drawn < h
     assert stopped_early or n_points == 9000
 
 
 @pytest.mark.parametrize("n_points", [140, 9000])
-def test_blocked_plane_top_ties_across_blocks_go_to_the_lowest_sum(n_points):
+def test_blocked_plane_top_ties_across_blocks_go_to_the_first_drawn(n_points):
     # Every point within the threshold of the planes z = 0.002 and
     # z = 0.0005, and of no other plane: their hypotheses tie at the
-    # top count, and z = 0.0005, nearer the points' median, has the
-    # lower distance sum. Its copies, the next row in its own block and
-    # one in the last block, tie in sum too and lose on index.
+    # top count, in three blocks and twice in the middle one. The first
+    # drawn, z = 0.002, wins, though z = 0.0005 lies nearer the points.
     h = hypothesis_counts(n_points)[-1]
     pts = np.zeros((n_points, 3))
     pts[:, 2] = np.random.default_rng(3).uniform(-0.001, 0.001, n_points)
@@ -374,14 +361,15 @@ def test_blocked_plane_top_ties_across_blocks_go_to_the_lowest_sum(n_points):
     first, middle, last = spread_top_ties(Blocks((), h, n_points, 1).bounds)
     offsets[[first, middle, middle + 1, last]] = 0.002, 0.0005, 0.0005, 0.0005
     oracle = one_shot_plane_scores(pts, normals, offsets, 0.01)
-    got, blocks = blocked_plane_scores(pts, normals, offsets, 0.01, None)
-    assert_matches_oracle(got, blocks, oracle, 1, 0.0, None)
-    assert blocks.winner(got) == middle and got.count == n_points
+    got, blocks = blocked_plane_scores(pts, normals, offsets, 0.01, score_all)
+    assert_matches_oracle(got, blocks, oracle, score_all)
+    assert blocks.winner(got) == first and got.count == n_points
+    assert len(blocks.scored) == len(blocks.bounds)
     # Under the stop rule, the first plane holds every point (w = 1), so
     # the search ends with its block and the later ties are never scored.
     stop_after = stop_rule(n_points, 3)
     got, blocks = blocked_plane_scores(pts, normals, offsets, 0.01, stop_after)
-    assert_matches_oracle(got, blocks, oracle, 1, 0.0, stop_after)
+    assert_matches_oracle(got, blocks, oracle, stop_after)
     assert blocks.winner(got) == first and got.drawn == first + 1
     assert len(blocks.scored) == 1
 
@@ -394,29 +382,26 @@ def test_blocked_circle_scores_match_one_shot_oracle(n_points):
     for pairs in hypothesis_counts(n_points, rows=2):
         centers = rng.uniform(-0.02, 0.02, (2 * pairs, 2))
         # As for planes: points on the x axis are scored bit for bit alike,
-        # points in general position within a few ulps per residual. Near
-        # the ring a residual's rounding error is that of |p|^2 - 2 p.c +
-        # |c|^2, about (|p| + |c|)^2 eps, divided by 2 radius.
+        # points in general position within a few ulps per residual.
         on_axis = np.zeros((n_points, 2))
         on_axis[:, 0] = rng.uniform(-0.03, 0.03, n_points)
         general = rng.uniform(-0.03, 0.03, (n_points, 2))
-        scale = (0.03 * math.sqrt(2) + 0.02 * math.sqrt(2)) ** 2 / (2 * radius)
-        for pts, sum_atol in ((on_axis, 0.0), (general, 16 * n_points * EPS * scale)):
+        for pts in (on_axis, general):
             oracle = one_shot_circle_scores(pts, centers, radius, 0.003)
-            for stop_after in (None, stop_rule(n_points, 2)):
+            for stop_after in (score_all, stop_rule(n_points, 2)):
                 got, blocks = blocked_circle_scores(pts, centers, radius, 0.003, stop_after)
-                assert_matches_oracle(got, blocks, oracle, 0, sum_atol, stop_after)
+                assert_matches_oracle(got, blocks, oracle, stop_after)
                 stopped_early |= got.drawn < pairs
     assert stopped_early or n_points == 9000
 
 
 @pytest.mark.parametrize("n_points", [140, 9000])
-def test_blocked_circle_top_ties_across_blocks_go_to_the_lowest_sum(n_points):
+def test_blocked_circle_top_ties_across_blocks_go_to_the_first_drawn(n_points):
     # Points on the x axis about one radius from the origin: the centers
     # (0.0004, 0) and (0, 0) hold all of them and no other center holds
-    # any, and (0, 0) fits them with the lower residual sum. Its copies,
-    # the mirror row in its own block and one in the last block, lose on
-    # index.
+    # any. The first drawn, (0.0004, 0), wins over (0, 0), its mirror row
+    # and its copy in the last block, though (0, 0) fits the points
+    # better.
     pairs = hypothesis_counts(n_points, rows=2)[-1]
     radius = 0.012
     pts = np.zeros((n_points, 2))
@@ -425,35 +410,34 @@ def test_blocked_circle_top_ties_across_blocks_go_to_the_lowest_sum(n_points):
     first, middle, last = spread_top_ties(Blocks((), pairs, n_points, 2).bounds)
     centers[[first, middle, middle + 1, last]] = [0.0004, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]
     oracle = one_shot_circle_scores(pts, centers, radius, 0.003)
-    got, blocks = blocked_circle_scores(pts, centers, radius, 0.003, None)
-    assert_matches_oracle(got, blocks, oracle, 0, 0.0, None)
-    assert blocks.winner(got) == middle and got.count == n_points
+    got, blocks = blocked_circle_scores(pts, centers, radius, 0.003, score_all)
+    assert_matches_oracle(got, blocks, oracle, score_all)
+    assert blocks.winner(got) == first and got.count == n_points
+    assert len(blocks.scored) == len(blocks.bounds)
     # Under the stop rule the first center holds every point (w = 1).
     stop_after = stop_rule(n_points, 2)
     got, blocks = blocked_circle_scores(pts, centers, radius, 0.003, stop_after)
-    assert_matches_oracle(got, blocks, oracle, 0, 0.0, stop_after)
+    assert_matches_oracle(got, blocks, oracle, stop_after)
     assert blocks.winner(got) == first and 2 * got.drawn == first + 1
     assert len(blocks.scored) == 1
 
 
 def synthetic_consensus(counts, n_points, stop_after):
     """pc._consensus over hypotheses whose inlier masks hold the given
-    counts (leading points), in the plane stage's blocks; inlier
-    residuals are all zero, so ties go to the lowest index."""
+    counts (leading points), in the plane stage's blocks."""
     counts = np.asarray(counts)
     blocks = Blocks((counts,), len(counts), n_points, 1)
     return pc._consensus(
         iter(blocks),
         blocks.recording(lambda block: (np.arange(n_points) >= block[0][:, None]) * 1.0),
         0.5,
-        axis=0,
-        stop_after=stop_after,
+        stop_after,
     ), blocks
 
 
 @pytest.mark.parametrize("sample_size", [2, 3])
 def test_stop_count_is_the_textbook_formula(sample_size):
-    # 200 points: blocks end after 8, 24, 56, 96, 136, ... tuples.
+    # 200 points: blocks end after 16, 48, 88, 128, 168, ... tuples.
     n_points, h = 200, 500
     for best in (30, 60, 100, 150, 190, 200):
         w = best / n_points
@@ -469,80 +453,52 @@ def test_stop_count_is_the_textbook_formula(sample_size):
         assert blocks.winner(got) == 0 and got.count == best
 
 
-def test_enumeration_scores_every_hypothesis():
-    # Noise-free points: the first hypothesis holds every point (w = 1),
-    # so a random search stops after its first block of 8 tuples. With
-    # no more tuples than the cap, the search enumerates them all.
-    rng = np.random.default_rng(25)
-    plane_pts = np.column_stack([rng.uniform(-0.05, 0.05, (12, 2)), np.full(12, 0.02)])
-    _, _, drawn = pc.fit_plane_ransac(plane_pts, pc.RansacParams(min_inliers=3, seed=0))
-    assert drawn == math.comb(12, 3) == 220
-    params = pc.RansacParams(iterations=219, min_inliers=3, seed=0)
-    _, _, drawn = pc.fit_plane_ransac(plane_pts, params)
-    assert drawn == pc._FIRST_BLOCK
-
-    theta = np.sort(rng.uniform(0.0, 0.9 * math.pi, 20))
-    ring = 0.012 * np.column_stack([np.cos(theta), np.sin(theta)])
-    _, drawn = pc.fit_circle_fixed_radius(ring, 0.012, pc.RansacParams(seed=0))
-    assert drawn == math.comb(20, 2) == 190
-    params = pc.RansacParams(iterations=189, seed=0)
-    _, drawn = pc.fit_circle_fixed_radius(ring, 0.012, params)
-    assert drawn == pc._FIRST_BLOCK
-
-
 def test_collinear_triples_inside_a_block(monkeypatch):
     # Points 0 and 3-10 lie on one line; points 1 and 2 are one point
-    # off it, given twice. The 165 triples are enumerated in blocks
-    # ending at 16, 48, 112 and 165. Of the second block's triples, only
-    # (0, 2, 10) spans a plane: the rest are collinear, or hold both
-    # copies of the off point. That lone plane is carried into the third
-    # block, never scored as one row. Every triple of the last block,
-    # (3, 4, 8) on, is collinear, and the search still reports all 165
-    # drawn.
+    # off it, given twice. A triple of line points, or one holding both
+    # copies of the off point, gives no plane.
     direction = geo.unit([1.0, 2.0, 3.0])
     line = 0.01 + np.outer(np.linspace(-0.04, 0.04, 9), direction)
     off = 0.01 + 0.02 * geo.unit(np.cross(direction, [0.0, 0.0, 1.0]))
     pts = np.concatenate([line[:1], [off, off], line[1:]])
+    on_line = [0, *range(3, 11)]
+    flat = [(1, 2, k) for k in on_line] + list(itertools.combinations(on_line, 3))
+    assert len(flat) == 9 + 84
+    assert len(pc._plane_hypotheses(pts, np.array(flat))[0]) == 0
+
     yielded, results = [], []
     consensus = pc._consensus
 
-    def recording(blocks, *args, **kwargs):
-        blocks = list(blocks)
-        yielded.extend(blocks)
-        results.append(consensus(iter(blocks), *args, **kwargs))
+    def recording(blocks, *args):
+        def seen():
+            for block in blocks:
+                yielded.append(block)
+                yield block
+
+        results.append(consensus(seen(), *args))
         return results[-1]
 
     monkeypatch.setattr(pc, "_consensus", recording)
+    # The drawn triples are the flat ones with (0, 1, 10) at row 47: the
+    # first block of 16 gives no plane and is skipped, the second block
+    # of 32 gives (0, 1, 10)'s plane alone, scored as a one-row block.
+    # That plane holds all 11 points (w = 1), so the search stops there,
+    # and reports both blocks drawn.
+    idx = np.array(flat[:47] + [(0, 1, 10)] + flat[47:])
+    monkeypatch.setattr(pc, "_hypothesis_indices", lambda n, k, iterations, rng: idx)
     _, inliers, drawn = pc.fit_plane_ransac(pts, pc.RansacParams(min_inliers=3, seed=0))
-    assert drawn == math.comb(11, 3) == 165
-    assert [b for b, _ in yielded] == [16, 48, 112, 165]
-    rows = [None if models is None else len(models[0]) for _, models in yielded]
-    assert rows[1] is None and rows[-1] is None
-    assert rows[0] == 8 + 7  # (0, 1, k) for k = 3..10, (0, 2, k) for k = 3..9
-    # (0, 2, 10), then (1, a, b) and (2, a, b) for 3 <= a < b <= 10
-    assert rows[2] == 1 + 2 * math.comb(8, 2)
-    assert 1 not in rows
-    # The scored planes are those of every non-collinear triple, in order.
-    idx, enumerated = pc._hypothesis_indices(11, 3, 500, np.random.default_rng(0))
-    normals, offsets = pc._plane_hypotheses(pts, idx)
-    # one copy of the off point and two points on the line
-    assert enumerated and len(normals) == 2 * math.comb(9, 2)
-    scored = [models for _, models in yielded if models is not None]
-    np.testing.assert_array_equal(np.concatenate([m[0] for m in scored]), normals)
-    np.testing.assert_array_equal(np.concatenate([m[1] for m in scored]), offsets)
-    # The winner holds the most inliers, with its one-shot mask. The 72
-    # planes all hold the line and the off point, so their sums differ
-    # only by rounding, and which one wins is left to the bytes.
-    want_counts, _, want_within = one_shot_plane_scores(
-        pts, normals, offsets, pc.DEFAULT_PLANE_THRESHOLD
-    )
-    got = results[0]
-    winner = got.row
-    for models in scored[: [m is got.models for m in scored].index(True)]:
-        winner += len(models[0])
-    assert got.count == want_counts[winner] == want_counts.max() == 11
-    np.testing.assert_array_equal(got.within, want_within[:, winner])
+    assert [b for b, _ in yielded] == [16, 48] and drawn == 48
+    assert yielded[0][1] is None and len(yielded[1][1][0]) == 1
+    got = results[-1]
+    assert got.models is yielded[1][1] and got.row == 0 and got.count == 11
     assert len(inliers) == 11
+    # A search that never stops scores its one plane, skips every other
+    # block, and counts them all in drawn.
+    yielded.clear()
+    with pytest.raises(pc.NoConsensus, match="11 inliers < 12"):
+        pc.fit_plane_ransac(pts, pc.RansacParams(min_inliers=12, seed=0))
+    assert [b for b, _ in yielded] == [16, 48, 94] and results[-1].drawn == 94
+    assert [models is None for _, models in yielded] == [True, False, True]
 
 
 def test_stop_waits_for_min_inliers():
@@ -579,10 +535,8 @@ def test_score_blocks_cover_every_hypothesis_once():
                 blocks = pc._score_blocks(h, n_points, rows)
                 assert blocks[0][0] == 0 and blocks[-1][1] == h
                 assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
-                # two rows at least, unless there is only one
-                assert all((stop - start) * rows >= min(2, h * rows) for start, stop in blocks)
-                # the budget, one absorbed leftover hypothesis over it at most
-                cap = max(pc._SCORE_BLOCK_PAIRS + rows * n_points, 3 * rows * n_points)
+                # the budget, or two rows on clouds over half of it
+                cap = max(pc._SCORE_BLOCK_PAIRS, 2 * n_points)
                 assert all((stop - start) * rows * n_points <= cap for start, stop in blocks)
                 # _FIRST_BLOCK tuples, then each block twice the one before, up to the budget
                 sizes = [stop - start for start, stop in blocks]
