@@ -29,6 +29,7 @@ from .perception import (
     NoiseModel,
     RansacParams,
     estimate_needle_pose,
+    estimate_pose,
     pose_agreement,
     synth_needle_cloud,
 )
@@ -59,6 +60,7 @@ __all__ = [
     "compute_metrics",
     "config_from_dict",
     "estimate_needle_pose",
+    "estimate_pose",
     "load_config",
     "make_world",
     "make_wound",

@@ -140,20 +140,11 @@ def _cmd_synth(args) -> int:
 def _cmd_estimate(args) -> int:
     with _argument_values():
         spec = pc.NeedleSpec(radius=args.radius, arc_span=math.radians(args.span_deg))
-        params = pc.RansacParams(
-            iterations=args.iterations,
-            inlier_threshold=args.plane_threshold,
-            min_inliers=args.min_inliers,
-            seed=args.seed,
-        )
-        circle = pc.RansacParams(
-            iterations=args.iterations,
-            inlier_threshold=args.circle_threshold,
-            min_inliers=args.min_inliers,
-            seed=args.seed,
-        )
+        params = pc.RansacParams(args.iterations, args.plane_threshold, args.min_inliers)
+        circle = pc.RansacParams(args.iterations, args.circle_threshold, args.min_inliers)
+        rng = np.random.default_rng(args.seed)
     cloud = pc.load_cloud(args.cloud)
-    pose, diag = pc.estimate_needle_pose(cloud, spec, params, circle, with_diagnostics=True)
+    pose, diag = pc.estimate_pose(cloud, spec, params, circle, rng)
     sys.stdout.write(pc.format_pose_record(pose, diag))
     return EXIT_OK
 

@@ -22,6 +22,10 @@ RansacParams.iterations caps the random samples it draws; it scores
 their hypotheses in blocks of 16, 32, 64, ... samples and stops after a
 block once its best consensus is STOP_CONFIDENCE certain (_stop_after).
 
+estimate_pose draws the plane's triples, then the circle's pairs, from
+the one Generator its caller passes, and returns EstimationDiagnostics
+with the pose. estimate_needle_pose seeds it from RansacParams.seed.
+
 Also provides the synthetic cloud generator used by the simulator and
 the test suite, and plain-text cloud / pose-record I/O.
 """
@@ -29,7 +33,7 @@ the test suite, and plain-text cloud / pose-record I/O.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import NamedTuple
 
@@ -86,7 +90,7 @@ class RansacParams:
     iterations: int = DEFAULT_ITERATIONS  # cap on the hypotheses a stage draws
     inlier_threshold: float = DEFAULT_PLANE_THRESHOLD
     min_inliers: int = DEFAULT_MIN_INLIERS
-    seed: int = 0
+    seed: int = 0  # read only by estimate_needle_pose, to seed its generator
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -115,14 +119,13 @@ class NoiseModel:
     occlusion_arc: float = 0.0
 
     def __post_init__(self):
-        if self.gaussian_sigma < 0.0:
-            raise ValueError("gaussian_sigma must be >= 0")
+        for name in ("gaussian_sigma", "occlusion_arc"):
+            if not (0.0 <= getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be >= 0 and finite")
         for name in ("outlier_fraction", "dropout_fraction"):
             v = getattr(self, name)
             if not (0.0 <= v < 1.0):
                 raise ValueError(f"{name} must be in [0, 1)")
-        if self.occlusion_arc < 0.0:
-            raise ValueError("occlusion_arc must be >= 0")
         if not all(0.0 < w < math.inf for w in self.outlier_box):
             raise ValueError("outlier_box extents must be positive and finite")
 
@@ -174,6 +177,10 @@ class EstimationDiagnostics:
     # for the plane, point pairs for the circle
     plane_hypotheses: int
     circle_hypotheses: int
+    # whether the pose kept the feedback refit's plane and center, and the
+    # endpoints re-placed from the known arc span
+    refit_kept: bool
+    span_kept: bool
 
 
 class PoseDelta(tuple):
@@ -330,15 +337,13 @@ def synth_needle_cloud(
     spec: NeedleSpec,
     noise: NoiseModel,
     n_points: int,
-    seed,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Generate a synthetic needle observation.
 
     The occluded segment (noise.occlusion_arc) is centered on the middle
-    of the needle arc. `seed` may be an integer or an existing
-    numpy Generator.
+    of the needle arc.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     span = spec.arc_span
     occ = min(noise.occlusion_arc, span)
     if occ > 0.0:
@@ -551,7 +556,9 @@ def _plane_hypotheses(pts: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.
     return normals, np.einsum("ij,ij->i", normals, p0)
 
 
-def fit_plane_ransac(cloud, params: RansacParams) -> tuple[Plane, np.ndarray, int]:
+def fit_plane_ransac(
+    cloud, params: RansacParams, rng: np.random.Generator
+) -> tuple[Plane, np.ndarray, int]:
     """RANSAC plane fit.
 
     The first hypothesis with the most inliers wins, and its consensus
@@ -560,7 +567,7 @@ def fit_plane_ransac(cloud, params: RansacParams) -> tuple[Plane, np.ndarray, in
     the number of point triples drawn before the search stopped. A cloud
     with a NaN or infinite coordinate raises DegenerateInput.
 
-    params.iterations caps the triples drawn. The search stops early,
+    params.iterations caps the triples rng draws. The search stops early,
     after a block of hypotheses, once its best consensus is
     STOP_CONFIDENCE certain (_stop_after, sample size 3). Hypotheses are
     built and scored in blocks of at most _SCORE_BLOCK_PAIRS (plane,
@@ -568,8 +575,7 @@ def fit_plane_ransac(cloud, params: RansacParams) -> tuple[Plane, np.ndarray, in
     is mapped and page-faulted afresh on each call.
     """
     pts = np.asarray(cloud, dtype=float)
-    # Finiteness first: estimate_needle_pose reports a non-finite cloud
-    # of any shape through this check.
+    # Finiteness first: estimate_pose reports a non-finite cloud of any shape through it.
     if not np.isfinite(pts).all():
         raise DegenerateInput("cloud has a non-finite coordinate", stage="plane")
     if pts.ndim != 2 or (len(pts) and pts.shape[1] != 3):
@@ -577,7 +583,6 @@ def fit_plane_ransac(cloud, params: RansacParams) -> tuple[Plane, np.ndarray, in
     if len(pts) < 3:
         raise DegenerateInput(f"need at least 3 points, got {len(pts)}", stage="plane")
 
-    rng = np.random.default_rng(params.seed)
     idx = _hypothesis_indices(len(pts), 3, params.iterations, rng)
 
     def blocks():
@@ -601,7 +606,7 @@ def fit_plane_ransac(cloud, params: RansacParams) -> tuple[Plane, np.ndarray, in
 
     # One orthogonal least-squares refit of the winner's consensus, then
     # its band inliers against the refit plane. A tilted winner leaves a
-    # slight tilt here; the feedback pass in estimate_needle_pose refits
+    # slight tilt here; the feedback pass in estimate_pose refits
     # the plane from circle-gated points, which removes it.
     # add.reduce(...) / n is what ndarray.mean runs.
     sel = pts[found.within]
@@ -652,7 +657,7 @@ def _circle_hypotheses(pts: np.ndarray, idx: np.ndarray, radius: float) -> np.nd
 
 
 def fit_circle_fixed_radius(
-    points2d, radius: float, params: RansacParams
+    points2d, radius: float, params: RansacParams, rng: np.random.Generator
 ) -> tuple[np.ndarray, int]:
     """RANSAC circle fit with a known, fixed radius.
 
@@ -663,7 +668,7 @@ def fit_circle_fixed_radius(
     center and the number of point pairs drawn before the search stopped.
     Points with a NaN or infinite coordinate raise DegenerateInput.
 
-    params.iterations caps the pairs drawn. The search stops early, after
+    params.iterations caps the pairs rng draws. The search stops early, after
     a block of pairs, once its best consensus is STOP_CONFIDENCE certain
     (_stop_after, sample size 2). Candidate centers are built and scored
     in blocks of at most _SCORE_BLOCK_PAIRS (center, point) pairs, so no
@@ -680,7 +685,6 @@ def fit_circle_fixed_radius(
     if not (radius > 0.0):
         raise DegenerateInput("radius must be positive", stage="circle")
 
-    rng = np.random.default_rng(params.seed)
     idx = _hypothesis_indices(len(pts), 2, params.iterations, rng)
     pp = np.einsum("ij,ij->i", pts, pts)
 
@@ -871,37 +875,36 @@ def _refine_endpoints_with_span(
     return ends[0], ends[1]
 
 
-def estimate_needle_pose(
+def estimate_pose(
     cloud,
     spec: NeedleSpec,
     params: RansacParams,
-    circle_params: RansacParams | None = None,
-    with_diagnostics: bool = False,
-):
+    circle_params: RansacParams,
+    rng: np.random.Generator,
+) -> tuple[NeedlePose, EstimationDiagnostics]:
     """Full pipeline: plane fit, in-plane circle fit, endpoint extraction.
 
-    `params` drives the plane stage; `circle_params` (defaulting to
-    `params`) drives the circle stage, since the two stages ship with
-    different inlier thresholds. Estimation errors are re-raised with
+    `params` drives the plane stage and `circle_params` the circle stage,
+    since the two stages ship with different inlier thresholds; both
+    draw their samples from rng, in that order. Estimation errors carry
     `stage` set to the pipeline stage that failed. A cloud with a NaN or
     infinite coordinate is rejected by the plane stage, as
     DegenerateInput; the stages below assume finite points.
     """
-    cp = params if circle_params is None else circle_params
     pts = np.asarray(cloud, dtype=float)
     if pts.size == 0:
         raise DegenerateInput("empty cloud", stage="plane")
 
-    plane, plane_idx, plane_hypotheses = fit_plane_ransac(pts, params)
+    plane, plane_idx, plane_hypotheses = fit_plane_ransac(pts, params, rng)
     plane_res, projected, coords = _plane_projection(pts[plane_idx], plane)
 
-    center2d, circle_hypotheses = fit_circle_fixed_radius(coords, spec.radius, cp)
+    center2d, circle_hypotheses = fit_circle_fixed_radius(coords, spec.radius, circle_params, rng)
 
     # One feedback pass: refit the plane on the points the circle just
     # identified as needle samples, then redo the in-plane stage against
     # the corrected plane. Kept only if the tail still succeeds there.
     better = _refit_plane_near_circle(
-        pts, plane, center2d, spec.radius, params.inlier_threshold, cp.inlier_threshold
+        pts, plane, center2d, spec.radius, params.inlier_threshold, circle_params.inlier_threshold
     )
     if better is not None:
         idx2 = np.flatnonzero(np.abs(better.signed_distance(pts)) <= params.inlier_threshold)
@@ -915,7 +918,7 @@ def estimate_needle_pose(
                 geo.from_plane_coords(center2d, plane), better
             )
             c2 = geo.to_plane_coords(carried, better)
-            ring = _radial_residuals(coords2, c2, spec.radius) <= cp.inlier_threshold
+            ring = _radial_residuals(coords2, c2, spec.radius) <= circle_params.inlier_threshold
             if np.count_nonzero(ring) >= 2:
                 plane, plane_idx, plane_res = better, idx2, res2
                 projected, coords = proj2, coords2
@@ -923,7 +926,7 @@ def estimate_needle_pose(
     center = geo.from_plane_coords(center2d, plane)
 
     radial = _radial_residuals(coords, center2d, spec.radius)
-    on_circle = radial <= cp.inlier_threshold
+    on_circle = radial <= circle_params.inlier_threshold
     n_on_circle = int(np.count_nonzero(on_circle))
     if n_on_circle < 2:
         raise DegenerateInput(f"only {n_on_circle} points on the fitted circle", stage="endpoints")
@@ -934,18 +937,27 @@ def estimate_needle_pose(
     )
     if refined is not None:
         e1, e2 = refined
-    pose = NeedlePose(circle, e1, e2)
-    if not with_diagnostics:
-        return pose
+    ring_res = radial[on_circle]
     diag = EstimationDiagnostics(
-        plane_inliers=int(len(plane_idx)),
-        plane_rms=float(np.sqrt(np.mean(plane_res**2))) if len(plane_idx) else 0.0,
+        plane_inliers=len(plane_idx),
+        plane_rms=math.sqrt(plane_res.dot(plane_res) / len(plane_res)),
         circle_inliers=n_on_circle,
-        circle_rms=float(np.sqrt(np.mean(radial[on_circle] ** 2))),
+        circle_rms=math.sqrt(ring_res.dot(ring_res) / n_on_circle),
         plane_hypotheses=plane_hypotheses,
         circle_hypotheses=circle_hypotheses,
+        refit_kept=plane is better,
+        span_kept=refined is not None,
     )
-    return pose, diag
+    return NeedlePose(circle, e1, e2), diag
+
+
+def estimate_needle_pose(
+    cloud, spec: NeedleSpec, params: RansacParams, circle_params: RansacParams | None = None
+) -> NeedlePose:
+    """estimate_pose's pose, from one generator seeded with params.seed;
+    `circle_params` defaults to `params`."""
+    circle = params if circle_params is None else circle_params
+    return estimate_pose(cloud, spec, params, circle, np.random.default_rng(params.seed))[0]
 
 
 def pose_agreement(a: NeedlePose, b: NeedlePose) -> PoseDelta:
@@ -1015,7 +1027,7 @@ def save_cloud(path, cloud, comment: str | None = None) -> None:
             fh.write(f"{float(x)!r},{float(y)!r},{float(z)!r}\n")
 
 
-def format_pose_record(pose: NeedlePose, diagnostics: EstimationDiagnostics | None = None) -> str:
+def format_pose_record(pose: NeedlePose, diagnostics: EstimationDiagnostics) -> str:
     """Plain-text pose record: one 'field: values' line per field."""
 
     def fmt(v) -> str:
@@ -1028,13 +1040,5 @@ def format_pose_record(pose: NeedlePose, diagnostics: EstimationDiagnostics | No
         f"tip: {fmt(pose.tip)}",
         f"swage: {fmt(pose.swage)}",
     ]
-    if diagnostics is not None:
-        lines += [
-            f"plane_inliers: {diagnostics.plane_inliers}",
-            f"plane_rms: {diagnostics.plane_rms!r}",
-            f"circle_inliers: {diagnostics.circle_inliers}",
-            f"circle_rms: {diagnostics.circle_rms!r}",
-            f"plane_hypotheses: {diagnostics.plane_hypotheses}",
-            f"circle_hypotheses: {diagnostics.circle_hypotheses}",
-        ]
+    lines += [f"{f.name}: {getattr(diagnostics, f.name)!r}" for f in fields(diagnostics)]
     return "\n".join(lines) + "\n"

@@ -17,7 +17,7 @@ back into control exactly as it would from a camera.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -375,7 +375,6 @@ class WorldState:
         self.noise = noise
         self.ransac = ransac
         self.circle_ransac = circle_ransac
-        self.seed = int(seed)
         self.rng = np.random.default_rng(int(seed))
         self.n_cloud_points = int(n_cloud_points)
 
@@ -546,21 +545,23 @@ class WorldState:
             self.log_event("observation", ok=False, reason="fully_occluded")
             raise PerceptionError("needle fully occluded", stage="render")
 
+        # The cloud and the estimator share a child generator: how many
+        # samples RANSAC draws depends on where it stops, so drawing them
+        # from self.rng would shift every later world draw.
         cloud_seed = int(self.rng.integers(0, 2**63 - 1))
         corrupt_u = float(self.rng.random())
+        rng = np.random.default_rng(cloud_seed)
         cloud = pc.sample_visible_cloud(
             self.needle_true,
             self.spec,
             intervals,
             self.noise,
             self.n_cloud_points,
-            np.random.default_rng(cloud_seed),
+            rng,
             self._arc_frame(),
         )
-        plane_params = replace(self.ransac, seed=cloud_seed)
-        circle_params = replace(self.circle_ransac, seed=cloud_seed)
         try:
-            estimate = pc.estimate_needle_pose(cloud, self.spec, plane_params, circle_params)
+            estimate, _ = pc.estimate_pose(cloud, self.spec, self.ransac, self.circle_ransac, rng)
         except pc.EstimationError as exc:
             self.log_event("observation", ok=False, reason="estimation", stage=exc.stage)
             raise PerceptionError(str(exc), stage=exc.stage) from exc

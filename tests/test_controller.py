@@ -377,29 +377,29 @@ EXHAUSTION = {
     "extraction_no_progress": (
         80, PARAMS, [False] * 6, ZERO_NOISE,
         "needle did not clear the tissue",
-        "cd5ff869e914d799707a412621a82309a7c7bd2e86fd053ac13dece62a72ed4f",
+        "775d359396b2bb248b3bd423d26bc2930c6efec329eac4e286e0aa6c1bf9d921",
     ),
     "extraction_motion_error": (
         81, ControllerParams(lift_clear=0.2), None, ZERO_NOISE,
         "attempt failed: target [-0.007628311267080643, -0.020252765301072683, "
         "0.21935130294689006] outside workspace",
-        "042df1977c83edbc9fbb9b8b101900be81b80d7281675ad90d8567bdd144f3b1",
+        "ad7b713c4f2fd167e8079d419499b8634a95f8b4faf1b7a2f40c66661d4c51f4",
     ),
     "handover_never_captured": (
         82, PARAMS, [True] + [False] * 6, ZERO_NOISE,
         "re-grasp never captured the needle",
-        "fed0a8fe67c2031e2386870f6968e5efe5811da306590e03b3d1e4012a57b628",
+        "9b2c5cc499db434fed859d5867677c0e61934bb89d3c058ceaf3e8e38a7be322",
     ),
     "handover_motion_error": (
         83, ControllerParams(handover_test_offset=(0.2, 0.0, 0.0)), None, ZERO_NOISE,
-        "attempt failed: target [0.2079464981703719, -0.023746150982643127, "
+        "attempt failed: target [0.2079464981703719, -0.02374615098264312, "
         "0.04090871211463571] outside workspace",
-        "aaf5b63cd8c8b0b6521aa94f162e5da7bc171e2c07adfdd4620679047694b8f9",
+        "cb578aa658ba345568ebea6998c1c11034fa88215f93fa06d4df49925bc97a23",
     ),
     "handover_pose_shifting": (
         84, ControllerParams(normal_change_epsilon=1e-9), None, sw.SIM_NOISE,
         "needle pose kept shifting in the jaws",
-        "e236a8348fab3220a8494dce553e8641a8dd26739a1e415a4f79bdb10abfe497",
+        "26d2d76f427266dddc2abd194286eb9cd7ddd4991f89dfe3c7921ff8ed462b93",
     ),
 }
 

@@ -19,20 +19,20 @@ from suturesim.simworld import SIM_NOISE
 # preset -> (sha256 of the simulate --out log, sha256 of the printed report)
 GOLDEN = {
     "sensing_only": (
-        "5034de6dd879b9ba42201912b90f742b5152c2e23af938706bd2b2490f16b811",
+        "7d7f9dfc03de3df3454368bb355a66df274e2d6734fef7d6e8d7771fc2cab1ba",
         "5bda35e0e246d2235f7a8444bf9046d2b8ce37c1ecf3d5194f2ba05a19ecf1ba",
     ),
     "thread_handling": (
-        "9c609e585cbbc0989b22d0b81869734952a614b5861372f2ee27cf584d0d3d28",
+        "5db0e0487cda94e75cab340e9aa82d9810e5d8f83a21021f45fa5b430ed510e9",
         "8c7cba2f13bf29bf2a99b21d1beb54c4422754a900598e2f4abf28a034ea061b",
     ),
     "stitch": (
-        "b7cb1559646ad5d81e8f7add6c8f7c13388466b08c97b0015af8cda3157a2230",
-        "d7abb6b390641fa29c9440e55d3cb8ac14c8b981b52bcb045a64bce6e2050cdb",
+        "a1546826dce81fa805a50389ee43c24420ed5f547a2642255e2ef8a231e7cc45",
+        "88508f6689590f4aee9f70fbae145d3e03480d288161e767f200ef5177de898e",
     ),
     "stitch_human": (
-        "c8297603d9824bcc3da2ca2768086c8a528d62a9e8acabab2140fbb3243c5b2b",
-        "b12d20dbd53e1a97a313f433341eb7adb1512556de1d29b7eb79f09f110ff007",
+        "113051f8198a696fa5047b54a454afcb736eda47e4549efc2dd1dd5e9bfeceb4",
+        "6e3223175f471897539c90011e5530a2ffc1d1b5adfd39466bc7b3e922629e40",
     ),
 }
 
@@ -61,8 +61,9 @@ def test_pinned_sweep_digests(tmp_path, capsys, preset):
 # asks the circle stage, and every tenth after it the plane stage, for
 # more inliers than the cloud has, so the digest also pins each stage's
 # best consensus count through its NoConsensus message. The pose records
-# carry the hypotheses each stage drew, so the digests also pin where
-# each stage stopped.
+# carry the hypotheses each stage drew and whether each refinement was
+# kept, so the digests also pin where each stage stopped. Cloud i's
+# estimate draws from one generator seeded with i.
 CLOUDS_PER_SETTING = 30
 HARSH_NOISE = pc.NoiseModel(
     gaussian_sigma=5e-4,
@@ -82,11 +83,11 @@ ESTIMATOR_SETTINGS = {
     "wide_circle_band": (200, 500, HARSH_NOISE, pc.NEEDLE_RADIUS),
 }
 ESTIMATOR_GOLDEN = {
-    "in_loop": "b489bd4e247c097d783aa28c8296e84882d406669a1cc4bf505e6d85b192ac5a",
-    "criterion_1": "f5fa737a90bbd67e2b4bc293d44ebf907511f6bcd9c42c373ac2a5a313e2fcfe",
-    "many_blocks": "8f885d495e9aa0a5e5a72c30aa618fe7b09d5025d22cde7837539591318ebbe7",
-    "noise_free": "9e40aea5622511b44e99029d2e82592ebfc85df657d6f837771478af24d31a20",
-    "wide_circle_band": "b20b4ce8763c8b6cd2068ebfe265f35fa4c38f8e61b4b45af5d7bca1085bcfe0",
+    "in_loop": "3dc3fa015cd641bd39aa7fee0d8fa77aa270e99dfa8f25ea7925bae7040ab97a",
+    "criterion_1": "9a08c0b3367f89ef952e12acdb4bcbf12687b1b18a654cf54ae2908f8373d048",
+    "many_blocks": "12ca2c889b39a02e4643a1b5293940b07eef1e564d9a359fd106f394ce915210",
+    "noise_free": "1a8c1b1b1ad3695a2d790b44a0c499120e1203eb396cd2b617ca1482af8b2109",
+    "wide_circle_band": "777f39a72305016dd92aaa1a67be595a7dc1bd76d7c4bbad107824455bf6fbb2",
 }
 
 
@@ -107,15 +108,12 @@ def estimator_records(setting: str) -> str:
         cloud = pc.synth_needle_cloud(truth, spec, noise, n_points, rng)
         plane_min = n_points + 1 if i % 10 == 9 else pc.DEFAULT_MIN_INLIERS
         circle_min = n_points + 1 if i % 10 == 8 else pc.DEFAULT_MIN_INLIERS
-        plane = pc.RansacParams(iterations=iterations, min_inliers=plane_min, seed=i)
+        plane = pc.RansacParams(iterations=iterations, min_inliers=plane_min)
         circle = pc.RansacParams(
-            iterations=iterations,
-            inlier_threshold=circle_threshold,
-            min_inliers=circle_min,
-            seed=i,
+            iterations=iterations, inlier_threshold=circle_threshold, min_inliers=circle_min
         )
         try:
-            pose, diag = pc.estimate_needle_pose(cloud, spec, plane, circle, with_diagnostics=True)
+            pose, diag = pc.estimate_pose(cloud, spec, plane, circle, np.random.default_rng(i))
         except pc.EstimationError as exc:
             records.append(f"error: {type(exc).__name__} {exc.stage}: {exc}\n")
         else:

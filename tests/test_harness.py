@@ -746,6 +746,33 @@ def test_cli_bad_argument_value_is_usage_exit(tmp_path, capsys):
     assert not (tmp_path / "c.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [
+        ("--sigma", "nan", "gaussian_sigma"),
+        ("--sigma", "inf", "gaussian_sigma"),
+        ("--occlusion-deg", "nan", "occlusion_arc"),
+    ],
+)
+def test_cli_synth_rejects_non_finite_noise(tmp_path, capsys, flag, value, name):
+    rc = cli.main(["synth", "--out", str(tmp_path / "c.csv"), flag, value])
+    assert rc == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: bad argument: ") and name in err and err.count("\n") == 1
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_cli_estimate_negative_seed_is_usage_exit(tmp_path, capsys):
+    cloud = tmp_path / "cloud.csv"
+    assert cli.main(["synth", "--out", str(cloud), "--seed", "9"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["estimate", str(cloud), "--seed", "-1"]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: bad argument: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("trials", ["1", "4"])  # 4 trials raise in pool workers
 def test_cli_invariant_violation_is_runtime_exit(tmp_path, capsys, monkeypatch, trials):
     def broken_trial(config, trial_index):

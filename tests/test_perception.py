@@ -62,6 +62,10 @@ def test_noise_model_validation():
         pc.NoiseModel(outlier_fraction=1.0)
     with pytest.raises(ValueError):
         pc.NoiseModel(dropout_fraction=-0.1)
+    for name in ("gaussian_sigma", "occlusion_arc"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=name):
+                pc.NoiseModel(**{name: bad})
 
 
 def test_needle_spec_validation():
@@ -78,8 +82,8 @@ def test_needle_spec_validation():
 def test_synth_cloud_counts_and_determinism():
     pose = random_pose(np.random.default_rng(0))
     noise = pc.NoiseModel(gaussian_sigma=2e-4, outlier_fraction=0.2)
-    a = pc.synth_needle_cloud(pose, SPEC, noise, 200, seed=42)
-    b = pc.synth_needle_cloud(pose, SPEC, noise, 200, seed=42)
+    a = pc.synth_needle_cloud(pose, SPEC, noise, 200, np.random.default_rng(42))
+    b = pc.synth_needle_cloud(pose, SPEC, noise, 200, np.random.default_rng(42))
     assert a.shape == (200, 3)
     np.testing.assert_array_equal(a, b)
 
@@ -87,7 +91,7 @@ def test_synth_cloud_counts_and_determinism():
 def test_synth_occlusion_hides_centered_arc():
     pose = random_pose(np.random.default_rng(1))
     noise = pc.NoiseModel(occlusion_arc=math.pi / 2)
-    cloud = pc.synth_needle_cloud(pose, SPEC, noise, 200, seed=7)
+    cloud = pc.synth_needle_cloud(pose, SPEC, noise, 200, np.random.default_rng(7))
     # Noise-free points must all be on the visible arc: recover the arc
     # parameter of each sample and check it avoids the centered hole.
     e1, e2 = pc.arc_frame(pose, SPEC.arc_span)
@@ -103,7 +107,7 @@ def test_synth_occlusion_hides_centered_arc():
 
 def test_synth_dropout_removes_points():
     pose = random_pose(np.random.default_rng(2))
-    cloud = pc.synth_needle_cloud(pose, SPEC, pc.NoiseModel(dropout_fraction=0.5), 300, seed=3)
+    cloud = pc.synth_needle_cloud(pose, SPEC, pc.NoiseModel(dropout_fraction=0.5), 300, np.random.default_rng(3))
     assert 80 < len(cloud) < 220
 
 
@@ -123,7 +127,7 @@ def test_arc_endpoints_match_pose():
 def test_plane_ransac_exact_horizontal_plane():
     rng = np.random.default_rng(8)
     pts = np.column_stack([rng.uniform(-0.05, 0.05, 50), rng.uniform(-0.05, 0.05, 50), np.full(50, 0.1)])
-    plane, inliers, _ = pc.fit_plane_ransac(pts, pc.RansacParams(seed=1))
+    plane, inliers, _ = pc.fit_plane_ransac(pts, pc.RansacParams(), np.random.default_rng(1))
     np.testing.assert_allclose(plane.normal, [0.0, 0.0, 1.0], atol=1e-9)
     assert plane.offset == pytest.approx(0.1, abs=1e-12)
     assert len(inliers) == 50
@@ -140,30 +144,30 @@ def test_plane_ransac_with_outliers_recovers_diagonal_plane():
     )
     outliers = n / math.sqrt(3) + rng.uniform(-0.05, 0.05, size=(30, 3))
     cloud = np.concatenate([onplane, outliers])
-    plane, _, _ = pc.fit_plane_ransac(cloud, pc.RansacParams(inlier_threshold=1e-4, seed=2))
+    plane, _, _ = pc.fit_plane_ransac(cloud, pc.RansacParams(inlier_threshold=1e-4), np.random.default_rng(2))
     angle = math.degrees(math.acos(min(1.0, abs(float(np.dot(plane.normal, n))))))
     assert angle < 0.5
 
 
 def test_plane_ransac_errors():
     with pytest.raises(pc.DegenerateInput):
-        pc.fit_plane_ransac(np.empty((0, 3)), pc.RansacParams())
+        pc.fit_plane_ransac(np.empty((0, 3)), pc.RansacParams(), np.random.default_rng(0))
     line = np.outer(np.linspace(0, 1, 30), np.array([1.0, 2.0, 3.0]))
     with pytest.raises(pc.DegenerateInput):
-        pc.fit_plane_ransac(line, pc.RansacParams(seed=3))
+        pc.fit_plane_ransac(line, pc.RansacParams(), np.random.default_rng(3))
     # Seed 0 draws the one triple (3, 2, 2), which repeats a point.
     tetra = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(pc.DegenerateInput, match="no sampled triple spans a plane"):
-        pc.fit_plane_ransac(tetra, pc.RansacParams(iterations=1, seed=0))
+        pc.fit_plane_ransac(tetra, pc.RansacParams(iterations=1), np.random.default_rng(0))
     spread = np.random.default_rng(5).uniform(-1, 1, size=(30, 3))
     with pytest.raises(pc.NoConsensus):
-        pc.fit_plane_ransac(spread, pc.RansacParams(inlier_threshold=1e-9, min_inliers=25, seed=4))
+        pc.fit_plane_ransac(spread, pc.RansacParams(inlier_threshold=1e-9, min_inliers=25), np.random.default_rng(4))
 
 
 def test_plane_ransac_returns_the_points_within_threshold_of_its_plane():
-    cloud = pc.synth_needle_cloud(random_pose(np.random.default_rng(22)), SPEC, HARSH_NOISE, 200, seed=22)
-    params = pc.RansacParams(seed=22)
-    plane, inliers, _ = pc.fit_plane_ransac(cloud, params)
+    cloud = pc.synth_needle_cloud(random_pose(np.random.default_rng(22)), SPEC, HARSH_NOISE, 200, np.random.default_rng(22))
+    params = pc.RansacParams()
+    plane, inliers, _ = pc.fit_plane_ransac(cloud, params, np.random.default_rng(22))
     want = np.flatnonzero(np.abs(plane.signed_distance(cloud)) <= params.inlier_threshold)
     np.testing.assert_array_equal(inliers, want)
 
@@ -182,9 +186,9 @@ def test_plane_ransac_refits_the_winning_consensus_once(monkeypatch):
     monkeypatch.setattr(pc, "_consensus", recording)
     rng = np.random.default_rng(23)
     for seed in range(8):
-        cloud = pc.synth_needle_cloud(random_pose(rng), SPEC, HARSH_NOISE, 200, seed=seed)
-        params = pc.RansacParams(seed=seed)
-        plane, inliers, _ = pc.fit_plane_ransac(cloud, params)
+        cloud = pc.synth_needle_cloud(random_pose(rng), SPEC, HARSH_NOISE, 200, np.random.default_rng(seed))
+        params = pc.RansacParams()
+        plane, inliers, _ = pc.fit_plane_ransac(cloud, params, np.random.default_rng(seed))
         sel = cloud[found[-1].within]
         centroid = sel.mean(axis=0)
         normal = np.linalg.svd(sel - centroid)[2][-1]
@@ -486,7 +490,7 @@ def test_collinear_triples_inside_a_block(monkeypatch):
     # and reports both blocks drawn.
     idx = np.array(flat[:47] + [(0, 1, 10)] + flat[47:])
     monkeypatch.setattr(pc, "_hypothesis_indices", lambda n, k, iterations, rng: idx)
-    _, inliers, drawn = pc.fit_plane_ransac(pts, pc.RansacParams(min_inliers=3, seed=0))
+    _, inliers, drawn = pc.fit_plane_ransac(pts, pc.RansacParams(min_inliers=3), np.random.default_rng(0))
     assert [b for b, _ in yielded] == [16, 48] and drawn == 48
     assert yielded[0][1] is None and len(yielded[1][1][0]) == 1
     got = results[-1]
@@ -496,7 +500,7 @@ def test_collinear_triples_inside_a_block(monkeypatch):
     # block, and counts them all in drawn.
     yielded.clear()
     with pytest.raises(pc.NoConsensus, match="11 inliers < 12"):
-        pc.fit_plane_ransac(pts, pc.RansacParams(min_inliers=12, seed=0))
+        pc.fit_plane_ransac(pts, pc.RansacParams(min_inliers=12), np.random.default_rng(0))
     assert [b for b, _ in yielded] == [16, 48, 94] and results[-1].drawn == 94
     assert [models is None for _, models in yielded] == [True, False, True]
 
@@ -565,17 +569,19 @@ def traced_peak(fn):
 def test_ransac_scoring_memory_stays_bounded():
     pose = pc.make_needle_pose([0.0, 0.01, 0.02], geo.unit([0.2, 1.0, 0.1]), [1.0, 0.0, 0.0], SPEC)
     # 220 points, so that the circle stage gets over 100 plane inliers
-    cloud = pc.synth_needle_cloud(pose, SPEC, HARSH_NOISE, 220, seed=4)
-    plane_params = pc.RansacParams(seed=4)
-    circle_params = pc.RansacParams(inlier_threshold=pc.DEFAULT_CIRCLE_THRESHOLD, seed=4)
-    plane, idx, _ = pc.fit_plane_ransac(cloud, plane_params)
+    cloud = pc.synth_needle_cloud(pose, SPEC, HARSH_NOISE, 220, np.random.default_rng(4))
+    plane_params = pc.RansacParams()
+    circle_params = pc.RansacParams(inlier_threshold=pc.DEFAULT_CIRCLE_THRESHOLD)
+    plane, idx, _ = pc.fit_plane_ransac(cloud, plane_params, np.random.default_rng(4))
     projected = cloud[idx] - np.outer(plane.signed_distance(cloud[idx]), plane.normal)
     coords = geo.to_plane_coords(projected, plane)
     assert len(coords) > 100
 
-    assert traced_peak(lambda: pc.fit_plane_ransac(cloud, plane_params)) < SCORING_PEAK_BOUND
     assert traced_peak(
-        lambda: pc.fit_circle_fixed_radius(coords, SPEC.radius, circle_params)
+        lambda: pc.fit_plane_ransac(cloud, plane_params, np.random.default_rng(4))
+    ) < SCORING_PEAK_BOUND
+    assert traced_peak(
+        lambda: pc.fit_circle_fixed_radius(coords, SPEC.radius, circle_params, np.random.default_rng(4))
     ) < SCORING_PEAK_BOUND
 
 
@@ -588,7 +594,7 @@ def test_circle_fit_exact_points():
     truth = np.array([0.004, -0.002])
     ang = rng.uniform(0, 1.8 * math.pi, 80)
     pts = truth + 0.012 * np.column_stack([np.cos(ang), np.sin(ang)])
-    center, _ = pc.fit_circle_fixed_radius(pts, 0.012, pc.RansacParams(seed=6))
+    center, _ = pc.fit_circle_fixed_radius(pts, 0.012, pc.RansacParams(), np.random.default_rng(6))
     np.testing.assert_allclose(center, truth, atol=1e-9)
 
 
@@ -616,7 +622,7 @@ def test_circle_fit_matches_grid_oracle_with_outliers():
     bad = rng.uniform(-0.02, 0.02, size=(6, 2))
     pts = np.concatenate([good, bad])
     center, _ = pc.fit_circle_fixed_radius(
-        pts, 0.012, pc.RansacParams(inlier_threshold=6e-4, min_inliers=10, seed=7)
+        pts, 0.012, pc.RansacParams(inlier_threshold=6e-4, min_inliers=10), np.random.default_rng(7)
     )
     oracle = trimmed_grid_circle_center(pts, 0.012)
     assert np.linalg.norm(center - oracle) < 5e-4
@@ -627,19 +633,19 @@ def test_circle_fit_pair_wider_than_diameter_contributes_nothing():
     # Two points 3 radii apart admit no center; the fit must refuse.
     pts = np.array([[0.0, 0.0], [0.036, 0.0]])
     with pytest.raises(pc.NoConsensus):
-        pc.fit_circle_fixed_radius(pts, 0.012, pc.RansacParams(min_inliers=3, seed=8))
+        pc.fit_circle_fixed_radius(pts, 0.012, pc.RansacParams(min_inliers=3), np.random.default_rng(8))
 
 
 def test_circle_fit_errors():
     with pytest.raises(pc.DegenerateInput):
-        pc.fit_circle_fixed_radius(np.empty((0, 2)), 0.012, pc.RansacParams())
+        pc.fit_circle_fixed_radius(np.empty((0, 2)), 0.012, pc.RansacParams(), np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_fits_reject_a_non_finite_row(bad):
     # One NaN once made every tie-break sum NaN, so ties went to the
     # lowest index and the plane normal moved by up to 4.5 degrees.
-    cloud = pc.synth_needle_cloud(random_pose(np.random.default_rng(24)), SPEC, HARSH_NOISE, 200, seed=24)
+    cloud = pc.synth_needle_cloud(random_pose(np.random.default_rng(24)), SPEC, HARSH_NOISE, 200, np.random.default_rng(24))
     cloud[-1] = bad
     theta = np.linspace(0.0, math.pi, 40)
     ring = 0.012 * np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -647,9 +653,9 @@ def test_fits_reject_a_non_finite_row(bad):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(pc.DegenerateInput, match="non-finite") as plane_err:
-            pc.fit_plane_ransac(cloud, pc.RansacParams(seed=24))
+            pc.fit_plane_ransac(cloud, pc.RansacParams(), np.random.default_rng(24))
         with pytest.raises(pc.DegenerateInput, match="non-finite") as circle_err:
-            pc.fit_circle_fixed_radius(ring, 0.012, pc.RansacParams(seed=24))
+            pc.fit_circle_fixed_radius(ring, 0.012, pc.RansacParams(), np.random.default_rng(24))
     assert (plane_err.value.stage, circle_err.value.stage) == ("plane", "circle")
 
 
@@ -692,7 +698,7 @@ def test_estimate_zero_noise_is_exact():
     rng = np.random.default_rng(15)
     for _ in range(10):
         pose = random_pose(rng)
-        cloud = pc.synth_needle_cloud(pose, SPEC, pc.NoiseModel(), 150, seed=int(rng.integers(1 << 30)))
+        cloud = pc.synth_needle_cloud(pose, SPEC, pc.NoiseModel(), 150, np.random.default_rng(int(rng.integers(1 << 30))))
         est = pc.estimate_needle_pose(cloud, SPEC, pc.RansacParams(seed=0))
         delta = pc.pose_agreement(est, pose)
         assert delta.center_dist < 1e-9
@@ -708,7 +714,7 @@ def test_estimate_stage_tags():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_estimate_rejects_non_finite_cloud(bad):
-    cloud = pc.synth_needle_cloud(random_pose(np.random.default_rng(23)), SPEC, pc.NoiseModel(), 150, seed=23)
+    cloud = pc.synth_needle_cloud(random_pose(np.random.default_rng(23)), SPEC, pc.NoiseModel(), 150, np.random.default_rng(23))
     cloud[40, 1] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -719,11 +725,44 @@ def test_estimate_rejects_non_finite_cloud(bad):
 
 def test_estimate_diagnostics():
     pose = random_pose(np.random.default_rng(16))
-    cloud = pc.synth_needle_cloud(pose, SPEC, pc.NoiseModel(gaussian_sigma=1e-4), 150, seed=5)
-    est, diag = pc.estimate_needle_pose(cloud, SPEC, pc.RansacParams(seed=0), with_diagnostics=True)
+    cloud = pc.synth_needle_cloud(pose, SPEC, pc.NoiseModel(gaussian_sigma=1e-4), 150, np.random.default_rng(5))
+    params = pc.RansacParams()
+    est, diag = pc.estimate_pose(cloud, SPEC, params, params, np.random.default_rng(0))
     assert diag.plane_inliers >= pc.DEFAULT_MIN_INLIERS
     assert diag.circle_inliers >= 2
     assert diag.plane_rms < 5e-4 and diag.circle_rms < 5e-4
+
+
+@pytest.mark.parametrize("arc_span, span_kept", [(math.pi, True), (2 * math.pi, False)])
+def test_estimate_diagnostics_say_which_refinements_were_kept(arc_span, span_kept):
+    # A clean half-needle cloud keeps the feedback refit. The span
+    # refinement would extrapolate on a full circle, so a needle spec of
+    # 2 pi never keeps it.
+    pose = pc.make_needle_pose([0.0, 0.01, 0.02], geo.unit([0.2, 1.0, 0.1]), [1.0, 0.0, 0.0], SPEC)
+    cloud = pc.synth_needle_cloud(pose, SPEC, pc.NoiseModel(), 150, np.random.default_rng(6))
+    params = pc.RansacParams()
+    est, diag = pc.estimate_pose(cloud, pc.NeedleSpec(arc_span=arc_span), params, params, np.random.default_rng(6))
+    assert (diag.refit_kept, diag.span_kept) == (True, span_kept)
+    assert f"span_kept: {span_kept}\n" in pc.format_pose_record(est, diag)
+
+
+def test_estimate_diagnostics_report_a_dropped_refit(monkeypatch):
+    monkeypatch.setattr(pc, "_refit_plane_near_circle", lambda *args: None)
+    cloud = pc.synth_needle_cloud(random_pose(np.random.default_rng(7)), SPEC, pc.NoiseModel(), 150, np.random.default_rng(7))
+    params = pc.RansacParams()
+    _, diag = pc.estimate_pose(cloud, SPEC, params, params, np.random.default_rng(7))
+    assert (diag.refit_kept, diag.span_kept) == (False, True)
+
+
+def test_estimate_needle_pose_is_estimate_pose_seeded_from_params():
+    # benchmarks/workloads.py calls estimate_needle_pose with seeded params
+    cloud = pc.synth_needle_cloud(random_pose(np.random.default_rng(25)), SPEC, HARSH_NOISE, 200, np.random.default_rng(25))
+    plane = pc.RansacParams(seed=12)
+    circle = pc.RansacParams(inlier_threshold=pc.DEFAULT_CIRCLE_THRESHOLD, seed=99)
+    got = pc.estimate_needle_pose(cloud, SPEC, plane, circle)
+    want, _ = pc.estimate_pose(cloud, SPEC, plane, circle, np.random.default_rng(12))
+    for name in ("center", "normal", "tip", "swage"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_estimate_equivariance_under_rigid_motion():
@@ -731,7 +770,7 @@ def test_estimate_equivariance_under_rigid_motion():
     params = pc.RansacParams(seed=11)
     for k in range(8):
         pose = random_pose(rng)
-        cloud = pc.synth_needle_cloud(pose, SPEC, pc.NoiseModel(), 120, seed=k)
+        cloud = pc.synth_needle_cloud(pose, SPEC, pc.NoiseModel(), 120, np.random.default_rng(k))
         move = geo.rotation_about_point(
             geo.unit(rng.normal(size=3)), rng.uniform(-2, 2), rng.normal(scale=0.05, size=3)
         )
@@ -755,7 +794,7 @@ def test_estimate_error_decreases_with_noise():
         errs = []
         for i, pose in enumerate(poses):
             cloud = pc.synth_needle_cloud(
-                pose, SPEC, pc.NoiseModel(gaussian_sigma=sigma), 120, seed=1000 + i
+                pose, SPEC, pc.NoiseModel(gaussian_sigma=sigma), 120, np.random.default_rng(1000 + i)
             )
             est = pc.estimate_needle_pose(cloud, SPEC, params, cparams)
             errs.append(pc.pose_agreement(est, pose).center_dist)
@@ -829,7 +868,9 @@ def test_cloud_accepts_crlf_and_comments(tmp_path):
 
 def test_pose_record_format():
     pose = random_pose(np.random.default_rng(21))
-    rec = pc.format_pose_record(pose)
+    diag = pc.EstimationDiagnostics(20, 1e-4, 18, 2e-4, 16, 8, True, False)
+    rec = pc.format_pose_record(pose, diag)
     assert rec.startswith("center: ")
     for key in ("normal:", "radius:", "tip:", "swage:"):
         assert f"\n{key}" in rec or rec.startswith(key)
+    assert rec.endswith("circle_hypotheses: 8\nrefit_kept: True\nspan_kept: False\n")

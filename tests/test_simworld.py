@@ -268,6 +268,22 @@ def test_observe_zero_noise_recovers_truth():
     assert world.clock == pytest.approx(world.timing.perception_period)
 
 
+def test_observe_builds_one_generator(monkeypatch):
+    # The cloud and both RANSAC stages share one child generator of the
+    # world stream; the world's own generator is built with the world.
+    world = quiet_world(seed=24)
+    built = []
+    default_rng = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    world.observe()
+    assert len(built) == 1
+
+
 def test_observe_fully_buried_raises():
     world = quiet_world(seed=22)
     sink = RigidTransform.from_translation([0.0, 0.0, -0.08])
