@@ -3,7 +3,6 @@
 from .config import ConfigError, config_from_dict, load_config
 from .controller import (
     ControllerParams,
-    Decision,
     ErrorKind,
     PipelineState,
     PrimitiveSet,
@@ -16,9 +15,7 @@ from .harness import (
     PRESETS,
     TrialLog,
     compute_metrics,
-    read_logs,
     report_render,
-    run_experiment,
     run_trial,
     validate_event_trace,
     write_logs,
@@ -40,7 +37,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError",
     "ControllerParams",
-    "Decision",
     "ErrorKind",
     "ExperimentConfig",
     "FailureModel",
@@ -65,9 +61,7 @@ __all__ = [
     "make_world",
     "make_wound",
     "pose_agreement",
-    "read_logs",
     "report_render",
-    "run_experiment",
     "run_suture",
     "run_trial",
     "synth_needle_cloud",

@@ -62,6 +62,7 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="suturesim", description=__doc__.splitlines()[0])
+    span_deg = math.degrees(pc.NeedleSpec.arc_span)  # exactly 180.0, and radians() gives pi back
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="write a synthetic needle point cloud")
@@ -73,13 +74,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--occlusion-deg", type=float, default=45.0, help="hidden central arc")
     p.add_argument("--dropout", type=float, default=0.0, help="sample dropout fraction")
     p.add_argument("--radius", type=float, default=pc.NEEDLE_RADIUS)
-    p.add_argument("--span-deg", type=float, default=180.0, help="needle arc span")
+    p.add_argument("--span-deg", type=float, default=span_deg, help="needle arc span")
     p.add_argument("--truth", help="also write the true pose as JSON here")
 
     p = sub.add_parser("estimate", help="estimate a needle pose from a cloud file")
     p.add_argument("cloud", help="cloud file (one x,y,z per line)")
     p.add_argument("--radius", type=float, default=pc.NEEDLE_RADIUS)
-    p.add_argument("--span-deg", type=float, default=180.0)
+    p.add_argument("--span-deg", type=float, default=span_deg)
     p.add_argument(
         "--iterations",
         type=int,
@@ -201,6 +202,7 @@ def main(argv=None) -> int:
         InvariantViolation,
         HarnessError,
         OSError,
+        MemoryError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

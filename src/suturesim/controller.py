@@ -83,11 +83,6 @@ class ErrorKind(Enum):
     THREAD = "T"
 
 
-class Decision(Enum):
-    PROCEED = "proceed"
-    RETRY = "retry"
-
-
 @dataclass(frozen=True)
 class ControllerParams:
     """Every tunable the pipeline consumes, with production defaults."""
@@ -151,19 +146,12 @@ class PrimitiveSet:
     correction: bool = True
 
 
-@dataclass
-class StepOutcome:
-    state_after: PipelineState
-    error: ErrorKind | None = None
-
-
 class _PhaseFailure(Exception):
     """Internal flow control: a primitive failed terminally."""
 
     def __init__(self, kind: ErrorKind, detail: str):
         super().__init__(detail)
         self.kind = kind
-        self.detail = detail
 
 
 class _Retry(Exception):
@@ -309,13 +297,13 @@ def plan_handover(
     return _approach(target, right_gripper_pose, params)
 
 
-def recover_extraction(before: NeedlePose, after: NeedlePose, params: ControllerParams) -> Decision:
-    """Did the extraction actually move the needle? Decide from endpoints."""
+def recover_extraction(before: NeedlePose, after: NeedlePose, params: ControllerParams) -> bool:
+    """Retry when the extraction moved the needle's endpoints too little."""
     moved = pc.pose_agreement(before, after).endpoint_dist
-    return Decision.PROCEED if moved >= params.extraction_progress_threshold else Decision.RETRY
+    return moved < params.extraction_progress_threshold
 
 
-def recover_handover(before_normal, after_normal, params: ControllerParams) -> Decision:
+def recover_handover(before_normal, after_normal, params: ControllerParams) -> bool:
     """Retry when the test motion disturbed the needle plane.
 
     Strictly-greater comparison: a change of exactly epsilon proceeds.
@@ -323,7 +311,7 @@ def recover_handover(before_normal, after_normal, params: ControllerParams) -> D
     a = geo.unit(before_normal)
     b = geo.unit(after_normal)
     angle = math.atan2(float(np.linalg.norm(geo.cross3(a, b))), float(np.dot(a, b)))
-    return Decision.RETRY if angle > params.normal_change_epsilon else Decision.PROCEED
+    return angle > params.normal_change_epsilon
 
 
 def aggregate_normals(normals) -> np.ndarray:
@@ -348,12 +336,12 @@ def aggregate_normals(normals) -> np.ndarray:
 # World-driving primitives
 
 
-def sweep_thread(world: WorldState, wound: WoundSpec, params: ControllerParams) -> None:
+def sweep_thread(world: WorldState) -> None:
     """Drag the free jaw down the wound centerline to clear loose thread."""
     gripper = GripperId.LEFT if world.needle_holder != GripperId.LEFT else GripperId.RIGHT
-    ys = wound.entry_points[:, 1]
+    ys = world.wound.entry_points[:, 1]
     margin = 0.01
-    height = wound.ridge_height + 0.004
+    height = world.wound.ridge_height + 0.004
     start = np.array([0.0, float(ys.min()) - margin, height])
     run = (float(ys.max()) - float(ys.min()) + 2.0 * margin) * WORLD_Y
     world.execute(gripper, MoveTo(RigidTransform.from_translation(start)))
@@ -476,7 +464,7 @@ def _extraction(world: WorldState, params: ControllerParams, k: int) -> None:
     for motion in script:
         world.execute(left, motion)
     after = world.observe()
-    if recover_extraction(before, after, params) is Decision.RETRY:
+    if recover_extraction(before, after, params):
         raise _Retry("needle did not clear the tissue")
 
 
@@ -503,7 +491,7 @@ def _handover(world: WorldState, params: ControllerParams, k: int) -> None:
         after = world.observe()
         if float(np.linalg.norm(after.center - before.center)) < params.handover_miss_epsilon:
             raise _Retry("re-grasp never captured the needle")
-        if recover_handover(before.normal, after.normal, params) is Decision.RETRY:
+        if recover_handover(before.normal, after.normal, params):
             raise _Retry("needle pose kept shifting in the jaws")
     except (_Retry, *_ATTEMPT_ERRORS):
         if world.grippers[right].jaw is JawState.CLOSED:
@@ -541,9 +529,10 @@ def run_suture(
     params: ControllerParams,
     i: int,
     enabled: PrimitiveSet = PrimitiveSet(),
-) -> StepOutcome:
+) -> ErrorKind | None:
     """Execute one full suture throw; in human mode, spend interventions
-    to resume after otherwise-terminal failures."""
+    to resume after otherwise-terminal failures. Returns None once the
+    suture closes, or the kind of the error it failed on."""
     if world.suture_index != i:
         raise ControllerError(
             f"world is set up for suture {world.suture_index}, not {i}"
@@ -555,7 +544,7 @@ def run_suture(
             _attempt_suture(world, params, i, enabled)
         except _PhaseFailure as failure:
             world.set_context(phase="recovery")
-            world.log_event("suture_failed", error=failure.kind.value, detail=failure.detail)
+            world.log_event("suture_failed", error=failure.kind.value, detail=str(failure))
             if world.interventions_left > 0:
                 try:
                     world.human_intervention()
@@ -568,9 +557,9 @@ def run_suture(
                         to=PipelineState.INSERTION.value,
                     )
                     continue
-            return StepOutcome(PipelineState.FAILED, error=failure.kind)
+            return failure.kind
         world.log_event("suture_closed")
-        return StepOutcome(PipelineState.DONE)
+        return None
 
 
 def _attempt_suture(
@@ -589,7 +578,7 @@ def _attempt_suture(
         _insertion(world, i, params)
         state = goto(PipelineState.SWEEP)
         if enabled.sweep:
-            sweep_thread(world, world.wound, params)
+            sweep_thread(world)
 
         state = goto(PipelineState.EXTRACTION)
         _with_retries(world, state, ErrorKind.EXTRACTION, params, _extraction)

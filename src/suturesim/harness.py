@@ -41,6 +41,10 @@ from .simworld import (
 
 LOG_FORMAT_VERSION = 2
 
+# perception.farthest_pair_indices builds the Gram matrix of a cloud's
+# needle points: n^2 float64 values, 32 MiB at this cap.
+MAX_CLOUD_POINTS = 2048
+
 # terminal status -> the errors a trial that ends in it may carry
 _STATUS_ERRORS = {
     "wound_closed": frozenset([None]),
@@ -84,7 +88,7 @@ class ExperimentConfig:
     needle: NeedleSpec = field(default_factory=NeedleSpec)
     wound: WoundSpec = field(default_factory=make_wound)
     n_cloud_points: int = SIM_CLOUD_POINTS
-    thread_length: float = 0.40
+    thread_length: float = ThreadState.total_length
 
     def __post_init__(self):
         if self.preset not in PRESETS:
@@ -95,18 +99,10 @@ class ExperimentConfig:
             raise ValueError("n_trials must be >= 1")
         if self.base_seed < 0:
             raise ValueError("base_seed must be >= 0")
-        if self.n_cloud_points < 1:
-            raise ValueError("n_cloud_points must be >= 1")
+        if not (1 <= self.n_cloud_points <= MAX_CLOUD_POINTS):
+            raise ValueError(f"n_cloud_points must be in [1, {MAX_CLOUD_POINTS}]")
         if not (self.thread_length > 0.0):
             raise ValueError("thread_length must be positive")
-
-    @property
-    def primitives(self) -> PrimitiveSet:
-        return PRESETS[self.preset][0]
-
-    @property
-    def intervention_budget(self) -> int:
-        return PRESETS[self.preset][1]
 
 
 @dataclass
@@ -177,10 +173,9 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialLog:
     )
     status, error, completed = "wound_closed", None, 0
     for i in range(1, config.wound.n_target_sutures + 1):
-        outcome = run_suture(world, config.controller, i, enabled)
-        if outcome.state_after is not PipelineState.DONE:
-            status = "failed"
-            error = outcome.error.value if outcome.error else None
+        failed = run_suture(world, config.controller, i, enabled)
+        if failed is not None:
+            status, error = "failed", failed.value
             break
         completed = i
         if i < config.wound.n_target_sutures:
@@ -231,11 +226,6 @@ def _run_trial_in_worker(config: ExperimentConfig, trial_index: int) -> bytes:
     # as bytes, several times smaller than its events as objects, so the
     # parent's peak memory hardly depends on the order trials end in.
     return pickle.dumps(run_trial(config, trial_index), pickle.HIGHEST_PROTOCOL)
-
-
-def run_experiment(config: ExperimentConfig) -> list[TrialLog]:
-    """All of iter_trials' trials, in a list."""
-    return list(iter_trials(config))
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +322,7 @@ def write_logs(logs: Iterable[TrialLog], path, n_trials: int | None = None) -> N
 
     `logs` may be any iterable, consumed once; n_trials defaults to
     len(logs). A run that dies mid-sweep leaves a log whose trial count
-    falls short of its header, which read_logs rejects.
+    falls short of its header, which iter_logs rejects.
     """
     if n_trials is None:
         n_trials = len(logs)
@@ -485,11 +475,6 @@ def iter_logs(path) -> Iterator[TrialLog]:
         raise LogFormatError(
             f"line {lineno}: file ends after {read} trials, header announces {n_trials} (truncated?)"
         )
-
-
-def read_logs(path) -> list[TrialLog]:
-    """All of iter_logs' trials, in a list."""
-    return list(iter_logs(path))
 
 
 # ---------------------------------------------------------------------------

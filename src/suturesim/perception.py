@@ -17,10 +17,11 @@ Each refinement runs once, not to a fixed point: the feedback pass
 corrects the plane anyway, and a sub-nanometre Gauss-Newton step is
 about a millionth of the 0.3-0.5 mm sensor noise.
 
-Each RANSAC stage keeps the first hypothesis with the most inliers.
-RansacParams.iterations caps the random samples it draws; it scores
-their hypotheses in blocks of 16, 32, 64, ... samples and stops after a
-block once its best consensus is STOP_CONFIDENCE certain (_stop_after).
+Both RANSAC stages draw RansacParams.iterations index tuples up front
+(point triples, point pairs) and run one loop, _consensus: it builds
+and scores their hypotheses in blocks of 16, 32, 64, ... tuples, keeps
+the first with the most inliers, and stops after a block once that
+consensus is STOP_CONFIDENCE certain (_stop_after).
 
 estimate_pose draws the plane's triples, then the circle's pairs, from
 the one Generator its caller passes, and returns EstimationDiagnostics
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -47,6 +47,9 @@ DEFAULT_ITERATIONS = 500
 DEFAULT_PLANE_THRESHOLD = 5e-4
 DEFAULT_CIRCLE_THRESHOLD = 4e-4
 DEFAULT_MIN_INLIERS = 15
+# A RANSAC stage draws all its index tuples up front (_hypothesis_indices):
+# iterations x k int64 values, 24 MB of point triples at this cap.
+MAX_ITERATIONS = 1_000_000
 
 NEEDLE_RADIUS = 0.012  # GS-21-class half-circle needle, meters
 
@@ -93,8 +96,8 @@ class RansacParams:
     seed: int = 0  # read only by estimate_needle_pose, to seed its generator
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        if not (1 <= self.iterations <= MAX_ITERATIONS):
+            raise ValueError(f"iterations must be in [1, {MAX_ITERATIONS}]")
         if not (0.0 < self.inlier_threshold < math.inf):
             raise ValueError("inlier_threshold must be positive and finite")
         if self.min_inliers < 3:
@@ -429,50 +432,48 @@ def _score_blocks(
     """
     cap = max(1, max(2, _SCORE_BLOCK_PAIRS // n_points) // rows_per_hypothesis)
     size = min(_FIRST_BLOCK, cap)
-    stops = []
-    stop = size
-    while stop < n_hypotheses:
-        stops.append(stop)
+    blocks = [(0, min(size, n_hypotheses))]
+    while blocks[-1][1] < n_hypotheses:
         size = min(2 * size, cap)
-        stop += size
-    starts = [0, *stops]
-    return list(zip(starts, [*stops, n_hypotheses]))
+        start = blocks[-1][1]
+        blocks.append((start, min(start + size, n_hypotheses)))
+    return blocks
 
 
 class _Consensus(NamedTuple):
     count: int  # the winner's inlier count
-    models: tuple  # the winner's block, as `blocks` yielded it
+    models: object  # the winner's block, as `hypotheses` built it
     row: int  # the winner's row in that block
     within: np.ndarray  # the winner's inlier mask
     drawn: int  # index tuples drawn through the last block, scored or empty
 
 
-def _consensus(blocks, residuals, threshold: float, stop_after):
-    """Score blocks of hypotheses until the stop rule holds, and return
-    the first hypothesis scored with the most inliers (Fischler & Bolles,
-    1981). None when `blocks` yields nothing.
+def _consensus(
+    idx: np.ndarray, n_points: int, hypotheses, residuals, params: RansacParams, rows_per_hypothesis=1
+) -> _Consensus | None:
+    """The first hypothesis scored with the most inliers (Fischler &
+    Bolles, 1981), from the index tuples idx (h, k); None when no tuple
+    gives one.
 
-    `blocks` yields (drawn, models) for each block of index tuples: the
-    count of tuples drawn through it, and its hypotheses, or None when it
-    gives none to score. `residuals(models)` returns a block's
-    (hypotheses, points) residuals; a point within `threshold` of a
-    hypothesis is its inlier. After each scored block, scoring stops once
-    `drawn` reaches stop_after(best count so far); `drawn` otherwise ends
-    at the last block's bound. `blocks` builds a block's hypotheses only
-    when it is asked for the block, so stopping also skips their
-    construction. Counts are summed in int32, exact for any cloud under
-    2**31 points.
+    Walks the blocks _score_blocks(h, n_points, rows_per_hypothesis):
+    `hypotheses(idx[a:b])` builds a block's models, `residuals(models)`
+    their (hypotheses, points) residuals, and a point within
+    params.inlier_threshold is an inlier. A block with no hypotheses is
+    skipped. Scoring stops after the first block whose bound reaches
+    _stop_after(best count, sample size k), before the next block is
+    built. Counts are summed in int32, exact under 2**31 points.
     """
     best = None  # (count, models, row, within) of the winner so far
-    for drawn, models in blocks:
-        if models is None:
+    for start, drawn in _score_blocks(len(idx), n_points, rows_per_hypothesis):
+        models = hypotheses(idx[start:drawn])
+        within = residuals(models) <= params.inlier_threshold
+        if not len(within):
             continue
-        within = residuals(models) <= threshold
         counts = np.add.reduce(within, axis=1, dtype=np.int32)
         row = int(counts.argmax())
         if best is None or counts[row] > best[0]:
             best = (int(counts[row]), models, row, within[row])
-        if drawn >= stop_after(best[0]):
+        if drawn >= _stop_after(best[0], n_points, idx.shape[1], params.min_inliers):
             break
     return None if best is None else _Consensus(*best, drawn)
 
@@ -484,13 +485,11 @@ def _plane_residuals(pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray) 
     return np.abs(dist, out=dist)
 
 
-def _circle_residuals(
-    pts: np.ndarray, pp: np.ndarray, centers: np.ndarray, cc: np.ndarray, radius: float
-) -> np.ndarray:
+def _circle_residuals(pts: np.ndarray, pp: np.ndarray, centers: np.ndarray, radius: float) -> np.ndarray:
     """||p - c| - radius| for every center (rows) and point (columns).
 
-    pp and cc are the squared norms of pts and centers. |p - c|^2 comes
-    from |p|^2 - 2 p.c + |c|^2: one matmul instead of an (h, n, 2)
+    pp holds the squared norms of pts. |p - c|^2 comes from
+    |p|^2 - 2 p.c + |c|^2: one matmul instead of an (h, n, 2)
     broadcast, which dominates the runtime otherwise. The -2 is folded
     into the small operand: scaling by a power of two is exact, so
     (-2 c) @ p.T has the bytes of -2 * (c @ p.T) without a pass over the
@@ -499,7 +498,7 @@ def _circle_residuals(
     """
     resid = (-2.0 * centers) @ pts.T
     resid += pp
-    resid += cc[:, None]
+    resid += np.einsum("ij,ij->i", centers, centers)[:, None]
     np.maximum(resid, 0.0, out=resid)
     np.sqrt(resid, out=resid)
     resid -= radius
@@ -567,12 +566,8 @@ def fit_plane_ransac(
     the number of point triples drawn before the search stopped. A cloud
     with a NaN or infinite coordinate raises DegenerateInput.
 
-    params.iterations caps the triples rng draws. The search stops early,
-    after a block of hypotheses, once its best consensus is
-    STOP_CONFIDENCE certain (_stop_after, sample size 3). Hypotheses are
-    built and scored in blocks of at most _SCORE_BLOCK_PAIRS (plane,
-    point) pairs, so no temporary reaches glibc's mmap threshold and none
-    is mapped and page-faulted afresh on each call.
+    params.iterations caps the triples rng draws; _consensus may stop
+    the search after any block of them.
     """
     pts = np.asarray(cloud, dtype=float)
     # Finiteness first: estimate_pose reports a non-finite cloud of any shape through it.
@@ -583,18 +578,12 @@ def fit_plane_ransac(
     if len(pts) < 3:
         raise DegenerateInput(f"need at least 3 points, got {len(pts)}", stage="plane")
 
-    idx = _hypothesis_indices(len(pts), 3, params.iterations, rng)
-
-    def blocks():
-        for a, b in _score_blocks(len(idx), len(pts)):
-            models = _plane_hypotheses(pts, idx[a:b])
-            yield b, models if len(models[0]) else None
-
     found = _consensus(
-        blocks(),
-        lambda models: _plane_residuals(pts, *models),
-        params.inlier_threshold,
-        partial(_stop_after, n_points=len(pts), sample_size=3, min_inliers=params.min_inliers),
+        _hypothesis_indices(len(pts), 3, params.iterations, rng),
+        len(pts),
+        lambda block: _plane_hypotheses(pts, block),
+        lambda planes: _plane_residuals(pts, *planes),
+        params,
     )
     if found is None:
         raise DegenerateInput("no sampled triple spans a plane", stage="plane")
@@ -668,12 +657,8 @@ def fit_circle_fixed_radius(
     center and the number of point pairs drawn before the search stopped.
     Points with a NaN or infinite coordinate raise DegenerateInput.
 
-    params.iterations caps the pairs rng draws. The search stops early, after
-    a block of pairs, once its best consensus is STOP_CONFIDENCE certain
-    (_stop_after, sample size 2). Candidate centers are built and scored
-    in blocks of at most _SCORE_BLOCK_PAIRS (center, point) pairs, so no
-    temporary reaches glibc's mmap threshold and none is mapped and
-    page-faulted afresh on each call.
+    params.iterations caps the pairs rng draws; _consensus may stop the
+    search after any block of them.
     """
     pts = np.asarray(points2d, dtype=float)
     if not np.isfinite(pts).all():
@@ -685,19 +670,14 @@ def fit_circle_fixed_radius(
     if not (radius > 0.0):
         raise DegenerateInput("radius must be positive", stage="circle")
 
-    idx = _hypothesis_indices(len(pts), 2, params.iterations, rng)
     pp = np.einsum("ij,ij->i", pts, pts)
-
-    def blocks():
-        for a, b in _score_blocks(len(idx), len(pts), rows_per_hypothesis=2):
-            centers = _circle_hypotheses(pts, idx[a:b], radius)
-            yield b, (centers, np.einsum("ij,ij->i", centers, centers)) if len(centers) else None
-
     found = _consensus(
-        blocks(),
-        lambda models: _circle_residuals(pts, pp, *models, radius),
-        params.inlier_threshold,
-        partial(_stop_after, n_points=len(pts), sample_size=2, min_inliers=params.min_inliers),
+        _hypothesis_indices(len(pts), 2, params.iterations, rng),
+        len(pts),
+        lambda block: _circle_hypotheses(pts, block, radius),
+        lambda centers: _circle_residuals(pts, pp, centers, radius),
+        params,
+        rows_per_hypothesis=2,
     )
     if found is None:
         raise NoConsensus("no sampled pair admits a center candidate", stage="circle")
@@ -707,8 +687,7 @@ def fit_circle_fixed_radius(
             stage="circle",
         )
 
-    centers, _ = found.models
-    center = _polish_circle_center(pts[found.within], centers[found.row], radius)
+    center = _polish_circle_center(pts[found.within], found.models[found.row], radius)
     return center, found.drawn
 
 

@@ -138,8 +138,8 @@ class WoundSpec:
 def make_wound(
     n_sutures: int = 6,
     spacing: float = 0.01,
-    ridge_half_width: float = 0.005,
-    ridge_height: float = 0.010,
+    ridge_half_width: float = WoundSpec.ridge_half_width,
+    ridge_height: float = WoundSpec.ridge_height,
     entry_height: float = 0.005,
 ) -> WoundSpec:
     """Evenly spaced suture sites straddling the ridge, centered on y = 0."""

@@ -17,14 +17,14 @@ from suturesim import controller as ctl
 from suturesim import geometry as geo
 from suturesim import perception as pc
 from suturesim import simworld as sw
-from suturesim.controller import ControllerParams, ErrorKind, PipelineState
+from suturesim.controller import ControllerParams, ErrorKind
 from suturesim.harness import (
     ExperimentConfig,
     TrialLog,
     compute_metrics,
     format_mean,
     format_rate,
-    run_experiment,
+    iter_trials,
     validate_event_trace,
 )
 from suturesim.simworld import FailureModel, GripperId, NoiseModel
@@ -83,14 +83,14 @@ def quiet_world(seed, failures=NO_FAILURES):
     )
 
 
-def as_trial_log(world, seed, outcome, preset="stitch"):
-    failed = outcome.state_after is PipelineState.FAILED
+def as_trial_log(world, seed, failed, preset="stitch"):
+    """One suture's trace as a trial; `failed` is what run_suture returned."""
     return TrialLog(
         trial=0,
         seed=seed,
         preset=preset,
         status="failed" if failed else "wound_closed",
-        error=outcome.error.value if outcome.error else None,
+        error=failed.value if failed else None,
         sutures_completed=0 if failed else 1,
         elapsed=world.clock,
         events=world.events,
@@ -201,11 +201,11 @@ def test_criterion_4_retry_and_recovery_contracts():
     # -- extraction: six scripted misses, exactly five retries, error E
     world = quiet_world(seed=70)
     world.scripted_grasp_outcomes = [False] * 6
-    outcome = ctl.run_suture(world, PARAMS, 1)
+    failed = ctl.run_suture(world, PARAMS, 1)
     ev = world.events
     retries = [e for e in ev if e["kind"] == "retry" and e["primitive"] == "extraction"]
     assert len(retries) == 5, f"{len(retries)} extraction retries, expected 5"
-    assert outcome.error is ErrorKind.EXTRACTION
+    assert failed is ErrorKind.EXTRACTION
     # each retried attempt's before/after observations move < 2 cm:
     # that sub-threshold progress is what triggered the retry
     stalls = [
@@ -213,27 +213,26 @@ def test_criterion_4_retry_and_recovery_contracts():
         for a, b in phase_observation_pairs(ev, "extraction")
     ]
     assert stalls and all(d < 0.02 for d in stalls)
-    validate_event_trace(as_trial_log(world, 70, outcome), controller=PARAMS, budget=0, n_sutures=1)
+    validate_event_trace(as_trial_log(world, 70, failed), controller=PARAMS, budget=0, n_sutures=1)
 
     # -- a successful extraction clears the same 2 cm threshold
     nominal = quiet_world(seed=71)
-    ok_outcome = ctl.run_suture(nominal, PARAMS, 1)
-    assert ok_outcome.state_after is PipelineState.DONE
+    assert ctl.run_suture(nominal, PARAMS, 1) is None
     moved = phase_observation_pairs(nominal.events, "extraction")[-1]
     assert float(np.linalg.norm(moved[1] - moved[0])) >= 0.02
 
     # -- handover: six scripted misses, exactly five retries, jitter < 0.5 cm
     world = quiet_world(seed=72)
     world.scripted_grasp_outcomes = [True] + [False] * 6
-    outcome = ctl.run_suture(world, PARAMS, 1)
+    failed = ctl.run_suture(world, PARAMS, 1)
     ev = world.events
     retries = [e for e in ev if e["kind"] == "retry" and e["primitive"] == "handover"]
     assert len(retries) == 5, f"{len(retries)} handover retries, expected 5"
-    assert outcome.error is ErrorKind.HANDOVER
+    assert failed is ErrorKind.HANDOVER
     jitters = [e["magnitude"] for e in ev if e["kind"] == "handover_jitter"]
     assert len(jitters) == 5
     assert all(0.0 <= m < 0.005 for m in jitters), f"jitter out of [0, 0.005): {jitters}"
-    validate_event_trace(as_trial_log(world, 72, outcome), controller=PARAMS, budget=0, n_sutures=1)
+    validate_event_trace(as_trial_log(world, 72, failed), controller=PARAMS, budget=0, n_sutures=1)
 
     # -- two interventions rescue two failures; the third failure is terminal
     world = quiet_world(seed=73, failures=FailureModel(
@@ -246,14 +245,14 @@ def test_criterion_4_retry_and_recovery_contracts():
         intervention_budget=2,
     ))
     world.scripted_grasp_outcomes = ([True] + [False] * 6) * 3
-    outcome = ctl.run_suture(world, PARAMS, 1)
+    failed = ctl.run_suture(world, PARAMS, 1)
     ev = world.events
     interventions = [e for e in ev if e["kind"] == "intervention"]
     assert len(interventions) == 2, f"{len(interventions)} interventions, expected budget of 2"
     assert len([e for e in ev if e["kind"] == "suture_attempt"]) == 3
-    assert outcome.state_after is PipelineState.FAILED
+    assert failed is not None
     validate_event_trace(
-        as_trial_log(world, 73, outcome, preset="stitch_human"),
+        as_trial_log(world, 73, failed, preset="stitch_human"),
         controller=PARAMS,
         budget=2,
         n_sutures=1,
@@ -276,7 +275,7 @@ def test_criterion_5_nominal_path_completeness():
         circle_ransac=FAST_CIRCLE,
         n_cloud_points=100,
     )
-    logs = run_experiment(config)
+    logs = list(iter_trials(config))
     closed = sum(log.status == "wound_closed" for log in logs)
     assert closed == 100, f"only {closed}/100 zero-noise trials closed the wound"
     assert all(log.sutures_completed == 6 for log in logs)
@@ -291,8 +290,8 @@ def test_criterion_6_ablation_ordering():
     start = time.perf_counter()
     means = {}
     for preset in ("sensing_only", "thread_handling", "stitch", "stitch_human"):
-        logs = run_experiment(ExperimentConfig(preset=preset, n_trials=500))
-        means[preset] = compute_metrics(logs).mean_sutures_to_failure
+        trials = iter_trials(ExperimentConfig(preset=preset, n_trials=500))
+        means[preset] = compute_metrics(trials).mean_sutures_to_failure
     elapsed = time.perf_counter() - start
     ok = (
         means["sensing_only"] < means["thread_handling"] < means["stitch"]

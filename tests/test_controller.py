@@ -12,9 +12,7 @@ from suturesim import simworld as sw
 from suturesim.controller import (
     CinchError,
     ControllerParams,
-    Decision,
     ErrorKind,
-    PipelineState,
     PlanError,
     PrimitiveSet,
 )
@@ -210,23 +208,23 @@ def shifted(pose, delta):
 
 def test_recover_extraction_thresholds():
     before = horizontal_pose()
-    assert ctl.recover_extraction(before, shifted(before, [0.015, 0, 0]), PARAMS) is Decision.RETRY
-    assert ctl.recover_extraction(before, shifted(before, [0.05, 0, 0]), PARAMS) is Decision.PROCEED
+    assert ctl.recover_extraction(before, shifted(before, [0.015, 0, 0]), PARAMS) is True
+    assert ctl.recover_extraction(before, shifted(before, [0.05, 0, 0]), PARAMS) is False
     # exactly at the 2 cm threshold counts as progress
     exact = shifted(before, [PARAMS.extraction_progress_threshold, 0, 0])
-    assert ctl.recover_extraction(before, exact, PARAMS) is Decision.PROCEED
+    assert ctl.recover_extraction(before, exact, PARAMS) is False
     # the retry budget is not recover_extraction's: a stalled attempt always
     # asks for a retry, and _with_retries decides when to give up (pinned by
     # test_pinned_exhaustion_digests and criterion 4)
     stuck = shifted(before, [0.001, 0, 0])
-    assert ctl.recover_extraction(before, stuck, PARAMS) is Decision.RETRY
+    assert ctl.recover_extraction(before, stuck, PARAMS) is True
 
 
 def test_recover_handover_normal_change():
     y = np.array([0.0, 1.0, 0.0])
-    assert ctl.recover_handover(y, y, PARAMS) is Decision.PROCEED
+    assert ctl.recover_handover(y, y, PARAMS) is False
     tilted = geo.rotation_about_axis(np.array([0.0, 0.0, 1.0]), math.radians(5.0)).apply_vector(y)
-    assert ctl.recover_handover(y, tilted, PARAMS) is Decision.RETRY
+    assert ctl.recover_handover(y, tilted, PARAMS) is True
 
 
 def test_recover_handover_boundary_is_strict():
@@ -238,7 +236,7 @@ def test_recover_handover_boundary_is_strict():
         float(np.dot(geo.unit(y), geo.unit(nudged))),
     )
     params = ControllerParams(normal_change_epsilon=angle)
-    assert ctl.recover_handover(y, nudged, params) is Decision.PROCEED
+    assert ctl.recover_handover(y, nudged, params) is False
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +314,7 @@ def test_insertion_script_drives_tip_past_exit():
 
 def test_run_suture_nominal_path():
     world = quiet_world(seed=60)
-    outcome = ctl.run_suture(world, PARAMS, 1)
-    assert outcome.state_after is PipelineState.DONE
-    assert outcome.error is None
+    assert ctl.run_suture(world, PARAMS, 1) is None
     assert events_of(world, "retry") == []
     assert world.thread.pulled_through == PARAMS.l_des  # beta(1), bitwise
     assert len(events_of(world, "suture_closed")) == 1
@@ -332,10 +328,10 @@ def test_run_suture_nominal_path():
 
 def test_disabled_primitives_still_transition():
     world = quiet_world(seed=61)
-    outcome = ctl.run_suture(
+    failed = ctl.run_suture(
         world, PARAMS, 1, PrimitiveSet(sweep=False, cinch=False, correction=False)
     )
-    assert outcome.state_after is PipelineState.DONE
+    assert failed is None
     assert world.thread.pulled_through == 0.0
     assert not events_of(world, "sweep_complete")
     hops = [(e["frm"], e["to"]) for e in events_of(world, "transition")]
@@ -347,9 +343,7 @@ def test_disabled_primitives_still_transition():
 def test_scripted_extraction_failure_after_exactly_five_retries():
     world = quiet_world(seed=62)
     world.scripted_grasp_outcomes = [False] * 6
-    outcome = ctl.run_suture(world, PARAMS, 1)
-    assert outcome.state_after is PipelineState.FAILED
-    assert outcome.error is ErrorKind.EXTRACTION
+    assert ctl.run_suture(world, PARAMS, 1) is ErrorKind.EXTRACTION
     retries = [e for e in events_of(world, "retry") if e["primitive"] == "extraction"]
     assert len(retries) == PARAMS.max_retries == 5
     failed = events_of(world, "suture_failed")
@@ -359,9 +353,7 @@ def test_scripted_extraction_failure_after_exactly_five_retries():
 def test_scripted_handover_failure_after_exactly_five_retries():
     world = quiet_world(seed=63)
     world.scripted_grasp_outcomes = [True] + [False] * 6
-    outcome = ctl.run_suture(world, PARAMS, 1)
-    assert outcome.state_after is PipelineState.FAILED
-    assert outcome.error is ErrorKind.HANDOVER
+    assert ctl.run_suture(world, PARAMS, 1) is ErrorKind.HANDOVER
     retries = [e for e in events_of(world, "retry") if e["primitive"] == "handover"]
     assert len(retries) == 5
     jitters = events_of(world, "handover_jitter")
@@ -409,8 +401,7 @@ def test_pinned_exhaustion_digests(scenario):
     seed, params, grasps, noise, detail, digest = EXHAUSTION[scenario]
     world = quiet_world(seed=seed, noise=noise)
     world.scripted_grasp_outcomes = grasps
-    outcome = ctl.run_suture(world, params, 1)
-    assert outcome.state_after is PipelineState.FAILED
+    assert ctl.run_suture(world, params, 1) is not None
     assert [e["detail"] for e in events_of(world, "suture_failed")] == [detail]
     assert len(events_of(world, "retry")) == params.max_retries
     encoded = json.dumps(world.events, sort_keys=True).encode("utf-8")
@@ -428,8 +419,7 @@ def test_forced_entanglement_classified_as_thread_error():
         intervention_budget=0,
     )
     world = quiet_world(seed=64, failures=tangles)
-    outcome = ctl.run_suture(world, PARAMS, 1)
-    assert outcome.error is ErrorKind.THREAD
+    assert ctl.run_suture(world, PARAMS, 1) is ErrorKind.THREAD
     assert events_of(world, "suture_failed")[0]["error"] == "T"
 
 
@@ -444,18 +434,16 @@ def test_sweep_causally_prevents_entanglement():
         intervention_budget=0,
     )
     swept = quiet_world(seed=65, failures=FailureModel(**cfg))
-    assert ctl.run_suture(swept, PARAMS, 1).state_after is PipelineState.DONE
+    assert ctl.run_suture(swept, PARAMS, 1) is None
 
     unswept = quiet_world(seed=65, failures=FailureModel(**cfg))
-    outcome = ctl.run_suture(unswept, PARAMS, 1, PrimitiveSet(sweep=False))
-    assert outcome.error is ErrorKind.THREAD
+    assert ctl.run_suture(unswept, PARAMS, 1, PrimitiveSet(sweep=False)) is ErrorKind.THREAD
 
 
 def test_intervention_resumes_and_completes_suture():
     world = quiet_world(seed=66, failures=no_failures(budget=2))
     world.scripted_grasp_outcomes = [True] + [False] * 6 + [True, True]
-    outcome = ctl.run_suture(world, PARAMS, 1)
-    assert outcome.state_after is PipelineState.DONE
+    assert ctl.run_suture(world, PARAMS, 1) is None
     assert len(events_of(world, "intervention")) == 1
     assert world.interventions_left == 1
     hops = [(e["frm"], e["to"]) for e in events_of(world, "transition")]

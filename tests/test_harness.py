@@ -29,9 +29,9 @@ from suturesim.harness import (
     format_mean,
     format_rate,
     format_time,
-    read_logs,
+    iter_logs,
+    iter_trials,
     report_render,
-    run_experiment,
     validate_event_trace,
     write_logs,
 )
@@ -97,9 +97,13 @@ def test_experiment_config_validation():
         ExperimentConfig(preset="nonsense")
     with pytest.raises(ValueError):
         ExperimentConfig(n_trials=0)
-    cfg = ExperimentConfig(preset="stitch_human")
-    assert cfg.intervention_budget == 2
-    assert cfg.primitives.correction
+    ExperimentConfig(n_cloud_points=hn.MAX_CLOUD_POINTS)  # the cap itself is accepted
+    with pytest.raises(ValueError, match="n_cloud_points"):
+        ExperimentConfig(n_cloud_points=hn.MAX_CLOUD_POINTS + 1)
+    assert ExperimentConfig(preset="stitch_human").preset == "stitch_human"
+    enabled, budget = PRESETS["stitch_human"]
+    assert budget == 2
+    assert enabled.correction
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +199,7 @@ def test_metrics_reject_empty_input():
 @pytest.fixture(scope="module")
 def nominal_logs():
     config = fast_config(preset="stitch", failures=NO_FAILURES, noise=ZERO_NOISE)
-    return config, run_experiment(config)
+    return config, list(iter_trials(config))
 
 
 def test_zero_noise_trials_all_close(nominal_logs):
@@ -239,7 +243,7 @@ def test_log_round_trip(tmp_path, nominal_logs):
     _, logs = nominal_logs
     path = tmp_path / "logs.jsonl"
     write_logs(logs, path)
-    back = read_logs(path)
+    back = list(iter_logs(path))
     assert len(back) == len(logs)
     for a, b in zip(logs, back):
         assert (a.trial, a.seed, a.preset, a.status, a.error) == (
@@ -259,8 +263,8 @@ def test_log_round_trip(tmp_path, nominal_logs):
 def test_log_writes_are_byte_identical(tmp_path):
     config = fast_config(preset="sensing_only", n_trials=2, base_seed=17)
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    write_logs(run_experiment(config), p1)
-    write_logs(run_experiment(config), p2)
+    write_logs(list(iter_trials(config)), p1)
+    write_logs(list(iter_trials(config)), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -430,7 +434,7 @@ def test_malformed_log_files_raise(tmp_path, capsys, nominal_logs, mutate, fragm
     if callable(fragment):
         fragment = fragment(lines)
     with pytest.raises(LogFormatError) as err:
-        read_logs(bad)
+        list(iter_logs(bad))
     assert fragment in str(err.value)
     assert "line" in str(err.value)
     assert cli.main(["report", "--logs", str(bad)]) == cli.EXIT_RUNTIME
@@ -543,6 +547,7 @@ def test_make_world_and_experiment_config_share_in_loop_defaults():
     assert world.ransac == config.ransac
     assert world.circle_ransac == config.circle_ransac
     assert world.n_cloud_points == config.n_cloud_points
+    assert world.thread.total_length == config.thread_length
 
 
 def test_config_from_none_is_default():
@@ -701,6 +706,10 @@ def test_cli_bad_config_is_usage_exit(tmp_path, capsys):
         ("wound:\n  spacing: .inf\n", [], "wound.spacing"),
         ("controller:\n  correction_corner: [.inf, 0, 0]\n", [], "controller.correction_corner[0]"),
         ("controller:\n  handover_test_offset: [.nan, 0, 0]\n", [], "controller.handover_test_offset[0]"),
+        # counts whose up-front arrays no machine holds: rejected before any is built
+        ("ransac:\n  iterations: 100000000000000\n", [], "iterations"),
+        ("circle_ransac:\n  iterations: 123456789012345678901234\n", [], "iterations"),
+        ("experiment:\n  n_cloud_points: 1000000000000\n", [], "n_cloud_points"),
     ],
     ids=[
         "occlusion_key",
@@ -719,6 +728,9 @@ def test_cli_bad_config_is_usage_exit(tmp_path, capsys):
         "infinite_spacing",
         "infinite_correction_corner",
         "nan_handover_test_offset",
+        "huge_iterations",
+        "24_digit_iterations",
+        "huge_cloud",
     ],
 )
 def test_cli_config_rejected_at_load_is_usage_exit(tmp_path, capsys, config_text, flags, field_name):
@@ -771,6 +783,33 @@ def test_cli_estimate_negative_seed_is_usage_exit(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: bad argument: ") and err.count("\n") == 1
+
+
+def test_cli_estimate_iterations_past_the_cap_is_usage_exit(tmp_path, capsys):
+    cloud = tmp_path / "cloud.csv"
+    assert cli.main(["synth", "--out", str(cloud), "--seed", "9"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["estimate", str(cloud), "--iterations", "100000000000000"]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: bad argument: ") and "iterations" in err and err.count("\n") == 1
+
+
+def test_cli_estimate_out_of_memory_is_runtime_exit(tmp_path, capsys, monkeypatch):
+    # An oversized cloud file fails where the endpoint stage builds its
+    # Gram matrix; the allocation failure is raised here without allocating.
+    cloud = tmp_path / "cloud.csv"
+    assert cli.main(["synth", "--out", str(cloud), "--seed", "9"]) == cli.EXIT_OK
+    capsys.readouterr()
+
+    def oversized(points):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)")
+
+    monkeypatch.setattr(pc, "farthest_pair_indices", oversized)
+    assert cli.main(["estimate", str(cloud)]) == cli.EXIT_RUNTIME
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("trials", ["1", "4"])  # 4 trials raise in pool workers

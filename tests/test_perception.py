@@ -2,7 +2,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
-from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -49,6 +49,10 @@ def random_pose(rng, max_tilt_deg=40.0):
 def test_ransac_params_validation():
     with pytest.raises(ValueError):
         pc.RansacParams(iterations=0)
+    # the cap bounds the index tuples a stage draws up front; checking it allocates nothing
+    assert pc.RansacParams(iterations=pc.MAX_ITERATIONS).iterations == pc.MAX_ITERATIONS
+    with pytest.raises(ValueError, match="iterations"):
+        pc.RansacParams(iterations=pc.MAX_ITERATIONS + 1)
     with pytest.raises(ValueError):
         pc.RansacParams(inlier_threshold=0.0)
     with pytest.raises(ValueError):
@@ -211,49 +215,61 @@ def hypothesis_counts(n_points, rows=1):
     return sorted({1, max(1, first - 1), first, first + 1, second + 1, 5 * cap + 3})
 
 
-def stop_rule(n_points, sample_size, min_inliers=3):
-    return partial(pc._stop_after, n_points=n_points, sample_size=sample_size, min_inliers=min_inliers)
+def tuples(h, k):
+    """h index tuples of k indices each; every index of tuple i is i, so a
+    block of tuples names the rows of given models it stands for."""
+    return np.repeat(np.arange(h)[:, None], k, axis=1)
 
 
-def score_all(best):
-    """A stop rule that never holds: every block is scored."""
-    return math.inf
+def stop_rule(n_points, sample_size, min_inliers):
+    """The stop rule pc._consensus applies, as a function of the best count."""
+    return lambda best: pc._stop_after(best, n_points, sample_size, min_inliers)
 
 
-class Blocks:
-    """The fit functions' blocks over given hypotheses, for pc._consensus.
+def score_all(n_points, threshold):
+    """Params whose stop rule never holds, as no count reaches min_inliers:
+    every block is scored."""
+    return pc.RansacParams(inlier_threshold=threshold, min_inliers=n_points + 1)
 
-    `models` are arrays with `rows` rows per index tuple, split as
-    pc._score_blocks(n_tuples, n_points, rows) splits the tuples.
+
+def stopping(threshold):
+    """Params whose stop rule may hold once the best count reaches 3."""
+    return pc.RansacParams(inlier_threshold=threshold, min_inliers=3)
+
+
+class Hypotheses:
+    """Given models, served to pc._consensus block by block as its
+    `hypotheses`.
+
+    `models` are arrays with `rows` rows per index tuple (tuples(h, k)).
     `bounds` holds each block's (first row, row stop, tuples drawn
-    through it); `scored` the (first row, row stop) of each block
-    pc._consensus asked residuals of.
+    through it), as pc._score_blocks(n_tuples, n_points, rows) splits the
+    tuples; `built` the models and (first row, row stop) of each block
+    pc._consensus asked for.
     """
 
     def __init__(self, models, n_tuples, n_points, rows):
         self.models = models
+        self.rows = rows
         self.bounds = [
             (rows * a, rows * b, b) for a, b in pc._score_blocks(n_tuples, n_points, rows)
         ]
-        self.yielded = []
-        self.scored = []
+        self.built = []
 
-    def __iter__(self):
-        for start, stop, drawn in self.bounds:
-            block = tuple(m[start:stop] for m in self.models)
-            self.yielded.append((block, start, stop))
-            yield drawn, block
+    def __call__(self, block):
+        start, stop = self.rows * int(block[0, 0]), self.rows * (int(block[-1, 0]) + 1)
+        models = tuple(m[start:stop] for m in self.models)
+        self.built.append((models, start, stop))
+        return models
 
-    def recording(self, residuals):
-        def recorded(block):
-            self.scored.append(next((a, b) for y, a, b in self.yielded if y is block))
-            return residuals(block)
-
-        return recorded
+    @property
+    def scored(self):
+        """(first row, row stop) of each block built, and so scored."""
+        return [(start, stop) for _, start, stop in self.built]
 
     def winner(self, got):
         """The row, among all hypotheses, of the consensus got picked."""
-        start = next(a for y, a, _ in self.yielded if y is got.models)
+        start = next(a for m, a, _ in self.built if m is got.models)
         return start + got.row
 
 
@@ -267,45 +283,49 @@ def scored_prefix(bounds, counts, stop_after):
     return stop, drawn
 
 
-def assert_matches_oracle(got, blocks, oracle, stop_after):
+def assert_matches_oracle(got, hyps, oracle, stop_after):
     """Blocked consensus against one-shot (counts, (h, n) mask) of every
     hypothesis: the blocked search must score the prefix the stop rule
     picks, each block once, and pick the first hypothesis of that prefix
     with the most inliers."""
     want_counts, want_within = oracle
-    stop, drawn = scored_prefix(blocks.bounds, want_counts, stop_after)
+    stop, drawn = scored_prefix(hyps.bounds, want_counts, stop_after)
     assert got.drawn == drawn
-    assert blocks.scored == [(start, end) for start, end, _ in blocks.bounds if end <= stop]
+    assert hyps.scored == [(start, end) for start, end, _ in hyps.bounds if end <= stop]
     want_best = int(want_counts[:stop].argmax())
-    assert blocks.winner(got) == want_best
+    assert hyps.winner(got) == want_best
     assert got.count == want_counts[want_best]
     np.testing.assert_array_equal(got.within, want_within[want_best])
-    np.testing.assert_array_equal(got.models[0][got.row], blocks.models[0][want_best])
+    np.testing.assert_array_equal(got.models[0][got.row], hyps.models[0][want_best])
 
 
-def blocked_plane_scores(pts, normals, offsets, threshold, stop_after):
-    blocks = Blocks((normals, offsets), len(normals), len(pts), 1)
+def blocked_plane_scores(pts, normals, offsets, params):
+    """Planes come from point triples, one row per index tuple."""
+    hyps = Hypotheses((normals, offsets), len(normals), len(pts), 1)
     got = pc._consensus(
-        iter(blocks),
-        blocks.recording(lambda block: pc._plane_residuals(pts, *block)),
-        threshold,
-        stop_after,
+        tuples(len(normals), 3),
+        len(pts),
+        hyps,
+        lambda planes: pc._plane_residuals(pts, *planes),
+        params,
     )
-    return got, blocks
+    return got, hyps
 
 
-def blocked_circle_scores(pts, centers, radius, threshold, stop_after):
-    """Centers come in mirror pairs, two rows per index tuple."""
+def blocked_circle_scores(pts, centers, radius, params):
+    """Centers come from point pairs, in mirror pairs: two rows per index
+    tuple."""
     pp = np.einsum("ij,ij->i", pts, pts)
-    cc = np.einsum("ij,ij->i", centers, centers)
-    blocks = Blocks((centers, cc), len(centers) // 2, len(pts), 2)
+    hyps = Hypotheses((centers,), len(centers) // 2, len(pts), 2)
     got = pc._consensus(
-        iter(blocks),
-        blocks.recording(lambda block: pc._circle_residuals(pts, pp, *block, radius)),
-        threshold,
-        stop_after,
+        tuples(len(centers) // 2, 2),
+        len(pts),
+        hyps,
+        lambda block: pc._circle_residuals(pts, pp, block[0], radius),
+        params,
+        rows_per_hypothesis=2,
     )
-    return got, blocks
+    return got, hyps
 
 
 def spread_top_ties(bounds):
@@ -344,9 +364,9 @@ def test_blocked_plane_scores_match_one_shot_oracle(n_points):
         general = rng.uniform(-0.05, 0.05, (n_points, 3))
         for pts in (on_axis, general):
             oracle = one_shot_plane_scores(pts, normals, offsets, 0.01)
-            for stop_after in (score_all, stop_rule(n_points, 3)):
-                got, blocks = blocked_plane_scores(pts, normals, offsets, 0.01, stop_after)
-                assert_matches_oracle(got, blocks, oracle, stop_after)
+            for params in (score_all(n_points, 0.01), stopping(0.01)):
+                got, hyps = blocked_plane_scores(pts, normals, offsets, params)
+                assert_matches_oracle(got, hyps, oracle, stop_rule(n_points, 3, params.min_inliers))
                 stopped_early |= got.drawn < h
     assert stopped_early or n_points == 9000
 
@@ -362,20 +382,20 @@ def test_blocked_plane_top_ties_across_blocks_go_to_the_first_drawn(n_points):
     pts[:, 2] = np.random.default_rng(3).uniform(-0.001, 0.001, n_points)
     normals = np.tile([0.0, 0.0, 1.0], (h, 1))
     offsets = np.full(h, 0.5)
-    first, middle, last = spread_top_ties(Blocks((), h, n_points, 1).bounds)
+    first, middle, last = spread_top_ties(Hypotheses((), h, n_points, 1).bounds)
     offsets[[first, middle, middle + 1, last]] = 0.002, 0.0005, 0.0005, 0.0005
     oracle = one_shot_plane_scores(pts, normals, offsets, 0.01)
-    got, blocks = blocked_plane_scores(pts, normals, offsets, 0.01, score_all)
-    assert_matches_oracle(got, blocks, oracle, score_all)
-    assert blocks.winner(got) == first and got.count == n_points
-    assert len(blocks.scored) == len(blocks.bounds)
+    params = score_all(n_points, 0.01)
+    got, hyps = blocked_plane_scores(pts, normals, offsets, params)
+    assert_matches_oracle(got, hyps, oracle, stop_rule(n_points, 3, params.min_inliers))
+    assert hyps.winner(got) == first and got.count == n_points
+    assert len(hyps.scored) == len(hyps.bounds)
     # Under the stop rule, the first plane holds every point (w = 1), so
     # the search ends with its block and the later ties are never scored.
-    stop_after = stop_rule(n_points, 3)
-    got, blocks = blocked_plane_scores(pts, normals, offsets, 0.01, stop_after)
-    assert_matches_oracle(got, blocks, oracle, stop_after)
-    assert blocks.winner(got) == first and got.drawn == first + 1
-    assert len(blocks.scored) == 1
+    got, hyps = blocked_plane_scores(pts, normals, offsets, stopping(0.01))
+    assert_matches_oracle(got, hyps, oracle, stop_rule(n_points, 3, 3))
+    assert hyps.winner(got) == first and got.drawn == first + 1
+    assert len(hyps.scored) == 1
 
 
 @pytest.mark.parametrize("n_points", [140, 9000])
@@ -392,9 +412,9 @@ def test_blocked_circle_scores_match_one_shot_oracle(n_points):
         general = rng.uniform(-0.03, 0.03, (n_points, 2))
         for pts in (on_axis, general):
             oracle = one_shot_circle_scores(pts, centers, radius, 0.003)
-            for stop_after in (score_all, stop_rule(n_points, 2)):
-                got, blocks = blocked_circle_scores(pts, centers, radius, 0.003, stop_after)
-                assert_matches_oracle(got, blocks, oracle, stop_after)
+            for params in (score_all(n_points, 0.003), stopping(0.003)):
+                got, hyps = blocked_circle_scores(pts, centers, radius, params)
+                assert_matches_oracle(got, hyps, oracle, stop_rule(n_points, 2, params.min_inliers))
                 stopped_early |= got.drawn < pairs
     assert stopped_early or n_points == 9000
 
@@ -411,32 +431,36 @@ def test_blocked_circle_top_ties_across_blocks_go_to_the_first_drawn(n_points):
     pts = np.zeros((n_points, 2))
     pts[:, 0] = np.random.default_rng(4).uniform(0.0115, 0.0125, n_points)
     centers = np.full((2 * pairs, 2), 1.0)
-    first, middle, last = spread_top_ties(Blocks((), pairs, n_points, 2).bounds)
+    first, middle, last = spread_top_ties(Hypotheses((), pairs, n_points, 2).bounds)
     centers[[first, middle, middle + 1, last]] = [0.0004, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]
     oracle = one_shot_circle_scores(pts, centers, radius, 0.003)
-    got, blocks = blocked_circle_scores(pts, centers, radius, 0.003, score_all)
-    assert_matches_oracle(got, blocks, oracle, score_all)
-    assert blocks.winner(got) == first and got.count == n_points
-    assert len(blocks.scored) == len(blocks.bounds)
+    params = score_all(n_points, 0.003)
+    got, hyps = blocked_circle_scores(pts, centers, radius, params)
+    assert_matches_oracle(got, hyps, oracle, stop_rule(n_points, 2, params.min_inliers))
+    assert hyps.winner(got) == first and got.count == n_points
+    assert len(hyps.scored) == len(hyps.bounds)
     # Under the stop rule the first center holds every point (w = 1).
-    stop_after = stop_rule(n_points, 2)
-    got, blocks = blocked_circle_scores(pts, centers, radius, 0.003, stop_after)
-    assert_matches_oracle(got, blocks, oracle, stop_after)
-    assert blocks.winner(got) == first and 2 * got.drawn == first + 1
-    assert len(blocks.scored) == 1
+    got, hyps = blocked_circle_scores(pts, centers, radius, stopping(0.003))
+    assert_matches_oracle(got, hyps, oracle, stop_rule(n_points, 2, 3))
+    assert hyps.winner(got) == first and 2 * got.drawn == first + 1
+    assert len(hyps.scored) == 1
 
 
-def synthetic_consensus(counts, n_points, stop_after):
+def synthetic_consensus(counts, n_points, sample_size, min_inliers=3):
     """pc._consensus over hypotheses whose inlier masks hold the given
-    counts (leading points), in the plane stage's blocks."""
+    counts (leading points), drawn as index tuples of sample_size, in the
+    plane stage's blocks. The params stand-in lets min_inliers go below
+    RansacParams' floor of 3."""
     counts = np.asarray(counts)
-    blocks = Blocks((counts,), len(counts), n_points, 1)
-    return pc._consensus(
-        iter(blocks),
-        blocks.recording(lambda block: (np.arange(n_points) >= block[0][:, None]) * 1.0),
-        0.5,
-        stop_after,
-    ), blocks
+    hyps = Hypotheses((counts,), len(counts), n_points, 1)
+    got = pc._consensus(
+        tuples(len(counts), sample_size),
+        n_points,
+        hyps,
+        lambda block: (np.arange(n_points) >= block[0][:, None]) * 1.0,
+        SimpleNamespace(inlier_threshold=0.5, min_inliers=min_inliers),
+    )
+    return got, hyps
 
 
 @pytest.mark.parametrize("sample_size", [2, 3])
@@ -446,15 +470,16 @@ def test_stop_count_is_the_textbook_formula(sample_size):
     for best in (30, 60, 100, 150, 190, 200):
         w = best / n_points
         needed = math.log(0.01) / math.log(1.0 - w**sample_size) if w < 1.0 else 0.0
-        stop_after = stop_rule(n_points, sample_size, min_inliers=15)
+        stop_after = stop_rule(n_points, sample_size, 15)
         assert stop_after(best) == pytest.approx(needed, rel=1e-12, abs=0.0)
         counts = np.full(h, 5)
         counts[0] = best
-        got, blocks = synthetic_consensus(counts, n_points, stop_after)
-        ends = [drawn for _, _, drawn in blocks.bounds]
+        # _consensus reads the sample size off its index tuples
+        got, hyps = synthetic_consensus(counts, n_points, sample_size, min_inliers=15)
+        ends = [drawn for _, _, drawn in hyps.bounds]
         want = next((end for end in ends if end >= needed), h)
-        assert got.drawn == want == blocks.scored[-1][1]
-        assert blocks.winner(got) == 0 and got.count == best
+        assert got.drawn == want == hyps.scored[-1][1]
+        assert hyps.winner(got) == 0 and got.count == best
 
 
 def test_collinear_triples_inside_a_block(monkeypatch):
@@ -470,16 +495,15 @@ def test_collinear_triples_inside_a_block(monkeypatch):
     assert len(flat) == 9 + 84
     assert len(pc._plane_hypotheses(pts, np.array(flat))[0]) == 0
 
-    yielded, results = [], []
+    built, results = [], []  # (tuples, planes) of each block built; each search's consensus
     consensus = pc._consensus
 
-    def recording(blocks, *args):
-        def seen():
-            for block in blocks:
-                yielded.append(block)
-                yield block
+    def recording(idx, n_points, hypotheses, *args, **kwargs):
+        def seen(block):
+            built.append((len(block), hypotheses(block)))
+            return built[-1][1]
 
-        results.append(consensus(seen(), *args))
+        results.append(consensus(idx, n_points, seen, *args, **kwargs))
         return results[-1]
 
     monkeypatch.setattr(pc, "_consensus", recording)
@@ -491,18 +515,19 @@ def test_collinear_triples_inside_a_block(monkeypatch):
     idx = np.array(flat[:47] + [(0, 1, 10)] + flat[47:])
     monkeypatch.setattr(pc, "_hypothesis_indices", lambda n, k, iterations, rng: idx)
     _, inliers, drawn = pc.fit_plane_ransac(pts, pc.RansacParams(min_inliers=3), np.random.default_rng(0))
-    assert [b for b, _ in yielded] == [16, 48] and drawn == 48
-    assert yielded[0][1] is None and len(yielded[1][1][0]) == 1
+    assert list(itertools.accumulate(k for k, _ in built)) == [16, 48] and drawn == 48
+    assert len(built[0][1][0]) == 0 and len(built[1][1][0]) == 1
     got = results[-1]
-    assert got.models is yielded[1][1] and got.row == 0 and got.count == 11
+    assert got.models is built[1][1] and got.row == 0 and got.count == 11
     assert len(inliers) == 11
     # A search that never stops scores its one plane, skips every other
     # block, and counts them all in drawn.
-    yielded.clear()
+    built.clear()
     with pytest.raises(pc.NoConsensus, match="11 inliers < 12"):
         pc.fit_plane_ransac(pts, pc.RansacParams(min_inliers=12), np.random.default_rng(0))
-    assert [b for b, _ in yielded] == [16, 48, 94] and results[-1].drawn == 94
-    assert [models is None for _, models in yielded] == [True, False, True]
+    assert list(itertools.accumulate(k for k, _ in built)) == [16, 48, 94]
+    assert results[-1].drawn == 94
+    assert [len(planes[0]) == 0 for _, planes in built] == [True, False, True]
 
 
 def test_stop_waits_for_min_inliers():
@@ -511,13 +536,13 @@ def test_stop_waits_for_min_inliers():
     # the block holding hypothesis 100, whose 20 inliers stop it at once.
     counts = np.full(500, 10)
     counts[100] = 20
-    got, blocks = synthetic_consensus(counts, 20, stop_rule(20, 2, min_inliers=15))
-    block_end = next(drawn for start, stop, drawn in blocks.bounds if start <= 100 < stop)
-    assert (blocks.winner(got), got.count, got.drawn) == (100, 20, block_end)
-    assert stop_rule(20, 2, min_inliers=3)(10) < 24
+    got, hyps = synthetic_consensus(counts, 20, 2, min_inliers=15)
+    block_end = next(drawn for start, stop, drawn in hyps.bounds if start <= 100 < stop)
+    assert (hyps.winner(got), got.count, got.drawn) == (100, 20, block_end)
+    assert pc._stop_after(10, 20, 2, 3) < 24
     # Never reached: every hypothesis up to the cap is scored.
-    got, blocks = synthetic_consensus(np.full(500, 10), 20, stop_rule(20, 2, min_inliers=15))
-    assert got.drawn == blocks.scored[-1][1] == 500
+    got, hyps = synthetic_consensus(np.full(500, 10), 20, 2, min_inliers=15)
+    assert got.drawn == hyps.scored[-1][1] == 500
 
 
 def test_stop_rule_at_no_and_full_consensus_raises_no_warning():
@@ -526,10 +551,10 @@ def test_stop_rule_at_no_and_full_consensus_raises_no_warning():
         for sample_size in (2, 3):
             assert pc._stop_after(0, 100, sample_size, 0) == math.inf  # w = 0
             assert pc._stop_after(100, 100, sample_size, 3) == 0.0  # w = 1
-            got, blocks = synthetic_consensus(np.zeros(100), 100, stop_rule(100, sample_size, 0))
-            assert got.drawn == 100 and blocks.winner(got) == 0 and got.count == 0
-            got, blocks = synthetic_consensus(np.full(100, 100), 100, stop_rule(100, sample_size))
-            assert got.drawn == pc._FIRST_BLOCK and blocks.winner(got) == 0
+            got, hyps = synthetic_consensus(np.zeros(100), 100, sample_size, min_inliers=0)
+            assert got.drawn == 100 and hyps.winner(got) == 0 and got.count == 0
+            got, hyps = synthetic_consensus(np.full(100, 100), 100, sample_size)
+            assert got.drawn == pc._FIRST_BLOCK and hyps.winner(got) == 0
 
 
 def test_score_blocks_cover_every_hypothesis_once():
