@@ -30,7 +30,7 @@ from .perception import (
     pose_agreement,
     synth_needle_cloud,
 )
-from .simworld import FailureModel, TimingModel, WorldState, WoundSpec, make_world, make_wound
+from .simworld import FailureModel, TimingModel, WorldState, WoundSpec, make_wound
 
 __version__ = "0.1.0"
 
@@ -58,7 +58,6 @@ __all__ = [
     "estimate_needle_pose",
     "estimate_pose",
     "load_config",
-    "make_world",
     "make_wound",
     "pose_agreement",
     "report_render",

@@ -4,7 +4,8 @@ A config file is a YAML mapping of the sections below; every field is
 optional and missing values fall back to the shipped defaults. Angles
 live in the file in degrees (fields suffixed ``_deg``) and are converted
 to radians on load. Validation failures raise ConfigError whose message
-starts with the dotted path of the offending field.
+starts with the dotted path of the offending field, or with its section's
+name when values are only wrong together.
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
+import numpy as np
 import yaml
 
-from .controller import ControllerParams
-from .harness import ExperimentConfig, PRESETS
-from .perception import NeedleSpec, NoiseModel, RansacParams
-from .simworld import FailureModel, TimingModel, make_wound, suture_targets
+from .controller import sweep_path
+from .harness import ExperimentConfig
+from .simworld import WORKSPACE_MAX, WORKSPACE_MIN, make_wound, suture_targets
 
 
 class ConfigError(ValueError):
@@ -69,19 +70,19 @@ def _mapping(value, path: str) -> dict:
     return value
 
 
-def _gather(section: dict, path: str, converters: dict) -> dict:
-    """Convert a section's raw values into constructor kwargs.
+def _gather(section, path: str, converters: dict) -> dict:
+    """Convert a section's raw values into {dotted path: (field, value)}.
 
     `converters` maps the file-facing key to (constructor field, fn).
     Unknown keys are an error: silently ignored typos in experiment
     configs are how wrong results get published.
     """
     out = {}
-    for key, value in section.items():
+    for key, value in _mapping(section, path).items():
         if key not in converters:
             raise ConfigError(f"{path}.{key}: unknown field")
         target, fn = converters[key]
-        out[target] = fn(value, f"{path}.{key}")
+        out[f"{path}.{key}"] = (target, fn(value, f"{path}.{key}"))
     return out
 
 
@@ -152,12 +153,32 @@ _TIMING_SCALARS = {
 }
 
 
-def _build(cls, kwargs: dict, path: str, base=None):
+# (YAML section, ExperimentConfig field, converters) of every section that
+# overrides fields of its default; timing, wound and experiment are built
+# apart.
+_SECTIONS = (
+    ("controller", "controller", _CONTROLLER),
+    ("failure_model", "failures", _FAILURES),
+    ("noise", "noise", _NOISE),
+    ("ransac", "ransac", _RANSAC),
+    ("circle_ransac", "circle_ransac", _RANSAC),
+    ("needle", "needle", _NEEDLE),
+)
+
+
+def _build(base, values: dict, path: str):
+    """`base` with the gathered values replaced. A value its constructor
+    rejects on its own is named by its dotted path; a combination that
+    only fails together (swept above unswept entanglement, say) by the
+    section's."""
     try:
-        if base is not None:
-            return replace(base, **kwargs)
-        return cls(**kwargs)
+        return replace(base, **dict(values.values()))
     except ValueError as exc:
+        for name, (target, value) in values.items():
+            try:
+                replace(base, **{target: value})
+            except ValueError as alone:
+                raise ConfigError(f"{name}: {alone}") from alone
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -165,93 +186,52 @@ def config_from_dict(data: dict | None) -> ExperimentConfig:
     """Build an ExperimentConfig from parsed YAML (None = all defaults)."""
     data = dict(_mapping(data, "config"))
     defaults = ExperimentConfig()
+    top = _gather(data.pop("experiment", None), "experiment", _EXPERIMENT)
+    experiment = _build(defaults, top, "experiment")
 
-    top = _gather(_mapping(data.pop("experiment", None), "experiment"), "experiment", _EXPERIMENT)
-    if "preset" in top and top["preset"] not in PRESETS:
-        raise ConfigError(
-            f"experiment.preset: unknown preset {top['preset']!r}; expected one of {sorted(PRESETS)}"
-        )
+    settings = {}
+    for section, name, converters in _SECTIONS:
+        values = _gather(data.pop(section, None), section, converters)
+        settings[name] = _build(getattr(defaults, name), values, section)
 
-    controller = _build(
-        ControllerParams,
-        _gather(_mapping(data.pop("controller", None), "controller"), "controller", _CONTROLLER),
-        "controller",
-        base=defaults.controller,
-    )
-    failures = _build(
-        FailureModel,
-        _gather(_mapping(data.pop("failure_model", None), "failure_model"), "failure_model", _FAILURES),
-        "failure_model",
-        base=defaults.failures,
-    )
-
-    timing_raw = _mapping(data.pop("timing", None), "timing")
+    timing_raw = dict(_mapping(data.pop("timing", None), "timing"))
     durations = _mapping(timing_raw.pop("durations", None), "timing.durations")
-    timing_kw = _gather(timing_raw, "timing", _TIMING_SCALARS)
     merged = dict(defaults.timing.durations)
     for name, value in durations.items():
         if name not in merged:
             raise ConfigError(f"timing.durations.{name}: unknown primitive")
         merged[name] = _number(value, f"timing.durations.{name}")
-    timing = _build(TimingModel, {**timing_kw, "durations": merged}, "timing")
+    timing_values = _gather(timing_raw, "timing", _TIMING_SCALARS)
+    timing_values["timing.durations"] = ("durations", merged)
+    settings["timing"] = _build(defaults.timing, timing_values, "timing")
 
-    noise = _build(
-        NoiseModel,
-        _gather(_mapping(data.pop("noise", None), "noise"), "noise", _NOISE),
-        "noise",
-        base=defaults.noise,
-    )
-    ransac = _build(
-        RansacParams,
-        _gather(_mapping(data.pop("ransac", None), "ransac"), "ransac", _RANSAC),
-        "ransac",
-        base=defaults.ransac,
-    )
-    circle_ransac = _build(
-        RansacParams,
-        _gather(_mapping(data.pop("circle_ransac", None), "circle_ransac"), "circle_ransac", _RANSAC),
-        "circle_ransac",
-        base=defaults.circle_ransac,
-    )
-    needle = _build(
-        NeedleSpec,
-        _gather(_mapping(data.pop("needle", None), "needle"), "needle", _NEEDLE),
-        "needle",
-        base=defaults.needle,
-    )
-
-    wound_kw = _gather(_mapping(data.pop("wound", None), "wound"), "wound", _WOUND)
+    wound_kw = _gather(data.pop("wound", None), "wound", _WOUND)
     try:
-        wound = make_wound(**wound_kw)
+        wound = make_wound(**dict(wound_kw.values()))
     except ValueError as exc:
         raise ConfigError(f"wound: {exc}") from exc
-    # Otherwise every trial dies setting up its first suture.
+    # Otherwise every trial dies setting up its first suture, or on its
+    # first thread sweep.
+    radius = settings["needle"].radius
     try:
         for i in range(1, wound.n_target_sutures + 1):
-            suture_targets(wound, i, needle.radius)
+            suture_targets(wound, i, radius)
     except ValueError as exc:
         raise ConfigError(
-            f"wound.ridge_half_width, needle.radius: suture {i}: {exc} "
-            f"({2.0 * needle.radius:g} m)"
+            f"wound.ridge_half_width, needle.radius: suture {i}: {exc} ({2.0 * radius:g} m)"
         ) from exc
+    start, run = sweep_path(wound)
+    for point in (start, start + run):
+        if np.any(point < WORKSPACE_MIN) or np.any(point > WORKSPACE_MAX):
+            raise ConfigError(
+                f"wound.n_sutures, wound.spacing, wound.ridge_height: the thread sweep "
+                f"reaches {point.tolist()}, outside the workspace"
+            )
+    settings["wound"] = wound
 
     if data:
         raise ConfigError(f"{sorted(data)[0]}: unknown section")
-
-    try:
-        return ExperimentConfig(
-            controller=controller,
-            failures=failures,
-            timing=timing,
-            noise=noise,
-            ransac=ransac,
-            circle_ransac=circle_ransac,
-            needle=needle,
-            wound=wound,
-            **top,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"experiment: {exc}") from exc
+    return replace(experiment, **settings)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -30,7 +30,6 @@ from .perception import NeedlePose
 from .simworld import (
     WORLD_UP,
     WORLD_Y,
-    BudgetExhausted,
     GripperId,
     JawState,
     MotionError,
@@ -336,14 +335,23 @@ def aggregate_normals(normals) -> np.ndarray:
 # World-driving primitives
 
 
+def sweep_path(wound: WoundSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(start, run) of the thread sweep: it starts clear of the first site
+    above the ridge crest and runs along the centerline to start + run,
+    clear of the last. The config loader refuses a wound whose sweep
+    leaves the workspace."""
+    ys = wound.entry_points[:, 1]
+    margin = 0.01
+    height = wound.ridge_height + 0.004
+    start = np.array([0.0, float(ys.min()) - margin, height])
+    run = (float(ys.max()) - float(ys.min()) + 2.0 * margin) * WORLD_Y
+    return start, run
+
+
 def sweep_thread(world: WorldState) -> None:
     """Drag the free jaw down the wound centerline to clear loose thread."""
     gripper = GripperId.LEFT if world.needle_holder != GripperId.LEFT else GripperId.RIGHT
-    ys = world.wound.entry_points[:, 1]
-    margin = 0.01
-    height = world.wound.ridge_height + 0.004
-    start = np.array([0.0, float(ys.min()) - margin, height])
-    run = (float(ys.max()) - float(ys.min()) + 2.0 * margin) * WORLD_Y
+    start, run = sweep_path(world.wound)
     world.execute(gripper, MoveTo(RigidTransform.from_translation(start)))
     world.execute(gripper, Translate(tuple(run)))
     world.mark_swept()
@@ -546,17 +554,13 @@ def run_suture(
             world.set_context(phase="recovery")
             world.log_event("suture_failed", error=failure.kind.value, detail=str(failure))
             if world.interventions_left > 0:
-                try:
-                    world.human_intervention()
-                except BudgetExhausted:
-                    pass
-                else:
-                    world.log_event(
-                        "transition",
-                        frm=PipelineState.FAILED.value,
-                        to=PipelineState.INSERTION.value,
-                    )
-                    continue
+                world.human_intervention()
+                world.log_event(
+                    "transition",
+                    frm=PipelineState.FAILED.value,
+                    to=PipelineState.INSERTION.value,
+                )
+                continue
             return failure.kind
         world.log_event("suture_closed")
         return None

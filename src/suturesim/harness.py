@@ -15,7 +15,7 @@ import math
 import os
 import pickle
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .controller import (
     NEXT_STATE,
@@ -32,10 +32,9 @@ from .simworld import (
     SIM_NOISE,
     SIM_RANSAC,
     FailureModel,
-    ThreadState,
     TimingModel,
+    WorldState,
     WoundSpec,
-    make_world,
     make_wound,
 )
 
@@ -74,7 +73,8 @@ class TraceInvariantError(HarnessError):
 
 @dataclass
 class ExperimentConfig:
-    """Everything a reproducible experiment needs, in one bag."""
+    """Everything a reproducible experiment needs, in one bag: the one
+    source of every setting and its default, the world's included."""
 
     preset: str = "stitch"
     n_trials: int = 15
@@ -88,7 +88,7 @@ class ExperimentConfig:
     needle: NeedleSpec = field(default_factory=NeedleSpec)
     wound: WoundSpec = field(default_factory=make_wound)
     n_cloud_points: int = SIM_CLOUD_POINTS
-    thread_length: float = ThreadState.total_length
+    thread_length: float = 0.40
 
     def __post_init__(self):
         if self.preset not in PRESETS:
@@ -159,18 +159,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialLog:
     """Run one seeded trial to its terminal state."""
     seed = config.base_seed + trial_index
     enabled, budget = PRESETS[config.preset]
-    world = make_world(
-        seed=seed,
-        spec=config.needle,
-        wound=config.wound,
-        failures=replace(config.failures, intervention_budget=budget),
-        timing=config.timing,
-        noise=config.noise,
-        ransac=config.ransac,
-        circle_ransac=config.circle_ransac,
-        thread=ThreadState(total_length=config.thread_length),
-        n_cloud_points=config.n_cloud_points,
-    )
+    world = WorldState(config, seed, budget)
     status, error, completed = "wound_closed", None, 0
     for i in range(1, config.wound.n_target_sutures + 1):
         failed = run_suture(world, config.controller, i, enabled)
@@ -565,21 +554,19 @@ _FORWARD = {a.value: b.value for a, b in NEXT_STATE.items()}
 _RETRYABLE = ("extraction", "handover")
 
 
-def validate_event_trace(
-    log: TrialLog,
-    controller: ControllerParams | None = None,
-    budget: int | None = None,
-    n_sutures: int = 6,
-) -> None:
-    """Check a trial trace against the structural invariants.
+def validate_event_trace(log: TrialLog, config: ExperimentConfig) -> None:
+    """Check a trial trace against the structural invariants of the config
+    it ran with.
 
     Raises TraceInvariantError naming the first violated rule: monotone
     ids/clock, legal state-machine edges only, per-phase retry bounds,
     every successful grasp gated by a fresh successful observation,
-    exact cinch arithmetic, strict jitter bound, intervention budget,
-    and a terminal record consistent with the trial status.
+    exact cinch arithmetic, strict jitter bound, the preset's
+    intervention budget, and a terminal record consistent with the trial
+    status and the wound's suture count.
     """
-    params = controller or ControllerParams()
+    params = config.controller
+    budget = PRESETS[config.preset][1]
 
     def fail(lineno: int, rule: str) -> None:
         raise TraceInvariantError(f"trial {log.trial}, event {lineno}: {rule}")
@@ -639,11 +626,11 @@ def validate_event_trace(
                 fail(k, "handover jitter magnitude must stay strictly under the bound")
         elif kind == "intervention":
             interventions += 1
-            if budget is not None and interventions > budget:
+            if interventions > budget:
                 fail(k, f"interventions exceed the budget of {budget}")
             observed_since_mark = False
 
-    problem = _trace_end_problem(log, n_sutures)
+    problem = _trace_end_problem(log, config.wound.n_target_sutures)
     if problem is not None:
         raise TraceInvariantError(f"trial {log.trial}: {problem}")
 

@@ -19,13 +19,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import geometry as geo
 from . import perception as pc
 from .geometry import RigidTransform
-from .perception import NeedlePose, NeedleSpec, NoiseModel, RansacParams
+from .perception import NeedlePose, NoiseModel, RansacParams
+
+if TYPE_CHECKING:
+    from .harness import ExperimentConfig
 
 WORLD_UP = np.array([0.0, 0.0, 1.0])
 WORLD_Y = np.array([0.0, 1.0, 0.0])
@@ -45,13 +49,13 @@ WORKSPACE_MAX = np.array([0.12, 0.12, 0.15])
 # distance is the root of a quartic, with no closed form worth its code.
 _ARC_SCAN = 720
 
-# In-loop sensing defaults, for make_world and harness.ExperimentConfig alike.
-# SIM_NOISE is the plant model for closed-loop runs; the estimator is tested
-# against far harsher clouds separately. Against this benign noise, consensus
-# saturates long before the offline estimator's default hypothesis budget.
-# 120 iterations cap each RANSAC stage; a stage stops sooner, once its best
-# consensus is 99 % certain (perception.STOP_CONFIDENCE), typically after 8
-# or 24 hypotheses.
+# In-loop sensing defaults of harness.ExperimentConfig, the one source of a
+# world's settings. SIM_NOISE is the plant model for closed-loop runs; the
+# estimator is tested against far harsher clouds separately. Against this
+# benign noise, consensus saturates long before the offline estimator's
+# default hypothesis budget. 120 iterations cap each RANSAC stage; a stage
+# stops sooner, once its best consensus is 99 % certain
+# (perception.STOP_CONFIDENCE), typically after 8 or 24 hypotheses.
 SIM_NOISE = NoiseModel(gaussian_sigma=3e-4, outlier_fraction=0.05, dropout_fraction=0.05)
 SIM_RANSAC = RansacParams(iterations=120)
 SIM_CIRCLE_RANSAC = RansacParams(iterations=120, inlier_threshold=pc.DEFAULT_CIRCLE_THRESHOLD)
@@ -192,7 +196,6 @@ class FailureModel:
 
     grasp success at distance d (mm) from the jaw channel is
     1 - (grasp_miss_base + grasp_miss_per_mm_pose_error * d), clamped.
-    intervention_budget = 0 disables the human-recovery mode.
     """
 
     grasp_miss_base: float = 0.04
@@ -201,7 +204,6 @@ class FailureModel:
     entanglement_prob_swept: float = 0.05
     insertion_slip_prob: float = 0.12
     perception_corruption_prob: float = 0.05
-    intervention_budget: int = 2
 
     def __post_init__(self):
         for name in (
@@ -217,8 +219,6 @@ class FailureModel:
                 raise ValueError(f"{name} must be a probability in [0, 1]")
         if self.entanglement_prob_swept > self.entanglement_prob_unswept:
             raise ValueError("sweeping must not increase the entanglement probability")
-        if self.intervention_budget < 0:
-            raise ValueError("intervention_budget must be >= 0")
 
     def grasp_success_prob(self, distance_mm: float) -> float:
         p_miss = self.grasp_miss_base + self.grasp_miss_per_mm_pose_error * distance_mm
@@ -280,17 +280,16 @@ class GripperState:
 
 @dataclass
 class ThreadState:
-    total_length: float = 0.40
-    pulled_through: float = 0.0
-    per_suture_used: list = field(default_factory=list)
+    """Thread pulled through the tissue, in total and per suture (WorldState
+    sizes the per-suture list to the wound)."""
+
+    total_length: float
+    pulled_through: float = field(default=0.0, init=False)
+    per_suture_used: list = field(default_factory=list, init=False)
 
     def __post_init__(self):
         if not (self.total_length > 0.0):
             raise ValueError("total_length must be positive")
-        if not (0.0 <= self.pulled_through <= self.total_length):
-            raise ValueError("pulled_through must lie in [0, total_length]")
-        if any(v < 0.0 for v in self.per_suture_used):
-            raise ValueError("per_suture_used entries must be >= 0")
 
     @property
     def remaining(self) -> float:
@@ -350,35 +349,29 @@ def _jsonable(value):
 class WorldState:
     """Single-trial mutable ground truth plus the append-only event log.
 
-    All randomness flows through self.rng in a fixed draw order, so a
-    trial is reproducible bit-for-bit from its seed.
+    Every setting comes from the trial's ExperimentConfig; `interventions`
+    is the human-intervention budget (the preset's). A new world holds the
+    needle seated in the right jaw, poised over the first suture site. All
+    randomness flows through self.rng in a fixed draw order, so a trial is
+    reproducible bit-for-bit from its seed.
     """
 
-    def __init__(
-        self,
-        spec: NeedleSpec,
-        wound: WoundSpec,
-        thread: ThreadState,
-        failures: FailureModel,
-        timing: TimingModel,
-        noise: NoiseModel,
-        ransac: RansacParams,
-        circle_ransac: RansacParams,
-        seed: int,
-        n_cloud_points: int = SIM_CLOUD_POINTS,
-    ):
-        self.spec = spec
-        self.wound = wound
-        self.thread = thread
-        self.failures = failures
-        self.timing = timing
-        self.noise = noise
-        self.ransac = ransac
-        self.circle_ransac = circle_ransac
+    def __init__(self, config: ExperimentConfig, seed: int, interventions: int):
+        self.spec = config.needle
+        self.wound = wound = config.wound
+        self.thread = ThreadState(config.thread_length)
+        self.thread.per_suture_used = [0.0] * wound.n_target_sutures
+        self.failures = config.failures
+        self.timing = config.timing
+        self.noise = config.noise
+        self.ransac = config.ransac
+        self.circle_ransac = config.circle_ransac
         self.rng = np.random.default_rng(int(seed))
-        self.n_cloud_points = int(n_cloud_points)
+        self.n_cloud_points = int(config.n_cloud_points)
 
-        self.targets = [suture_targets(wound, i, spec.radius) for i in range(1, wound.n_target_sutures + 1)]
+        self.targets = [
+            suture_targets(wound, i, self.spec.radius) for i in range(1, wound.n_target_sutures + 1)
+        ]
         # The jaw's stable ("seated") needle orientation: the fixed
         # in-plane angle from which the standard correction rotation
         # recovers the pre-insertion pose.
@@ -399,7 +392,7 @@ class WorldState:
         self.clock = 0.0
         self.events: list[dict] = []
         self.swept = False
-        self.interventions_left = failures.intervention_budget
+        self.interventions_left = interventions
         self.scripted_grasp_outcomes: list[bool] | None = None  # fault-injection hook
 
         self._ctx: dict = {}
@@ -413,8 +406,6 @@ class WorldState:
         self._dual_window = False
         self._twist_pending: tuple[np.ndarray, float] | None = None
 
-        if len(thread.per_suture_used) == 0:
-            thread.per_suture_used = [0.0] * wound.n_target_sutures
         self._seat_in_right_jaw(1)
 
     # -- context & logging ---------------------------------------------------
@@ -874,31 +865,3 @@ def _point_circle_distance(p: np.ndarray, pose: NeedlePose) -> float:
     in_plane = w - axial * pose.normal
     radial = float(np.linalg.norm(in_plane)) - pose.radius
     return math.hypot(axial, radial)
-
-
-def make_world(
-    seed: int,
-    spec: NeedleSpec | None = None,
-    wound: WoundSpec | None = None,
-    failures: FailureModel | None = None,
-    timing: TimingModel | None = None,
-    noise: NoiseModel | None = None,
-    ransac: RansacParams | None = None,
-    circle_ransac: RansacParams | None = None,
-    thread: ThreadState | None = None,
-    n_cloud_points: int = SIM_CLOUD_POINTS,
-) -> WorldState:
-    """Assemble a trial-ready world: needle seated in the right jaw, poised
-    over the first suture site."""
-    spec = spec or NeedleSpec()
-    wound = wound or make_wound()
-    failures = failures or FailureModel()
-    timing = timing or TimingModel()
-    noise = noise if noise is not None else SIM_NOISE
-    ransac = ransac or SIM_RANSAC
-    circle_ransac = circle_ransac or SIM_CIRCLE_RANSAC
-    thread = thread or ThreadState()
-    return WorldState(
-        spec, wound, thread, failures, timing, noise,
-        ransac, circle_ransac, seed, n_cloud_points,
-    )

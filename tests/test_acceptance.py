@@ -8,6 +8,7 @@ decision, not a test fix.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from suturesim import perception as pc
 from suturesim import simworld as sw
 from suturesim.controller import ControllerParams, ErrorKind
 from suturesim.harness import (
+    PRESETS,
     ExperimentConfig,
     TrialLog,
     compute_metrics,
@@ -45,7 +47,6 @@ NO_FAILURES = FailureModel(
     entanglement_prob_swept=0.0,
     insertion_slip_prob=0.0,
     perception_corruption_prob=0.0,
-    intervention_budget=0,
 )
 
 FAST_RANSAC = pc.RansacParams(iterations=60)
@@ -72,15 +73,18 @@ def random_pose(rng, max_tilt_deg=40.0):
     return pc.make_needle_pose(center, normal, rng.normal(size=3), SPEC)
 
 
-def quiet_world(seed, failures=NO_FAILURES):
-    return sw.make_world(
-        seed,
-        failures=failures,
-        noise=ZERO_NOISE,
-        ransac=FAST_RANSAC,
-        circle_ransac=FAST_CIRCLE,
-        n_cloud_points=100,
-    )
+QUIET = ExperimentConfig(
+    failures=NO_FAILURES,
+    noise=ZERO_NOISE,
+    ransac=FAST_RANSAC,
+    circle_ransac=FAST_CIRCLE,
+    n_cloud_points=100,
+)
+
+
+def quiet_world(seed, config=QUIET):
+    """A world of `config`, with its preset's intervention budget."""
+    return sw.WorldState(config, seed, PRESETS[config.preset][1])
 
 
 def as_trial_log(world, seed, failed, preset="stitch"):
@@ -213,7 +217,7 @@ def test_criterion_4_retry_and_recovery_contracts():
         for a, b in phase_observation_pairs(ev, "extraction")
     ]
     assert stalls and all(d < 0.02 for d in stalls)
-    validate_event_trace(as_trial_log(world, 70, failed), controller=PARAMS, budget=0, n_sutures=1)
+    validate_event_trace(as_trial_log(world, 70, failed), QUIET)
 
     # -- a successful extraction clears the same 2 cm threshold
     nominal = quiet_world(seed=71)
@@ -232,18 +236,11 @@ def test_criterion_4_retry_and_recovery_contracts():
     jitters = [e["magnitude"] for e in ev if e["kind"] == "handover_jitter"]
     assert len(jitters) == 5
     assert all(0.0 <= m < 0.005 for m in jitters), f"jitter out of [0, 0.005): {jitters}"
-    validate_event_trace(as_trial_log(world, 72, failed), controller=PARAMS, budget=0, n_sutures=1)
+    validate_event_trace(as_trial_log(world, 72, failed), QUIET)
 
     # -- two interventions rescue two failures; the third failure is terminal
-    world = quiet_world(seed=73, failures=FailureModel(
-        grasp_miss_base=0.0,
-        grasp_miss_per_mm_pose_error=0.0,
-        entanglement_prob_unswept=0.0,
-        entanglement_prob_swept=0.0,
-        insertion_slip_prob=0.0,
-        perception_corruption_prob=0.0,
-        intervention_budget=2,
-    ))
+    human = replace(QUIET, preset="stitch_human")
+    world = quiet_world(seed=73, config=human)
     world.scripted_grasp_outcomes = ([True] + [False] * 6) * 3
     failed = ctl.run_suture(world, PARAMS, 1)
     ev = world.events
@@ -251,12 +248,7 @@ def test_criterion_4_retry_and_recovery_contracts():
     assert len(interventions) == 2, f"{len(interventions)} interventions, expected budget of 2"
     assert len([e for e in ev if e["kind"] == "suture_attempt"]) == 3
     assert failed is not None
-    validate_event_trace(
-        as_trial_log(world, 73, failed, preset="stitch_human"),
-        controller=PARAMS,
-        budget=2,
-        n_sutures=1,
-    )
+    validate_event_trace(as_trial_log(world, 73, failed, preset="stitch_human"), human)
     report(
         4,
         True,
@@ -266,21 +258,13 @@ def test_criterion_4_retry_and_recovery_contracts():
 
 
 def test_criterion_5_nominal_path_completeness():
-    config = ExperimentConfig(
-        preset="stitch",
-        n_trials=100,
-        failures=NO_FAILURES,
-        noise=ZERO_NOISE,
-        ransac=FAST_RANSAC,
-        circle_ransac=FAST_CIRCLE,
-        n_cloud_points=100,
-    )
+    config = replace(QUIET, n_trials=100)
     logs = list(iter_trials(config))
     closed = sum(log.status == "wound_closed" for log in logs)
     assert closed == 100, f"only {closed}/100 zero-noise trials closed the wound"
     assert all(log.sutures_completed == 6 for log in logs)
     for log in logs:
-        validate_event_trace(log, controller=config.controller, budget=0)
+        validate_event_trace(log, config)
     report(5, True, "100/100 zero-noise seeds closed all 6 sutures; every trace validates")
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from suturesim.controller import (
     PrimitiveSet,
 )
 from suturesim.geometry import RigidTransform
+from suturesim.harness import ExperimentConfig
 from suturesim.simworld import (
     FailureModel,
     GripperId,
@@ -39,24 +41,24 @@ FAST_RANSAC = pc.RansacParams(iterations=60)
 FAST_CIRCLE = pc.RansacParams(iterations=60, inlier_threshold=pc.DEFAULT_CIRCLE_THRESHOLD)
 
 
-def no_failures(budget=0):
-    return FailureModel(
+QUIET = ExperimentConfig(
+    failures=FailureModel(
         grasp_miss_base=0.0,
         grasp_miss_per_mm_pose_error=0.0,
         entanglement_prob_unswept=0.0,
         entanglement_prob_swept=0.0,
         insertion_slip_prob=0.0,
         perception_corruption_prob=0.0,
-        intervention_budget=budget,
-    )
+    ),
+    noise=ZERO_NOISE,
+    ransac=FAST_RANSAC,
+    circle_ransac=FAST_CIRCLE,
+    n_cloud_points=100,
+)
 
 
-def quiet_world(seed=0, failures=None, **kwargs):
-    kwargs.setdefault("noise", ZERO_NOISE)
-    kwargs.setdefault("ransac", FAST_RANSAC)
-    kwargs.setdefault("circle_ransac", FAST_CIRCLE)
-    kwargs.setdefault("n_cloud_points", 100)
-    return sw.make_world(seed, failures=failures or no_failures(), **kwargs)
+def quiet_world(seed=0, interventions=0, **changes):
+    return sw.WorldState(replace(QUIET, **changes), seed, interventions)
 
 
 def events_of(world, kind):
@@ -416,7 +418,6 @@ def test_forced_entanglement_classified_as_thread_error():
         entanglement_prob_swept=1.0,
         insertion_slip_prob=0.0,
         perception_corruption_prob=0.0,
-        intervention_budget=0,
     )
     world = quiet_world(seed=64, failures=tangles)
     assert ctl.run_suture(world, PARAMS, 1) is ErrorKind.THREAD
@@ -431,7 +432,6 @@ def test_sweep_causally_prevents_entanglement():
         entanglement_prob_swept=0.0,
         insertion_slip_prob=0.0,
         perception_corruption_prob=0.0,
-        intervention_budget=0,
     )
     swept = quiet_world(seed=65, failures=FailureModel(**cfg))
     assert ctl.run_suture(swept, PARAMS, 1) is None
@@ -441,7 +441,7 @@ def test_sweep_causally_prevents_entanglement():
 
 
 def test_intervention_resumes_and_completes_suture():
-    world = quiet_world(seed=66, failures=no_failures(budget=2))
+    world = quiet_world(seed=66, interventions=2)
     world.scripted_grasp_outcomes = [True] + [False] * 6 + [True, True]
     assert ctl.run_suture(world, PARAMS, 1) is None
     assert len(events_of(world, "intervention")) == 1

@@ -35,7 +35,7 @@ from suturesim.harness import (
     validate_event_trace,
     write_logs,
 )
-from suturesim.simworld import FailureModel, InvariantViolation, NoiseModel, make_world
+from suturesim.simworld import FailureModel, InvariantViolation, NoiseModel
 
 ZERO_NOISE = NoiseModel(
     gaussian_sigma=0.0, outlier_fraction=0.0, dropout_fraction=0.0, occlusion_arc=0.0
@@ -48,7 +48,6 @@ NO_FAILURES = FailureModel(
     entanglement_prob_swept=0.0,
     insertion_slip_prob=0.0,
     perception_corruption_prob=0.0,
-    intervention_budget=0,
 )
 
 
@@ -214,7 +213,7 @@ def test_zero_noise_trials_all_close(nominal_logs):
 def test_traces_validate(nominal_logs):
     config, logs = nominal_logs
     for log in logs:
-        validate_event_trace(log, controller=config.controller, budget=0)
+        validate_event_trace(log, config)
 
 
 def test_tampered_traces_fail_validation(nominal_logs):
@@ -224,19 +223,19 @@ def test_tampered_traces_fail_validation(nominal_logs):
     clock_bad = copy.deepcopy(logs[0])
     clock_bad.events[10]["t"] = clock_bad.events[9]["t"] - 5.0
     with pytest.raises(TraceInvariantError):
-        validate_event_trace(clock_bad, controller=config.controller, budget=0)
+        validate_event_trace(clock_bad, config)
 
     hop_bad = copy.deepcopy(logs[0])
     hop = next(e for e in hop_bad.events if e["kind"] == "transition")
     hop["to"] = "handover"
     with pytest.raises(TraceInvariantError):
-        validate_event_trace(hop_bad, controller=config.controller, budget=0)
+        validate_event_trace(hop_bad, config)
 
     beta_bad = copy.deepcopy(logs[0])
     pull = next(e for e in beta_bad.events if e["kind"] == "pull_thread")
     pull["length"] = pull["length"] * 0.5
     with pytest.raises(TraceInvariantError):
-        validate_event_trace(beta_bad, controller=config.controller, budget=0)
+        validate_event_trace(beta_bad, config)
 
 
 def test_log_round_trip(tmp_path, nominal_logs):
@@ -521,33 +520,14 @@ def _dotted_keys(mapping, prefix=""):
 
 
 def test_default_yaml_holds_every_accepted_key_and_no_other():
-    tables = {
-        "experiment": cf._EXPERIMENT,
-        "controller": cf._CONTROLLER,
-        "failure_model": cf._FAILURES,
-        "timing": cf._TIMING_SCALARS,
-        "noise": cf._NOISE,
-        "ransac": cf._RANSAC,
-        "circle_ransac": cf._RANSAC,
-        "needle": cf._NEEDLE,
-        "wound": cf._WOUND,
-    }
+    tables = {section: table for section, _, table in cf._SECTIONS}
+    tables.update(experiment=cf._EXPERIMENT, timing=cf._TIMING_SCALARS, wound=cf._WOUND)
     accepted = {f"{section}.{key}" for section, table in tables.items() for key in table}
     accepted |= {f"timing.durations.{name}" for name in ExperimentConfig().timing.durations}
     with open("configs/default.yaml", encoding="utf-8") as fh:
         template = set(_dotted_keys(yaml.safe_load(fh)))
     assert sorted(accepted - template) == []
     assert sorted(template - accepted) == []
-
-
-def test_make_world_and_experiment_config_share_in_loop_defaults():
-    world = make_world(0)
-    config = ExperimentConfig()
-    assert world.noise == config.noise
-    assert world.ransac == config.ransac
-    assert world.circle_ransac == config.circle_ransac
-    assert world.n_cloud_points == config.n_cloud_points
-    assert world.thread.total_length == config.thread_length
 
 
 def test_config_from_none_is_default():
@@ -595,9 +575,13 @@ def test_unknown_preset_in_file():
 
 
 def test_timing_durations_validated():
-    cfg = config_from_dict({"timing": {"durations": {"move_to": 4.0}}})
+    data = {"timing": {"durations": {"move_to": 4.0}}}
+    cfg = config_from_dict(data)
     assert cfg.timing.durations["move_to"] == 4.0
     assert cfg.timing.durations["jaw"] == ExperimentConfig().timing.durations["jaw"]
+    # the parsed mapping is read, not consumed: a second load sees the same file
+    assert data == {"timing": {"durations": {"move_to": 4.0}}}
+    assert config_from_dict(data).timing == cfg.timing
     with pytest.raises(ConfigError) as err:
         config_from_dict({"timing": {"durations": {"teleport": 1.0}}})
     assert "timing.durations.teleport" in str(err.value)
@@ -691,13 +675,14 @@ def test_cli_bad_config_is_usage_exit(tmp_path, capsys):
     "config_text, flags, field_name",
     [
         ("noise:\n  occlusion_arc_deg: 90\n", [], "noise.occlusion_arc_deg"),
-        ("experiment:\n  base_seed: -4\n", [], "base_seed"),
+        ("experiment:\n  base_seed: -4\n", [], "experiment.base_seed:"),
         ("", ["--seed", "-1"], "base_seed"),
-        ("needle:\n  radius: .inf\n", [], "needle"),
-        ("circle_ransac:\n  inlier_threshold: .inf\n", [], "circle_ransac"),
-        ("noise:\n  outlier_box: [.inf, 0.06, 0.06]\n", [], "outlier_box"),
-        ("controller:\n  approach_offset: .inf\n", [], "approach_offset"),
-        ("controller:\n  l_des: .inf\n", [], "l_des"),
+        ("needle:\n  radius: .inf\n", [], "needle.radius:"),
+        ("circle_ransac:\n  inlier_threshold: .inf\n", [], "circle_ransac.inlier_threshold:"),
+        ("noise:\n  outlier_box: [.inf, 0.06, 0.06]\n", [], "noise.outlier_box[0]:"),
+        ("controller:\n  approach_offset: .inf\n", [], "controller.approach_offset:"),
+        ("controller:\n  approach_offset: -1\n", [], "controller.approach_offset:"),
+        ("controller:\n  l_des: .inf\n", [], "controller.l_des:"),
         ("noise:\n  gaussian_sigma: .nan\n", [], "noise.gaussian_sigma"),
         ("experiment:\n  thread_length: .inf\n", [], "experiment.thread_length"),
         ("timing:\n  perception_period: .inf\n", [], "timing.perception_period"),
@@ -707,9 +692,9 @@ def test_cli_bad_config_is_usage_exit(tmp_path, capsys):
         ("controller:\n  correction_corner: [.inf, 0, 0]\n", [], "controller.correction_corner[0]"),
         ("controller:\n  handover_test_offset: [.nan, 0, 0]\n", [], "controller.handover_test_offset[0]"),
         # counts whose up-front arrays no machine holds: rejected before any is built
-        ("ransac:\n  iterations: 100000000000000\n", [], "iterations"),
-        ("circle_ransac:\n  iterations: 123456789012345678901234\n", [], "iterations"),
-        ("experiment:\n  n_cloud_points: 1000000000000\n", [], "n_cloud_points"),
+        ("ransac:\n  iterations: 100000000000000\n", [], "ransac.iterations:"),
+        ("circle_ransac:\n  iterations: 123456789012345678901234\n", [], "circle_ransac.iterations:"),
+        ("experiment:\n  n_cloud_points: 1000000000000\n", [], "experiment.n_cloud_points:"),
     ],
     ids=[
         "occlusion_key",
@@ -719,6 +704,7 @@ def test_cli_bad_config_is_usage_exit(tmp_path, capsys):
         "infinite_threshold",
         "infinite_outlier_box",
         "infinite_approach_offset",
+        "negative_approach_offset",
         "infinite_l_des",
         "nan_gaussian_sigma",
         "infinite_thread_length",
@@ -742,6 +728,16 @@ def test_cli_config_rejected_at_load_is_usage_exit(tmp_path, capsys, config_text
     assert captured.out == ""
     assert captured.err.startswith("error:") and field_name in captured.err
     assert captured.err.count("\n") == 1
+
+
+def test_config_error_names_the_section_when_only_a_combination_fails():
+    # each value passes against the other's default; together swept > unswept
+    with pytest.raises(ConfigError, match=r"^failure_model: sweeping must not increase"):
+        config_from_dict(
+            {"failure_model": {"entanglement_prob_unswept": 0.1, "entanglement_prob_swept": 0.2}}
+        )
+    with pytest.raises(ConfigError, match=r"^failure_model\.entanglement_prob_swept: sweeping"):
+        config_from_dict({"failure_model": {"entanglement_prob_swept": 0.5}})
 
 
 def test_cli_missing_logs_is_runtime_exit(tmp_path, capsys):
@@ -958,6 +954,19 @@ def test_loading_a_config_imports_no_multiprocessing():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("spacing, code", [(0.044, cli.EXIT_OK), (0.046, cli.EXIT_USAGE)])
+def test_wound_whose_thread_sweep_leaves_the_workspace_is_rejected_at_load(tmp_path, capsys, spacing, code):
+    # at 0.046 m the sweep starts at y = -0.125, past the workspace's -0.12
+    cfg = tmp_path / "long.yaml"
+    cfg.write_text(f"wound:\n  spacing: {spacing}\n")
+    assert cli.main(["simulate", "--config", str(cfg), "--preset", "stitch", "--trials", "4"]) == code
+    captured = capsys.readouterr()
+    if code == cli.EXIT_USAGE:
+        assert captured.out == ""
+        assert captured.err.startswith("error: wound") and captured.err.count("\n") == 1
+        assert "thread sweep" in captured.err
 
 
 @pytest.mark.parametrize(

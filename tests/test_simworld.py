@@ -9,6 +9,7 @@ from suturesim import geometry as geo
 from suturesim import perception as pc
 from suturesim import simworld as sw
 from suturesim.geometry import RigidTransform
+from suturesim.harness import ExperimentConfig
 from oracles import sampled_visible_intervals
 from suturesim.simworld import (
     BudgetExhausted,
@@ -41,19 +42,21 @@ NO_FAILURES = FailureModel(
     entanglement_prob_swept=0.0,
     insertion_slip_prob=0.0,
     perception_corruption_prob=0.0,
-    intervention_budget=0,
 )
 
 FAST_RANSAC = pc.RansacParams(iterations=60)
 FAST_CIRCLE = pc.RansacParams(iterations=60, inlier_threshold=pc.DEFAULT_CIRCLE_THRESHOLD)
 
 
-def quiet_world(seed=0, failures=NO_FAILURES, **kwargs):
-    """Zero-noise, zero-failure world for deterministic geometry checks."""
-    kwargs.setdefault("noise", ZERO_NOISE)
-    kwargs.setdefault("ransac", FAST_RANSAC)
-    kwargs.setdefault("circle_ransac", FAST_CIRCLE)
-    return sw.make_world(seed, failures=failures, **kwargs)
+QUIET = ExperimentConfig(
+    failures=NO_FAILURES, noise=ZERO_NOISE, ransac=FAST_RANSAC, circle_ransac=FAST_CIRCLE
+)
+
+
+def quiet_world(seed=0, interventions=0, **changes):
+    """Zero-noise, zero-failure world for deterministic geometry checks;
+    `changes` replace fields of its config."""
+    return sw.WorldState(replace(QUIET, **changes), seed, interventions)
 
 
 def arc_mid_radial(pose):
@@ -74,8 +77,6 @@ def test_failure_model_rejects_bad_probabilities():
         FailureModel(insertion_slip_prob=-0.1)
     with pytest.raises(ValueError):
         FailureModel(entanglement_prob_unswept=0.1, entanglement_prob_swept=0.2)
-    with pytest.raises(ValueError):
-        FailureModel(intervention_budget=-1)
 
 
 def test_timing_model_validation():
@@ -90,10 +91,6 @@ def test_timing_model_validation():
 def test_thread_state_validation():
     with pytest.raises(ValueError):
         ThreadState(total_length=0.0)
-    with pytest.raises(ValueError):
-        ThreadState(total_length=0.1, pulled_through=0.2)
-    with pytest.raises(ValueError):
-        ThreadState(per_suture_used=[0.01, -0.01])
 
 
 def test_wound_validation():
@@ -211,7 +208,6 @@ def test_grasp_success_frequency_matches_probability():
         entanglement_prob_swept=0.0,
         insertion_slip_prob=0.0,
         perception_corruption_prob=0.0,
-        intervention_budget=0,
     )
     world = quiet_world(seed=11, failures=failures)
     pose = world.needle_true
@@ -303,7 +299,6 @@ def test_perception_corruption_frequency():
         entanglement_prob_swept=0.0,
         insertion_slip_prob=0.0,
         perception_corruption_prob=0.3,
-        intervention_budget=0,
     )
     world = quiet_world(seed=23, failures=failures, n_cloud_points=80)
     flags = []
@@ -360,8 +355,7 @@ def test_visible_intervals_match_sampled_oracle():
 def test_burial_follows_the_needle_through_motion_drop_and_reseat():
     # visible_intervals and needle_buried are computed once per needle
     # pose; a world that has never seen the pose computes them afresh.
-    failures = replace(NO_FAILURES, intervention_budget=1)
-    world = quiet_world(seed=26, failures=failures)
+    world = quiet_world(seed=26, interventions=1)
 
     def burial(w):
         return w.visible_intervals(), w.needle_buried()
@@ -369,7 +363,7 @@ def test_burial_follows_the_needle_through_motion_drop_and_reseat():
     def check():
         got = burial(world)
         assert burial(world) == got  # no motion in between
-        fresh = quiet_world(seed=26, failures=failures)
+        fresh = quiet_world(seed=26, interventions=1)
         fresh.needle_true = world.needle_true
         assert burial(fresh) == got
         return got
@@ -474,7 +468,6 @@ def test_slip_frequency():
         entanglement_prob_swept=0.0,
         insertion_slip_prob=0.1,
         perception_corruption_prob=0.0,
-        intervention_budget=0,
     )
     world = quiet_world(seed=34, failures=failures)
     t = world.targets[0]
@@ -492,7 +485,6 @@ def test_entanglement_frequency_and_sweep_effect():
         entanglement_prob_swept=0.0,
         insertion_slip_prob=0.0,
         perception_corruption_prob=0.0,
-        intervention_budget=0,
     )
     world = quiet_world(seed=35, failures=failures)
     n = 10000
@@ -503,7 +495,7 @@ def test_entanglement_frequency_and_sweep_effect():
 
 
 def test_pull_thread_accumulates_exactly():
-    world = quiet_world(seed=36, thread=ThreadState(total_length=0.40))
+    world = quiet_world(seed=36)
     pulls = [0.01, 0.02, 0.005]
     total = 0.0
     for length in pulls:
@@ -517,7 +509,7 @@ def test_pull_thread_accumulates_exactly():
 
 
 def test_pull_thread_overdraw_raises():
-    world = quiet_world(seed=37, thread=ThreadState(total_length=0.40))
+    world = quiet_world(seed=37)
     world.pull_thread(0.35)
     with pytest.raises(ThreadError):
         world.pull_thread(0.06)
@@ -533,16 +525,7 @@ def test_pull_thread_overdraw_raises():
 
 
 def test_intervention_budget_and_reset():
-    failures = FailureModel(
-        grasp_miss_base=0.0,
-        grasp_miss_per_mm_pose_error=0.0,
-        entanglement_prob_unswept=0.0,
-        entanglement_prob_swept=0.0,
-        insertion_slip_prob=0.0,
-        perception_corruption_prob=0.0,
-        intervention_budget=2,
-    )
-    world = quiet_world(seed=41, failures=failures)
+    world = quiet_world(seed=41, interventions=2)
     world.pull_thread(0.08)
 
     world.human_intervention()
@@ -560,9 +543,8 @@ def test_intervention_budget_and_reset():
 
 
 def test_intervention_reseats_the_needle_as_a_new_world_does():
-    failures = replace(NO_FAILURES, intervention_budget=1)
-    fresh = quiet_world(seed=44, failures=failures)
-    world = quiet_world(seed=44, failures=failures)
+    fresh = quiet_world(seed=44, interventions=1)
+    world = quiet_world(seed=44, interventions=1)
     world.execute(GripperId.RIGHT, Translate((0.0, 0.01, 0.01)))
     world.execute(GripperId.LEFT, MoveTo(RigidTransform.from_translation([-0.03, 0.02, 0.04])))
     world.execute(GripperId.LEFT, SetJaw(JawState.CLOSED))
@@ -591,12 +573,11 @@ def test_advance_suture_bounds():
 
 
 def scripted_run(seed):
-    failures = FailureModel(intervention_budget=0)
     noise = NoiseModel(gaussian_sigma=3e-4, outlier_fraction=0.05, dropout_fraction=0.05)
-    world = sw.make_world(
-        seed, failures=failures, noise=noise,
-        ransac=FAST_RANSAC, circle_ransac=FAST_CIRCLE, n_cloud_points=100,
+    config = ExperimentConfig(
+        noise=noise, ransac=FAST_RANSAC, circle_ransac=FAST_CIRCLE, n_cloud_points=100
     )
+    world = sw.WorldState(config, seed, 0)
     t = world.targets[0]
     world.observe()
     world.execute(GripperId.RIGHT, Translate((0.0, 0.005, -0.01)))
