@@ -18,7 +18,7 @@ import yaml
 
 from .controller import sweep_path
 from .harness import ExperimentConfig
-from .simworld import WORKSPACE_MAX, WORKSPACE_MIN, make_wound, suture_targets
+from .simworld import WORKSPACE_MAX, WORKSPACE_MIN, TimingModel, make_wound, suture_targets
 
 
 class ConfigError(ValueError):
@@ -201,6 +201,10 @@ def config_from_dict(data: dict | None) -> ExperimentConfig:
         if name not in merged:
             raise ConfigError(f"timing.durations.{name}: unknown primitive")
         merged[name] = _number(value, f"timing.durations.{name}")
+        try:
+            TimingModel(durations={name: merged[name]})
+        except ValueError as exc:
+            raise ConfigError(f"timing.durations.{name}: {exc}") from exc
     timing_values = _gather(timing_raw, "timing", _TIMING_SCALARS)
     timing_values["timing.durations"] = ("durations", merged)
     settings["timing"] = _build(defaults.timing, timing_values, "timing")
@@ -250,17 +254,16 @@ def apply_overrides(
     n_trials: int | None = None,
     base_seed: int | None = None,
 ) -> ExperimentConfig:
-    """Command-line overrides win over file values."""
-    changes = {}
-    if preset is not None:
-        changes["preset"] = preset
-    if n_trials is not None:
-        changes["n_trials"] = n_trials
-    if base_seed is not None:
-        changes["base_seed"] = base_seed
-    if not changes:
-        return config
-    try:
-        return replace(config, **changes)
-    except ValueError as exc:
-        raise ConfigError(f"experiment: {exc}") from exc
+    """Command-line overrides win over file values. A value the config
+    rejects is named by its flag."""
+    for flag, name, value in (
+        ("--preset", "preset", preset),
+        ("--trials", "n_trials", n_trials),
+        ("--seed", "base_seed", base_seed),
+    ):
+        if value is not None:
+            try:
+                config = replace(config, **{name: value})
+            except ValueError as exc:
+                raise ConfigError(f"{flag}: {exc}") from exc
+    return config

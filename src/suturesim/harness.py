@@ -40,8 +40,10 @@ from .simworld import (
 
 LOG_FORMAT_VERSION = 2
 
-# perception.farthest_pair_indices builds the Gram matrix of a cloud's
-# needle points: n^2 float64 values, 32 MiB at this cap.
+# The largest cloud a config may ask for. No array the estimator builds
+# grows faster than the cloud: at this cap the (n, 3) cloud is 48 KiB,
+# and each RANSAC scoring block still holds at least four rows within
+# perception's budget of 8192 (row, point) pairs, 64 KiB per temporary.
 MAX_CLOUD_POINTS = 2048
 
 # terminal status -> the errors a trial that ends in it may carry

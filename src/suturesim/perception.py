@@ -9,9 +9,14 @@ The estimator recovers the full 6D pose of a circular suturing needle:
    steps),
 3. one feedback pass: a plane refit on the points near the circle, one
    ring selection and one Gauss-Newton polish against it,
-4. endpoint extraction as the farthest pair of needle inliers, snapped
-   onto the fitted circle, then re-placed from the known arc span when
-   the visible extent agrees with it.
+4. endpoint extraction from one sort of the circle inliers' angles:
+   the two inliers on either side of the largest angular gap bound the
+   visible arc, and the endpoints sit at its midpoint +/- half the known
+   arc span when the visible extent agrees with the span, at the arc's
+   own ends otherwise.
+
+Each plane projects the whole cloud once; its inliers' distances and
+in-plane coordinates are rows of that projection.
 
 Each refinement runs once, not to a fixed point: the feedback pass
 corrects the plane anyway, and a sub-nanometre Gauss-Newton step is
@@ -137,10 +142,11 @@ class NoiseModel:
 class NeedlePose:
     """Fitted circle plus the two needle endpoints.
 
-    The estimator labels endpoints purely geometrically (deterministic
-    index order); which one is the actual tip vs. the swage is assigned
-    by whoever tracks the thread attachment. Like the geometry types,
-    it freezes copies of the endpoint arrays, never the caller's own.
+    The estimator labels endpoints purely geometrically (the visible
+    arc's start, then its end, counterclockwise about the normal); which
+    one is the actual tip vs. the swage is assigned by whoever tracks
+    the thread attachment. Like the geometry types, it freezes copies of
+    the endpoint arrays, never the caller's own.
     """
 
     circle: Circle3D
@@ -519,12 +525,14 @@ def _radial_residuals(coords: np.ndarray, center2d: np.ndarray, radius: float) -
     return np.abs(dist, out=dist)
 
 
-def _plane_projection(pts: np.ndarray, plane: Plane) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Signed distances of (n, 3) points to the plane, their projections
-    onto it and the projections' in-plane coordinates."""
+def _plane_projection(pts: np.ndarray, plane: Plane) -> tuple[np.ndarray, np.ndarray]:
+    """Signed distances of (n, 3) points to the plane and the in-plane
+    coordinates of their projections onto it. Each row is a product
+    with 3-vectors, so rows sliced from the result keep the bytes of the
+    same rows projected alone (the estimator digests in test_golden.py
+    pin this)."""
     dist = plane.signed_distance(pts)
-    projected = pts - dist[:, None] * plane.normal
-    return dist, projected, geo.to_plane_coords(projected, plane)
+    return dist, geo.to_plane_coords(pts - dist[:, None] * plane.normal, plane)
 
 
 def _plane_hypotheses(pts: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -731,50 +739,10 @@ def _polish_circle_center(inl: np.ndarray, center: np.ndarray, radius: float) ->
     return center
 
 
-def farthest_pair_indices(points) -> tuple[int, int]:
-    """Indices (i, j), i < j, of the farthest point pair.
-
-    Ties resolve to the lexicographically smallest index pair.
-    """
-    pts = np.asarray(points, dtype=float)
-    n = len(pts)
-    if n < 2:
-        raise DegenerateInput(f"need at least 2 points, got {n}", stage="endpoints")
-    gram = pts @ pts.T
-    sq = np.diagonal(gram)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * gram
-    d2[np.tri(n, dtype=bool)] = -np.inf  # keep only pairs with i < j
-    # first occurrence in row-major order = lexicographic (i, j)
-    i, j = divmod(int(np.argmax(d2)), n)
-    return i, j
-
-
-def snap_to_circle(point, circle: Circle3D) -> np.ndarray:
-    """Project a point onto the circle (plane projection, then radial)."""
-    p = geo.as_point(point)
-    w = p - circle.center
-    in_plane = w - float(np.dot(w, circle.normal)) * circle.normal
-    nrm = geo.norm(in_plane)
-    if nrm < 1e-12:
-        u, _ = geo.plane_basis(circle.plane())
-        in_plane, nrm = u, 1.0
-    return circle.center + circle.radius * (in_plane / nrm)
-
-
-def extract_endpoints(points, circle: Circle3D) -> tuple[np.ndarray, np.ndarray]:
-    """Farthest pair of needle inliers, snapped onto the circle.
-
-    Returned in index order of the farthest pair (deterministic); the
-    caller decides which end is the tip.
-    """
-    pts = np.asarray(points, dtype=float)
-    i, j = farthest_pair_indices(pts)
-    return snap_to_circle(pts[i], circle), snap_to_circle(pts[j], circle)
-
-
 def _refit_plane_near_circle(
     pts: np.ndarray,
-    plane: Plane,
+    dist: np.ndarray,
+    coords: np.ndarray,
     center2d: np.ndarray,
     radius: float,
     plane_threshold: float,
@@ -789,8 +757,10 @@ def _refit_plane_near_circle(
     circle keeps essentially only arc samples, so a plain SVD refit over
     a generous triple-width slab is unbiased. Returns None when the
     gated set is too small or too elongated to pin down an orientation.
+
+    dist and coords are _plane_projection(pts, plane) for the plane the
+    circle was fitted in.
     """
-    dist, _, coords = _plane_projection(pts, plane)
     radial = _radial_residuals(coords, center2d, radius)
     keep = (np.abs(dist) <= 3.0 * plane_threshold) & (radial <= 3.0 * circle_threshold)
     if np.count_nonzero(keep) < 3:
@@ -804,54 +774,64 @@ def _refit_plane_near_circle(
     return Plane(normal, float(normal.dot(centroid)))
 
 
-def _refine_endpoints_with_span(
-    coords_on_circle: np.ndarray,
-    center2d: np.ndarray,
-    plane: Plane,
-    spec: NeedleSpec,
-    snapped: tuple[np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Re-place the endpoints using the known arc span.
+def arc_ends(points2d, center2d) -> tuple[int, int, float, float]:
+    """The arc that in-plane points occupy about center2d, read off the
+    largest angular gap between them.
 
-    The raw farthest-pair endpoints carry the full tangential jitter of
-    two extreme samples. The needle's angular extent is known, so a much
-    better estimate puts the endpoints at (arc midpoint +/- span/2): the
-    midpoint averages the two extremes' outward noise, which largely
-    cancels. The occupied arc is read off the largest angular gap among
-    the circle inliers. Returns None (caller keeps the snapped pair)
-    when the measured extent disagrees with the span -- a hidden true
-    endpoint, heavy contamination, or a (near-)full circle, where the
-    prior would extrapolate off the visible needle.
+    Returns (first, last, start, extent). The arc runs counterclockwise
+    from points2d[first] to points2d[last] through every other point;
+    the largest gap runs on from last to first. start is the angle of
+    points2d[first], in [-pi, pi], and extent the arc's angle, 2 pi
+    less the gap. Of equal gaps, the one that opens at the smallest
+    angle wins. One sort of the angles; fewer than 2 points raise
+    DegenerateInput.
     """
-    span = spec.arc_span
-    n = len(coords_on_circle)
-    if span >= 2.0 * math.pi - 1e-9 or n < 2:
-        return None
-    w = coords_on_circle - center2d
-    # theta with its first angle appended one turn on; the gaps are
-    # np.diff(theta, append=theta[0] + 2 pi), without its dispatch.
-    theta = np.empty(n + 1)
-    theta[:n] = np.arctan2(w[:, 1], w[:, 0])
-    theta[:n].sort()
-    theta[n] = theta[0] + 2.0 * math.pi
-    gaps = theta[1:] - theta[:-1]
+    w = np.asarray(points2d, dtype=float) - center2d
+    n = len(w)
+    if n < 2:
+        raise DegenerateInput(f"need at least 2 points, got {n}", stage="endpoints")
+    theta = np.arctan2(w[:, 1], w[:, 0])
+    order = np.argsort(theta)
+    # The sorted angles with the first appended one turn on; the gaps are
+    # np.diff(ring), without its dispatch.
+    ring = np.empty(n + 1)
+    np.take(theta, order, out=ring[:n])
+    ring[n] = ring[0] + 2.0 * math.pi
+    gaps = ring[1:] - ring[:-1]
     k = int(np.argmax(gaps))
-    extent = 2.0 * math.pi - float(gaps[k])
-    if abs(extent - span) > math.radians(20.0):
-        return None
-    start = float(theta[(k + 1) % n])
-    mid = start + 0.5 * extent
-    angles = (mid - 0.5 * span, mid + 0.5 * span)
-    ends2d = [
-        center2d + spec.radius * np.array([math.cos(a), math.sin(a)]) for a in angles
-    ]
-    ends = [geo.from_plane_coords(e, plane) for e in ends2d]
-    # Keep the deterministic farthest-pair ordering.
-    same = geo.norm(ends[0] - snapped[0]) + geo.norm(ends[1] - snapped[1])
-    crossed = geo.norm(ends[0] - snapped[1]) + geo.norm(ends[1] - snapped[0])
-    if crossed < same:
-        ends.reverse()
-    return ends[0], ends[1]
+    after = (k + 1) % n
+    return int(order[after]), int(order[k]), float(ring[after]), 2.0 * math.pi - float(gaps[k])
+
+
+def extract_endpoints(
+    coords, center2d: np.ndarray, plane: Plane, spec: NeedleSpec
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The needle's two ends from the in-plane coordinates of its circle
+    inliers about the fitted center center2d, in counterclockwise order
+    about the plane normal, and whether the known arc span placed them.
+
+    The ends of the visible arc (arc_ends), placed on the circle, carry
+    the full tangential jitter of two extreme samples. The needle's
+    angular extent is known, so a much better estimate puts the ends at
+    the arc midpoint +/- span/2: the midpoint averages the two extremes'
+    outward noise, which largely cancels. The arc's own ends are kept
+    when its extent is more than 20 degrees off the span -- a hidden
+    true endpoint, heavy contamination -- or the span is a (near-)full
+    circle, where the prior would extrapolate off the visible needle.
+    """
+    _, _, start, extent = arc_ends(coords, center2d)
+    span = spec.arc_span
+    by_span = span < 2.0 * math.pi - 1e-9 and abs(extent - span) <= math.radians(20.0)
+    if by_span:
+        mid = start + 0.5 * extent
+        angles = (mid - 0.5 * span, mid + 0.5 * span)
+    else:
+        angles = (start, start + extent)
+    e1, e2 = (
+        geo.from_plane_coords(center2d + spec.radius * np.array([math.cos(a), math.sin(a)]), plane)
+        for a in angles
+    )
+    return e1, e2, by_span
 
 
 def estimate_pose(
@@ -875,7 +855,8 @@ def estimate_pose(
         raise DegenerateInput("empty cloud", stage="plane")
 
     plane, plane_idx, plane_hypotheses = fit_plane_ransac(pts, params, rng)
-    plane_res, projected, coords = _plane_projection(pts[plane_idx], plane)
+    dist, coords_all = _plane_projection(pts, plane)
+    coords = coords_all[plane_idx]
 
     center2d, circle_hypotheses = fit_circle_fixed_radius(coords, spec.radius, circle_params, rng)
 
@@ -883,12 +864,13 @@ def estimate_pose(
     # identified as needle samples, then redo the in-plane stage against
     # the corrected plane. Kept only if the tail still succeeds there.
     better = _refit_plane_near_circle(
-        pts, plane, center2d, spec.radius, params.inlier_threshold, circle_params.inlier_threshold
+        pts, dist, coords_all, center2d, spec.radius, params.inlier_threshold, circle_params.inlier_threshold
     )
     if better is not None:
-        idx2 = np.flatnonzero(np.abs(better.signed_distance(pts)) <= params.inlier_threshold)
+        dist2, coords2_all = _plane_projection(pts, better)
+        idx2 = np.flatnonzero(np.abs(dist2) <= params.inlier_threshold)
         if len(idx2) >= 2:
-            res2, proj2, coords2 = _plane_projection(pts[idx2], better)
+            coords2 = coords2_all[idx2]
             # The corrected plane tilts by well under a degree, so the
             # pass-one center carries over as a warm start; one ring
             # selection and one polish replace a full second consensus
@@ -899,8 +881,7 @@ def estimate_pose(
             c2 = geo.to_plane_coords(carried, better)
             ring = _radial_residuals(coords2, c2, spec.radius) <= circle_params.inlier_threshold
             if np.count_nonzero(ring) >= 2:
-                plane, plane_idx, plane_res = better, idx2, res2
-                projected, coords = proj2, coords2
+                plane, plane_idx, dist, coords = better, idx2, dist2, coords2
                 center2d = _polish_circle_center(coords2[ring], c2, spec.radius)
     center = geo.from_plane_coords(center2d, plane)
 
@@ -910,12 +891,8 @@ def estimate_pose(
     if n_on_circle < 2:
         raise DegenerateInput(f"only {n_on_circle} points on the fitted circle", stage="endpoints")
     circle = Circle3D(center, plane.normal, spec.radius)
-    e1, e2 = extract_endpoints(projected[on_circle], circle)
-    refined = _refine_endpoints_with_span(
-        coords[on_circle], center2d, plane, spec, (e1, e2)
-    )
-    if refined is not None:
-        e1, e2 = refined
+    e1, e2, span_kept = extract_endpoints(coords[on_circle], center2d, plane, spec)
+    plane_res = dist[plane_idx]
     ring_res = radial[on_circle]
     diag = EstimationDiagnostics(
         plane_inliers=len(plane_idx),
@@ -925,7 +902,7 @@ def estimate_pose(
         plane_hypotheses=plane_hypotheses,
         circle_hypotheses=circle_hypotheses,
         refit_kept=plane is better,
-        span_kept=refined is not None,
+        span_kept=span_kept,
     )
     return NeedlePose(circle, e1, e2), diag
 

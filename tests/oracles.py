@@ -14,16 +14,26 @@ import numpy as np
 from suturesim import perception as pc
 
 
-def brute_force_farthest_pair(points):
-    """O(n^2) double loop; ties -> lexicographically smallest (i, j)."""
-    pts = np.asarray(points, dtype=float)
-    best = (-1.0, None)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = float(np.sum((pts[i] - pts[j]) ** 2))
-            if d > best[0]:
-                best = (d, (i, j))
-    return best[1]
+def largest_gap_ends(points2d, center2d):
+    """Indices (first, last) of the two points on either side of the
+    largest angular gap about center2d, by exhaustive search: the arc
+    runs counterclockwise from points2d[first] to points2d[last].
+
+    Each point's gap is the counterclockwise angle to its nearest
+    successor, found by trying every other point. Ties -> the gap that
+    opens at the smallest angle. The points must lie at distinct angles.
+    """
+    cx, cy = float(center2d[0]), float(center2d[1])
+    angles = [math.atan2(float(y) - cy, float(x) - cx) for x, y in points2d]
+    best = None  # (gap, opening angle, first, last)
+    for i, a in enumerate(angles):
+        gap, successor = 2.0 * math.pi, i
+        for j, b in enumerate(angles):
+            if j != i and (b - a) % (2.0 * math.pi) < gap:
+                gap, successor = (b - a) % (2.0 * math.pi), j
+        if best is None or gap > best[0] or (gap == best[0] and a < best[1]):
+            best = (gap, a, successor, i)
+    return best[2], best[3]
 
 
 def trimmed_grid_circle_center(points2d, radius, trim=0.7):

@@ -31,7 +31,7 @@ from suturesim.harness import (
 )
 from suturesim.simworld import FailureModel, GripperId, NoiseModel
 
-from oracles import brute_force_farthest_pair, trimmed_grid_circle_center
+from oracles import largest_gap_ends, trimmed_grid_circle_center
 
 SPEC = pc.NeedleSpec()
 PARAMS = ControllerParams()
@@ -141,7 +141,9 @@ def test_criterion_1_estimator_accuracy():
 
 def test_criterion_2_oracle_equivalence():
     """On 100 small clouds: circle centers within 0.5 mm of the trimmed
-    grid-search oracle; farthest-pair indices match exhaustive search."""
+    grid-search oracle; the points bounding the largest angular gap about
+    the fitted center, which give the raw endpoints, match exhaustive
+    search."""
     params = pc.RansacParams(iterations=400, inlier_threshold=4e-4, min_inliers=6)
     worst_gap = 0.0
     for seed in range(100):
@@ -165,10 +167,10 @@ def test_criterion_2_oracle_equivalence():
         worst_gap = max(worst_gap, gap)
         assert gap <= 5e-4, f"seed {seed}: center gap {gap * 1000:.3f} mm > 0.5 mm"
 
-        assert pc.farthest_pair_indices(pts) == brute_force_farthest_pair(pts), (
-            f"seed {seed}: farthest-pair indices disagree with exhaustive search"
+        assert pc.arc_ends(pts, fitted)[:2] == largest_gap_ends(pts, fitted), (
+            f"seed {seed}: largest-gap indices disagree with exhaustive search"
         )
-    report(2, True, f"100 clouds; worst center gap {worst_gap * 1000:.3f} mm; all index pairs exact")
+    report(2, True, f"100 clouds; worst center gap {worst_gap * 1000:.3f} mm; all gap index pairs exact")
 
 
 def test_criterion_3_cinch_formula_fidelity():

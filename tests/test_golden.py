@@ -84,10 +84,10 @@ ESTIMATOR_SETTINGS = {
 }
 ESTIMATOR_GOLDEN = {
     "in_loop": "3dc3fa015cd641bd39aa7fee0d8fa77aa270e99dfa8f25ea7925bae7040ab97a",
-    "criterion_1": "9a08c0b3367f89ef952e12acdb4bcbf12687b1b18a654cf54ae2908f8373d048",
+    "criterion_1": "0434ea44b96cda079da4bd127f636916a0ed55720712bb926f76c005f042eca9",
     "many_blocks": "12ca2c889b39a02e4643a1b5293940b07eef1e564d9a359fd106f394ce915210",
     "noise_free": "1a8c1b1b1ad3695a2d790b44a0c499120e1203eb396cd2b617ca1482af8b2109",
-    "wide_circle_band": "777f39a72305016dd92aaa1a67be595a7dc1bd76d7c4bbad107824455bf6fbb2",
+    "wide_circle_band": "eb78be0a3f4e0102a2a4658dea6e701ecf338ef56843d8202f4e20d68c0d6e1c",
 }
 
 

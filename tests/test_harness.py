@@ -676,7 +676,7 @@ def test_cli_bad_config_is_usage_exit(tmp_path, capsys):
     [
         ("noise:\n  occlusion_arc_deg: 90\n", [], "noise.occlusion_arc_deg"),
         ("experiment:\n  base_seed: -4\n", [], "experiment.base_seed:"),
-        ("", ["--seed", "-1"], "base_seed"),
+        ("", ["--seed", "-1"], "--seed:"),
         ("needle:\n  radius: .inf\n", [], "needle.radius:"),
         ("circle_ransac:\n  inlier_threshold: .inf\n", [], "circle_ransac.inlier_threshold:"),
         ("noise:\n  outlier_box: [.inf, 0.06, 0.06]\n", [], "noise.outlier_box[0]:"),
@@ -687,6 +687,7 @@ def test_cli_bad_config_is_usage_exit(tmp_path, capsys):
         ("experiment:\n  thread_length: .inf\n", [], "experiment.thread_length"),
         ("timing:\n  perception_period: .inf\n", [], "timing.perception_period"),
         ("timing:\n  durations:\n    move_to: .inf\n", [], "timing.durations.move_to"),
+        ("timing:\n  durations:\n    jaw: -1\n", [], "timing.durations.jaw:"),
         ("wound:\n  ridge_height: .inf\n", [], "wound.ridge_height"),
         ("wound:\n  spacing: .inf\n", [], "wound.spacing"),
         ("controller:\n  correction_corner: [.inf, 0, 0]\n", [], "controller.correction_corner[0]"),
@@ -695,6 +696,7 @@ def test_cli_bad_config_is_usage_exit(tmp_path, capsys):
         ("ransac:\n  iterations: 100000000000000\n", [], "ransac.iterations:"),
         ("circle_ransac:\n  iterations: 123456789012345678901234\n", [], "circle_ransac.iterations:"),
         ("experiment:\n  n_cloud_points: 1000000000000\n", [], "experiment.n_cloud_points:"),
+        ("", ["--trials", "0"], "--trials:"),
     ],
     ids=[
         "occlusion_key",
@@ -710,6 +712,7 @@ def test_cli_bad_config_is_usage_exit(tmp_path, capsys):
         "infinite_thread_length",
         "infinite_perception_period",
         "infinite_duration",
+        "negative_duration",
         "infinite_ridge_height",
         "infinite_spacing",
         "infinite_correction_corner",
@@ -717,6 +720,7 @@ def test_cli_bad_config_is_usage_exit(tmp_path, capsys):
         "huge_iterations",
         "24_digit_iterations",
         "huge_cloud",
+        "flag_trials",
     ],
 )
 def test_cli_config_rejected_at_load_is_usage_exit(tmp_path, capsys, config_text, flags, field_name):
@@ -792,16 +796,16 @@ def test_cli_estimate_iterations_past_the_cap_is_usage_exit(tmp_path, capsys):
 
 
 def test_cli_estimate_out_of_memory_is_runtime_exit(tmp_path, capsys, monkeypatch):
-    # An oversized cloud file fails where the endpoint stage builds its
-    # Gram matrix; the allocation failure is raised here without allocating.
+    # An estimate that runs out of memory on an oversized cloud file; the
+    # allocation failure is raised here without allocating.
     cloud = tmp_path / "cloud.csv"
     assert cli.main(["synth", "--out", str(cloud), "--seed", "9"]) == cli.EXIT_OK
     capsys.readouterr()
 
-    def oversized(points):
+    def oversized(*args):
         raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)")
 
-    monkeypatch.setattr(pc, "farthest_pair_indices", oversized)
+    monkeypatch.setattr(pc, "estimate_pose", oversized)
     assert cli.main(["estimate", str(cloud)]) == cli.EXIT_RUNTIME
     out, err = capsys.readouterr()
     assert out == ""

@@ -11,7 +11,6 @@ from suturesim import geometry as geo
 from suturesim import perception as pc
 
 from oracles import (
-    brute_force_farthest_pair,
     gauss_newton_circle_center,
     one_shot_circle_scores,
     one_shot_plane_scores,
@@ -688,31 +687,48 @@ def test_fits_reject_a_non_finite_row(bad):
 # endpoints
 
 
-def test_farthest_pair_matches_brute_force():
+def test_arc_ends_run_counterclockwise_around_the_largest_gap():
+    # Shuffled samples of a 200-degree arc, starting anywhere: the arc
+    # runs counterclockwise from its first sample to its last, across the
+    # -pi/pi cut when it lies there.
     rng = np.random.default_rng(13)
-    for _ in range(30):
-        pts = rng.normal(size=(rng.integers(2, 40), 3))
-        assert pc.farthest_pair_indices(pts) == brute_force_farthest_pair(pts)
-
-
-def test_farthest_pair_tie_break_lowest_indices():
-    # A 2x2 square: both diagonals tie; expect the (0, 2) diagonal.
-    pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
-    assert pc.farthest_pair_indices(pts) == (0, 2)
-
-
-def test_farthest_pair_of_identical_points_is_the_first_pair():
-    assert pc.farthest_pair_indices(np.tile([0.1, -0.2, 0.3], (7, 1))) == (0, 1)
+    center2d = np.array([0.004, -0.002])
+    for start in np.linspace(-math.pi, math.pi, 13):
+        angles = start + np.linspace(0.0, math.radians(200.0), 30)
+        perm = rng.permutation(30)
+        coords = center2d + SPEC.radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)[perm]
+        first, last, begin, extent = pc.arc_ends(coords, center2d)
+        assert (perm[first], perm[last]) == (0, 29)
+        assert math.isclose(math.cos(begin), math.cos(start), abs_tol=1e-12)
+        assert math.isclose(math.sin(begin), math.sin(start), abs_tol=1e-12)
+        assert math.isclose(extent, math.radians(200.0), abs_tol=1e-12)
+    with pytest.raises(pc.DegenerateInput):
+        pc.arc_ends(center2d[None, :], center2d)
 
 
 def test_snapped_endpoints_lie_on_circle():
+    # Both placements, at the arc midpoint +/- span/2 and at the arc's own
+    # ends, put the endpoints on the fitted circle, in the order of the arc.
     rng = np.random.default_rng(14)
-    circle = geo.Circle3D(rng.normal(size=3), geo.unit(rng.normal(size=3)), 0.012)
-    for _ in range(50):
-        p = rng.normal(scale=0.05, size=3)
-        snapped = pc.snap_to_circle(p, circle)
-        assert abs(np.linalg.norm(snapped - circle.center) - circle.radius) < 1e-9
-        assert abs(float(np.dot(snapped - circle.center, circle.normal))) < 1e-9
+    for _ in range(25):
+        plane = geo.Plane(geo.unit(rng.normal(size=3)), float(rng.normal(scale=0.05)))
+        center2d = rng.normal(scale=0.02, size=2)
+        center = geo.from_plane_coords(center2d, plane)
+        start = rng.uniform(-math.pi, math.pi)
+        visible = math.radians(170.0)
+        angles = start + np.sort(np.r_[0.0, visible, rng.uniform(0.0, visible, 18)])
+        coords = center2d + rng.uniform(0.01, 0.014) * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        for span, by_span in ((math.pi, True), (2.0 * math.pi, False)):
+            tip, swage, kept = pc.extract_endpoints(coords, center2d, plane, pc.NeedleSpec(arc_span=span))
+            assert kept == by_span
+            for end in (tip, swage):
+                assert abs(np.linalg.norm(end - center) - SPEC.radius) < 1e-9
+                assert abs(plane.signed_distance(end)) < 1e-9
+            u, v = plane.basis
+            sweep = math.atan2(float(np.dot(swage - center, v)), float(np.dot(swage - center, u)))
+            sweep -= math.atan2(float(np.dot(tip - center, v)), float(np.dot(tip - center, u)))
+            want = span if by_span else angles[-1] - angles[0]
+            assert math.isclose(sweep % (2.0 * math.pi), want % (2.0 * math.pi), abs_tol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -729,6 +745,33 @@ def test_estimate_zero_noise_is_exact():
         assert delta.center_dist < 1e-9
         assert delta.normal_angle < 1e-9 or abs(delta.normal_angle - math.pi) < 1e-9
         assert delta.endpoint_dist < 1e-9
+        # ends in counterclockwise order about the normal, as make_needle_pose places them
+        np.testing.assert_allclose(est.tip, pose.tip, atol=1e-9)
+        np.testing.assert_allclose(est.swage, pose.swage, atol=1e-9)
+
+
+def test_endpoints_of_an_arc_past_a_half_circle_are_its_ends():
+    # A 270-degree needle in a full-circle spec, which never keeps the
+    # span placement: the endpoints are the visible arc's own ends. On an
+    # arc past a half circle, the farthest pair of its points lies across
+    # a diameter instead, not at its ends. The simulator's 0.3 mm noise,
+    # criterion 1's outlier share and its 1.5 mm endpoint tolerance.
+    needle = pc.NeedleSpec(arc_span=math.radians(270.0))
+    full_circle = pc.NeedleSpec(arc_span=2.0 * math.pi)
+    noise = pc.NoiseModel(gaussian_sigma=3e-4, outlier_fraction=0.20)
+    plane = pc.RansacParams()
+    circle = pc.RansacParams(inlier_threshold=pc.DEFAULT_CIRCLE_THRESHOLD)
+    within = 0
+    for i in range(100):
+        rng = np.random.default_rng([26, i])
+        truth = pc.make_needle_pose(
+            rng.uniform(-0.03, 0.03, size=3), geo.unit(rng.normal(size=3)), rng.normal(size=3), needle
+        )
+        cloud = pc.synth_needle_cloud(truth, needle, noise, 200, rng)
+        est, diag = pc.estimate_pose(cloud, full_circle, plane, circle, np.random.default_rng(i))
+        assert not diag.span_kept
+        within += pc.pose_agreement(est, truth).endpoint_dist <= 1.5e-3
+    assert within >= 95, within
 
 
 def test_estimate_stage_tags():
