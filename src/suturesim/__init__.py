@@ -3,7 +3,6 @@
 from .config import ConfigError, config_from_dict, load_config
 from .controller import (
     ControllerParams,
-    ErrorKind,
     PipelineState,
     PrimitiveSet,
     cinch_length,
@@ -13,12 +12,10 @@ from .harness import (
     ExperimentConfig,
     MetricsReport,
     PRESETS,
-    TrialLog,
     compute_metrics,
     report_render,
     run_trial,
     validate_event_trace,
-    write_logs,
 )
 from .perception import (
     NeedlePose,
@@ -31,6 +28,7 @@ from .perception import (
     synth_needle_cloud,
 )
 from .simworld import FailureModel, TimingModel, WorldState, WoundSpec, make_wound
+from .triallog import ErrorKind, TrialLog, write_logs
 
 __version__ = "0.1.0"
 

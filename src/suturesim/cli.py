@@ -21,16 +21,9 @@ import numpy as np
 from . import geometry as geo
 from . import perception as pc
 from .config import ConfigError, apply_overrides, config_from_dict, load_config
-from .harness import (
-    PRESETS,
-    HarnessError,
-    MetricsTally,
-    iter_logs,
-    iter_trials,
-    report_render,
-    write_logs,
-)
+from .harness import PRESETS, HarnessError, MetricsTally, iter_trials, report_render
 from .simworld import InvariantViolation, SimulationError
+from .triallog import LogFormatError, iter_logs, write_logs
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -201,6 +194,7 @@ def main(argv=None) -> int:
         SimulationError,
         InvariantViolation,
         HarnessError,
+        LogFormatError,
         OSError,
         MemoryError,
     ) as exc:

@@ -42,6 +42,7 @@ from .simworld import (
     WorldState,
     WoundSpec,
 )
+from .triallog import ErrorKind
 
 
 class ControllerError(RuntimeError):
@@ -73,13 +74,6 @@ class PipelineState(Enum):
     POSE_CORRECTION = "pose_correction"
     DONE = "done"
     FAILED = "failed"
-
-
-class ErrorKind(Enum):
-    INSERTION = "I"
-    EXTRACTION = "E"
-    HANDOVER = "H"
-    THREAD = "T"
 
 
 @dataclass(frozen=True)
@@ -360,9 +354,11 @@ def sweep_thread(world: WorldState) -> None:
 def pose_correction(world: WorldState, params: ControllerParams) -> None:
     """Re-canonicalize the held needle at the low-variance corner.
 
-    Aggregates normal_samples estimates, rotates the sampled mean normal
-    onto +y, then applies the fixed final rotation about world +y that
-    maps the jaw's seated grip back to the pre-insertion orientation.
+    Aggregates normal_samples estimates, rotates the sampled mean normal,
+    in its canonical sign, onto +y (so the sign the estimator gives a
+    normal never matters), then applies the fixed final rotation about
+    world +y that maps the jaw's seated grip back to the pre-insertion
+    orientation.
     """
     holder = world.needle_holder
     if holder is None:
@@ -393,7 +389,7 @@ def pose_correction(world: WorldState, params: ControllerParams) -> None:
         raise CorrectionError(
             f"{failures} of {params.normal_samples} normal samples failed"
         )
-    mean_normal = aggregate_normals(normals)
+    mean_normal = pc.canonical_normal(aggregate_normals(normals))
     pivot = np.mean(centers, axis=0)
     align = geo.align_vectors(mean_normal, WORLD_Y)
     axis, angle = geo.rotation_to_axis_angle(align)

@@ -320,13 +320,8 @@ def project_point_to_plane(point, plane: Plane) -> np.ndarray:
     return p - plane.signed_distance(p) * plane.normal
 
 
-def plane_basis(plane: Plane) -> tuple[np.ndarray, np.ndarray]:
-    """The plane's in-plane basis (u, v); see Plane.basis."""
-    return plane.basis
-
-
 def to_plane_coords(points, plane: Plane) -> np.ndarray:
-    """2D coordinates of (already projected) points in the plane_basis frame."""
+    """2D coordinates of (already projected) points in the Plane.basis frame."""
     u, v = plane.basis
     p = np.asarray(points, dtype=float) - plane.origin()
     if p.ndim == 1:

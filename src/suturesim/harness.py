@@ -1,16 +1,14 @@
-"""Monte Carlo trial runner: ablation presets, metrics, logs, reports.
+"""Monte Carlo trial runner: ablation presets, metrics, reports.
 
 A trial is one wound (six throws unless configured otherwise) driven by
 the per-suture state machine until closure or an unrecoverable error.
-Everything downstream of the seed is deterministic, so experiment logs
-are byte-reproducible: records carry simulation clock only, never wall
-time.
+Everything downstream of the seed is deterministic, so a trial, and its
+log (triallog), is a pure function of its config and seed.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
 import pickle
@@ -20,7 +18,6 @@ from dataclasses import dataclass, field
 from .controller import (
     NEXT_STATE,
     ControllerParams,
-    ErrorKind,
     PipelineState,
     PrimitiveSet,
     run_suture,
@@ -37,20 +34,13 @@ from .simworld import (
     WoundSpec,
     make_wound,
 )
-
-LOG_FORMAT_VERSION = 2
+from .triallog import ErrorKind, TrialLog, _trace_end_problem
 
 # The largest cloud a config may ask for. No array the estimator builds
 # grows faster than the cloud: at this cap the (n, 3) cloud is 48 KiB,
 # and each RANSAC scoring block still holds at least four rows within
 # perception's budget of 8192 (row, point) pairs, 64 KiB per temporary.
 MAX_CLOUD_POINTS = 2048
-
-# terminal status -> the errors a trial that ends in it may carry
-_STATUS_ERRORS = {
-    "wound_closed": frozenset([None]),
-    "failed": frozenset(kind.value for kind in ErrorKind),
-}
 
 #: preset name -> (enabled primitives, human-intervention budget)
 PRESETS: dict[str, tuple[PrimitiveSet, int]] = {
@@ -63,10 +53,6 @@ PRESETS: dict[str, tuple[PrimitiveSet, int]] = {
 
 class HarnessError(RuntimeError):
     """Base class for experiment-harness failures."""
-
-
-class LogFormatError(HarnessError):
-    """A persisted log file does not parse; message names the line."""
 
 
 class TraceInvariantError(HarnessError):
@@ -105,31 +91,6 @@ class ExperimentConfig:
             raise ValueError(f"n_cloud_points must be in [1, {MAX_CLOUD_POINTS}]")
         if not (self.thread_length > 0.0):
             raise ValueError("thread_length must be positive")
-
-
-@dataclass
-class TrialLog:
-    """One trial's identity, outcome, and full ordered event trace."""
-
-    trial: int
-    seed: int
-    preset: str
-    status: str  # "wound_closed" | "failed"
-    error: str | None  # I/E/H/T letter when status == "failed"
-    sutures_completed: int
-    elapsed: float  # simulation seconds, finite and >= 0
-    events: list
-
-    def __post_init__(self):
-        errors = _STATUS_ERRORS.get(self.status)
-        if errors is None:
-            raise ValueError(f"unknown terminal status {self.status!r}")
-        if self.error not in errors:
-            raise ValueError(f"{self.status} trial with error {self.error!r:.40}")
-        if self.sutures_completed < 0:
-            raise ValueError(f"negative sutures_completed {self.sutures_completed}")
-        if not (0.0 <= self.elapsed < math.inf):
-            raise ValueError(f"elapsed {self.elapsed!r} is not a finite, non-negative time")
 
 
 @dataclass
@@ -237,7 +198,7 @@ class MetricsTally:
         self.attempts = 0
         self.successes = 0
         self.total_elapsed = 0.0
-        self.error_counts = {"I": 0, "E": 0, "H": 0, "T": 0}
+        self.error_counts = {kind.value: 0 for kind in ErrorKind}
         self.intervention_gaps = 0
         self.interventions = 0
         self.histogram = [0] * 7  # trials by sutures completed
@@ -301,174 +262,6 @@ def compute_metrics(logs: Iterable[TrialLog]) -> MetricsReport:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: line-delimited JSON, one record per line
-
-
-def _dump(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
-def write_logs(logs: Iterable[TrialLog], path, n_trials: int | None = None) -> None:
-    """Write a header announcing n_trials, then each trial as it arrives.
-
-    `logs` may be any iterable, consumed once; n_trials defaults to
-    len(logs). A run that dies mid-sweep leaves a log whose trial count
-    falls short of its header, which iter_logs rejects.
-    """
-    if n_trials is None:
-        n_trials = len(logs)
-    written = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dump({"record": "header", "version": LOG_FORMAT_VERSION, "n_trials": n_trials}) + "\n")
-        for log in logs:
-            written += 1
-            fh.write(
-                _dump(
-                    {
-                        "record": "trial_start",
-                        "trial": log.trial,
-                        "seed": log.seed,
-                        "preset": log.preset,
-                    }
-                )
-                + "\n"
-            )
-            for event in log.events:
-                fh.write(_dump({"record": "event", "trial": log.trial, "data": event}) + "\n")
-            fh.write(
-                _dump(
-                    {
-                        "record": "trial_end",
-                        "trial": log.trial,
-                        "status": log.status,
-                        "error": log.error,
-                        "sutures_completed": log.sutures_completed,
-                        "elapsed": log.elapsed,
-                    }
-                )
-                + "\n"
-            )
-    if written != n_trials:
-        raise HarnessError(f"{path}: header announces {n_trials} trials but {written} were written")
-
-
-# record kind -> {field: accepted JSON types}; bool is never accepted for a number
-_TRIAL_START_FIELDS = {"trial": (int,), "seed": (int,), "preset": (str,)}
-_EVENT_FIELDS = {"data": (dict,)}
-_TRIAL_END_FIELDS = {
-    "status": (str,),
-    "error": (str, type(None)),
-    "sutures_completed": (int,),
-    "elapsed": (int, float),
-}
-
-
-def _check_fields(record: dict, fields: dict, lineno: int) -> None:
-    for name, types in fields.items():
-        value = record.get(name)
-        if type(value) not in types:
-            state = "missing" if name not in record else f"bad ({value!r:.40})"
-            raise LogFormatError(f"line {lineno}: {record['record']} field {name!r} {state}")
-
-
-def iter_logs(path) -> Iterator[TrialLog]:
-    """Parse a log one trial at a time, yielding each at its trial_end.
-
-    Only the open trial's events are held. Each event's `n` must be its
-    index within its trial, and each trial_end must agree with the end of
-    its trial's trace (_trace_end_problem), so a dropped, duplicated or
-    reordered event line, or a relabelled outcome, is refused. A
-    trial_end's error must fit its status, and its elapsed be finite and
-    non-negative (TrialLog). The header's trial count is checked once
-    the file ends, so a consumer that tallies before it prints shows
-    nothing for a log cut at a trial boundary.
-    """
-    open_trial: dict | None = None
-    events: list = []
-    n_trials: int | None = None
-    read = 0
-    lineno = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise LogFormatError(f"line {lineno}: not valid JSON ({exc.msg})") from exc
-            if type(record) is not dict:
-                raise LogFormatError(f"line {lineno}: expected a JSON object, got {raw[:40]!r}")
-            kind = record.get("record")
-            if n_trials is None:
-                # the first non-blank record must be the header
-                if kind != "header":
-                    raise LogFormatError(f"line {lineno}: expected header record, got {kind!r}")
-                if record.get("version") != LOG_FORMAT_VERSION:
-                    raise LogFormatError(
-                        f"line {lineno}: unsupported log version {record.get('version')!r}"
-                    )
-                n_trials = record.get("n_trials")
-                if type(n_trials) is not int or n_trials < 0:
-                    raise LogFormatError(f"line {lineno}: bad trial count {n_trials!r} in header")
-                continue
-            if kind == "trial_start":
-                if open_trial is not None:
-                    raise LogFormatError(
-                        f"line {lineno}: trial_start while trial {open_trial['trial']} is open"
-                    )
-                _check_fields(record, _TRIAL_START_FIELDS, lineno)
-                open_trial = record
-                events = []
-            elif kind == "event":
-                if open_trial is None or record.get("trial") != open_trial["trial"]:
-                    raise LogFormatError(f"line {lineno}: event outside its trial")
-                _check_fields(record, _EVENT_FIELDS, lineno)
-                data = record["data"]
-                n = data.get("n")
-                if type(n) is not int or n != len(events):
-                    raise LogFormatError(f"line {lineno}: event n {n!r:.40}, expected {len(events)}")
-                events.append(data)
-            elif kind == "trial_end":
-                if open_trial is None or record.get("trial") != open_trial["trial"]:
-                    raise LogFormatError(f"line {lineno}: trial_end without matching trial_start")
-                _check_fields(record, _TRIAL_END_FIELDS, lineno)
-                try:
-                    log = TrialLog(
-                        trial=open_trial["trial"],
-                        seed=open_trial["seed"],
-                        preset=open_trial["preset"],
-                        status=record["status"],
-                        error=record["error"],
-                        sutures_completed=record["sutures_completed"],
-                        elapsed=record["elapsed"],
-                        events=events,
-                    )
-                except ValueError as exc:
-                    raise LogFormatError(f"line {lineno}: {exc}") from exc
-                problem = _trace_end_problem(log)
-                if problem is not None:
-                    raise LogFormatError(f"line {lineno}: {problem}")
-                read += 1
-                yield log
-                open_trial = None
-            elif kind == "header":
-                raise LogFormatError(f"line {lineno}: duplicate header")
-            else:
-                raise LogFormatError(f"line {lineno}: unknown record type {kind!r}")
-    if n_trials is None:
-        raise LogFormatError("line 1: empty file (missing header)")
-    if open_trial is not None:
-        raise LogFormatError(
-            f"line {lineno}: file ends inside trial {open_trial['trial']} (truncated?)"
-        )
-    if read != n_trials:
-        raise LogFormatError(
-            f"line {lineno}: file ends after {read} trials, header announces {n_trials} (truncated?)"
-        )
-
-
-# ---------------------------------------------------------------------------
 # Rendering
 
 
@@ -492,10 +285,7 @@ _COLUMNS = [
     "three_throw_success_rate",
     "full_wound_success_rate",
     "mean_time_per_suture_s",
-    "errors_I",
-    "errors_E",
-    "errors_H",
-    "errors_T",
+    *(f"errors_{kind.value}" for kind in ErrorKind),
     "mean_sutures_to_intervention",
 ]
 
@@ -509,22 +299,17 @@ def _row(name: str, m: MetricsReport) -> list[str]:
         format_rate(m.three_throw_success_rate),
         format_rate(m.full_wound_success_rate),
         format_time(m.mean_time_per_suture),
-        str(m.error_counts.get("I", 0)),
-        str(m.error_counts.get("E", 0)),
-        str(m.error_counts.get("H", 0)),
-        str(m.error_counts.get("T", 0)),
+        *(str(m.error_counts.get(kind.value, 0)) for kind in ErrorKind),
         format_mean(m.mean_sutures_to_intervention),
     ]
 
 
-def report_render(metrics, format: str = "table") -> str:
-    """Render one report or an ordered {name: report} mapping.
+def report_render(metrics: dict[str, MetricsReport], format: str = "table") -> str:
+    """Render an ordered {name: report} mapping, one row per name.
 
     `table` is aligned plain text; `csv` adds the sutures-to-failure
-    histogram as trailing hist_<k> columns (one data row per preset).
+    histogram as trailing hist_<k> columns.
     """
-    if isinstance(metrics, MetricsReport):
-        metrics = {"all": metrics}
     if format not in ("table", "csv"):
         raise ValueError(f"unknown report format {format!r}")
 
@@ -636,36 +421,3 @@ def validate_event_trace(log: TrialLog, config: ExperimentConfig) -> None:
     if problem is not None:
         raise TraceInvariantError(f"trial {log.trial}: {problem}")
 
-
-def _trace_end_problem(log: TrialLog, n_sutures: int | None = None) -> str | None:
-    """What contradicts the trial's outcome at the end of its trace, or None.
-
-    sutures_completed must be the trace's count of suture_closed events,
-    and the status must match the trial's last terminal event: the last
-    suture_closed or suture_failed after its last suture_attempt. A
-    wound_closed trial ends in suture_closed, with n_sutures closures
-    when n_sutures is given; a failed one ends in a suture_failed that
-    carries the trial's error.
-    """
-    closed = 0
-    last = {}  # the last terminal event, or {} when there is none
-    for event in log.events:
-        kind = event.get("kind")
-        if kind == "suture_attempt":
-            last = {}
-        elif kind in ("suture_closed", "suture_failed"):
-            closed += kind == "suture_closed"
-            last = event
-    last_kind = last.get("kind")
-    if log.sutures_completed != closed:
-        return f"sutures_completed {log.sutures_completed}, but the trial logs {closed} suture_closed events"
-    if log.status == "wound_closed":
-        if last_kind != "suture_closed":
-            return "wound_closed status, but the trace does not end in a suture_closed"
-        if n_sutures is not None and closed != n_sutures:
-            return f"wound_closed status, but {closed} of {n_sutures} sutures closed"
-    elif last_kind != "suture_failed":
-        return "failed status, but the trace does not end in a suture_failed"
-    elif last.get("error") != log.error:
-        return f"status error {log.error!r}, but the last suture_failed carries {last.get('error')!r}"
-    return None

@@ -192,17 +192,12 @@ class EstimationDiagnostics:
     span_kept: bool
 
 
-class PoseDelta(tuple):
-    """(center_dist, normal_angle, endpoint_dist) with named access."""
+class PoseDelta(NamedTuple):
+    """How far apart two poses are, in m, rad and m; see pose_agreement."""
 
-    __slots__ = ()
-
-    def __new__(cls, center_dist, normal_angle, endpoint_dist):
-        return super().__new__(cls, (center_dist, normal_angle, endpoint_dist))
-
-    center_dist = property(lambda self: self[0])
-    normal_angle = property(lambda self: self[1])
-    endpoint_dist = property(lambda self: self[2])
+    center_dist: float
+    normal_angle: float
+    endpoint_dist: float
 
 
 def canonical_normal(n) -> np.ndarray:

@@ -27,6 +27,7 @@ from . import geometry as geo
 from . import perception as pc
 from .geometry import RigidTransform
 from .perception import NeedlePose, NoiseModel, RansacParams
+from .triallog import event_record
 
 if TYPE_CHECKING:
     from .harness import ExperimentConfig
@@ -325,23 +326,6 @@ class SetJaw:
 Motion = MoveTo | Translate | RotateHeld | SetJaw
 
 
-def _jsonable(value):
-    """Coerce a payload value into plain JSON-serializable Python."""
-    if isinstance(value, np.ndarray):
-        return value.astype(float, copy=False).ravel().tolist()
-    if isinstance(value, (bool, np.bool_)):  # before int: bool subclasses int
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, (tuple, list)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 # ---------------------------------------------------------------------------
 # The world
 
@@ -415,9 +399,7 @@ class WorldState:
         self._ctx.update(ctx)
 
     def log_event(self, kind: str, **payload) -> dict:
-        event = {"n": len(self.events), "t": self.clock, "kind": kind}
-        event.update({k: _jsonable(v) for k, v in self._ctx.items()})
-        event.update({k: _jsonable(v) for k, v in payload.items()})
+        event = event_record(len(self.events), self.clock, kind, self._ctx, payload)
         self.events.append(event)
         return event
 
@@ -694,7 +676,7 @@ class WorldState:
             # Marginal dual grasps can twist the needle when the new
             # holder first moves; draw it now to keep the stream order fixed.
             if float(self.rng.random()) < 1.0 - prob:
-                u, v = geo.plane_basis(self.needle_true.circle.plane())
+                u, v = self.needle_true.circle.plane().basis
                 phi = self.rng.uniform(0.0, 2.0 * math.pi)
                 axis = math.cos(phi) * u + math.sin(phi) * v
                 angle = self.rng.uniform(math.radians(2.0), math.radians(6.0))

@@ -18,11 +18,10 @@ from suturesim import controller as ctl
 from suturesim import geometry as geo
 from suturesim import perception as pc
 from suturesim import simworld as sw
-from suturesim.controller import ControllerParams, ErrorKind
+from suturesim.controller import ControllerParams
 from suturesim.harness import (
     PRESETS,
     ExperimentConfig,
-    TrialLog,
     compute_metrics,
     format_mean,
     format_rate,
@@ -30,6 +29,7 @@ from suturesim.harness import (
     validate_event_trace,
 )
 from suturesim.simworld import FailureModel, GripperId, NoiseModel
+from suturesim.triallog import ErrorKind, TrialLog
 
 from oracles import largest_gap_ends, trimmed_grid_circle_center
 

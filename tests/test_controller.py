@@ -13,7 +13,6 @@ from suturesim import simworld as sw
 from suturesim.controller import (
     CinchError,
     ControllerParams,
-    ErrorKind,
     PlanError,
     PrimitiveSet,
 )
@@ -29,6 +28,7 @@ from suturesim.simworld import (
     SetJaw,
     Translate,
 )
+from suturesim.triallog import ErrorKind
 
 SPEC = pc.NeedleSpec()
 PARAMS = ControllerParams()
@@ -287,6 +287,35 @@ def test_pose_correction_restores_canonical_normal():
     ctl.pose_correction(world, PARAMS)
     n_after = world.needle_true.normal
     assert abs(float(np.dot(n_after, [0, 1, 0]))) > math.cos(math.radians(0.001))
+
+
+def test_pose_correction_ignores_the_sign_of_observed_normals():
+    # A normal and its negation are the same plane: observations whose
+    # normals are all flipped must leave the needle in the same pose.
+    def corrected(flip):
+        world = quiet_world(seed=52)
+        center = world.needle_true.center
+        world.execute(
+            GripperId.RIGHT,
+            RotateHeld((1.0, 0.0, 0.0), math.radians(20.0), tuple(center)),
+        )
+        if flip:
+            observe = world.observe
+
+            def flipped():
+                pose = observe()
+                circle = geo.Circle3D(pose.center, -pose.normal, pose.radius)
+                return pc.NeedlePose(circle, pose.tip, pose.swage)
+
+            world.observe = flipped
+        ctl.pose_correction(world, PARAMS)
+        return world.needle_true
+
+    kept, flipped = corrected(False), corrected(True)
+    np.testing.assert_array_equal(flipped.tip, kept.tip)
+    np.testing.assert_array_equal(flipped.swage, kept.swage)
+    np.testing.assert_array_equal(flipped.normal, kept.normal)
+    np.testing.assert_array_equal(flipped.center, kept.center)
 
 
 # ---------------------------------------------------------------------------

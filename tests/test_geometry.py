@@ -199,7 +199,7 @@ def test_plane_basis_is_right_handed_orthonormal():
     planes = [geo.Plane(np.array([0.0, 0.0, 1.0]), 0.1)]
     planes += [geo.Plane(random_unit(rng), rng.uniform(-1, 1)) for _ in range(100)]
     for plane in planes:
-        u, v = geo.plane_basis(plane)
+        u, v = plane.basis
         assert abs(np.dot(u, v)) < 1e-12
         assert abs(np.dot(u, plane.normal)) < 1e-12
         assert abs(np.linalg.norm(u) - 1) < 1e-12
@@ -207,7 +207,7 @@ def test_plane_basis_is_right_handed_orthonormal():
 
 
 def test_plane_basis_for_z_plane_picks_x_axis():
-    u, v = geo.plane_basis(geo.Plane(np.array([0.0, 0.0, 1.0]), 0.0))
+    u, v = geo.Plane(np.array([0.0, 0.0, 1.0]), 0.0).basis
     np.testing.assert_allclose(u, [1.0, 0.0, 0.0], atol=0)
     np.testing.assert_allclose(v, [0.0, 1.0, 0.0], atol=0)
 

@@ -21,21 +21,18 @@ from suturesim.config import ConfigError, apply_overrides, config_from_dict, loa
 from suturesim.harness import (
     PRESETS,
     ExperimentConfig,
-    LogFormatError,
     MetricsReport,
     TraceInvariantError,
-    TrialLog,
     compute_metrics,
     format_mean,
     format_rate,
     format_time,
-    iter_logs,
     iter_trials,
     report_render,
     validate_event_trace,
-    write_logs,
 )
 from suturesim.simworld import FailureModel, InvariantViolation, NoiseModel
+from suturesim.triallog import RECORDS, LogFormatError, TrialLog, iter_logs, write_logs
 
 ZERO_NOISE = NoiseModel(
     gaussian_sigma=0.0, outlier_fraction=0.0, dropout_fraction=0.0, occlusion_arc=0.0
@@ -328,7 +325,7 @@ def test_log_writes_from_an_iterator_match_a_list(tmp_path, nominal_logs):
     write_logs(logs, listed)
     write_logs(iter(logs), streamed, n_trials=len(logs))
     assert streamed.read_bytes() == listed.read_bytes()
-    with pytest.raises(hn.HarnessError, match="header announces 4 trials but 3"):
+    with pytest.raises(LogFormatError, match="header announces 4 trials but 3"):
         write_logs(iter(logs), tmp_path / "short.jsonl", n_trials=4)
 
 
@@ -347,6 +344,11 @@ def test_log_writes_from_an_iterator_match_a_list(tmp_path, nominal_logs):
             "outside its trial",
         ),
         (lambda lines: lines[:1] + ['{"record":"wat"}'] + lines[1:], "unknown record"),
+        pytest.param(
+            lambda lines: lines[:1] + ['{"record":["x"]}'] + lines[1:],
+            "unknown record",
+            id="unhashable_record",
+        ),
         (lambda lines: lines[: first_trial_end(lines) + 1], "header announces 3"),
         (lambda lines: [lines[0].replace('"n_trials":3', '"n_trials":"3"')] + lines[1:], "bad trial count"),
         (lambda lines: [lines[0].replace('"version":2', '"version":1')] + lines[1:], "line 1: unsupported log version 1"),
@@ -470,7 +472,7 @@ def test_table_render():
 
 
 def test_csv_render():
-    text = report_render(golden_report(), format="csv")
+    text = report_render({"all": golden_report()}, format="csv")
     header, row = text.strip().splitlines()
     assert header.split(",")[:2] == ["preset", "trials"]
     assert [c for c in header.split(",") if c.startswith("hist_")] == [
@@ -485,7 +487,7 @@ def test_csv_render():
 
 def test_render_rejects_unknown_format():
     with pytest.raises(ValueError):
-        report_render(golden_report(), format="xml")
+        report_render({"all": golden_report()}, format="xml")
 
 
 # ---------------------------------------------------------------------------
@@ -848,6 +850,17 @@ def test_cli_log_writes_booleans_as_json_booleans(tmp_path, capsys):
     text = log.read_text()
     assert '"ok":true' in text
     assert '"ok":1' not in text
+
+
+def test_cli_log_lines_hold_exactly_their_record_fields(tmp_path, capsys):
+    log = tmp_path / "run.jsonl"
+    argv = ["simulate", "--preset", "sensing_only", "--trials", "3", "--out", str(log)]
+    assert cli.main(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    assert {r["record"] for r in records} == set(RECORDS)
+    for record in records:
+        assert set(record) == {"record", *RECORDS[record["record"]]}
 
 
 def test_cli_usage_error_exit_code(capsys):

@@ -139,7 +139,7 @@ def test_plane_ransac_exact_horizontal_plane():
 def test_plane_ransac_with_outliers_recovers_diagonal_plane():
     rng = np.random.default_rng(9)
     n = geo.unit(np.ones(3))
-    u, v = geo.plane_basis(geo.Plane(n, 1.0 / math.sqrt(3)))
+    u, v = geo.Plane(n, 1.0 / math.sqrt(3)).basis
     onplane = (
         n / math.sqrt(3)
         + np.outer(rng.uniform(-0.05, 0.05, 100), u)
