@@ -1,13 +1,7 @@
 """suturesim: circular-needle pose estimation and a deterministic suturing simulator."""
 
 from .config import ConfigError, config_from_dict, load_config
-from .controller import (
-    ControllerParams,
-    PipelineState,
-    PrimitiveSet,
-    cinch_length,
-    run_suture,
-)
+from .controller import ControllerParams, PipelineState, cinch_length, run_suture
 from .harness import (
     ExperimentConfig,
     MetricsReport,
@@ -44,7 +38,6 @@ __all__ = [
     "NoiseModel",
     "PRESETS",
     "PipelineState",
-    "PrimitiveSet",
     "RansacParams",
     "TimingModel",
     "TrialLog",

@@ -6,8 +6,11 @@ perception-gated planning, bounded retries, and an optional
 human-rescue mode. The geometric planners are pure functions over
 observed poses; run_suture owns sequencing, event logging, and the
 error taxonomy (I: insertion, E: extraction, H: handover, T: thread).
-Extraction and handover are retried; one runner, _with_retries, owns
-the retry budget and logs every retry.
+One table, PIPELINE, writes the cycle down once: its order, the step
+that runs each state, and which states are retried. run_suture walks
+it, presets name the states it skips, and TRANSITIONS, the legal edges
+a trace may take, is built from it. One runner, _with_retries, owns
+the retry budget of every retried state and logs every retry.
 
 Conventions baked in here: the right jaw drives insertions and ends up
 holding the needle after each handover; the left jaw re-grasps for
@@ -124,19 +127,6 @@ class ControllerParams:
             raise ValueError("max_retries must be >= 0")
         if self.normal_samples < 1:
             raise ValueError("normal_samples must be >= 1")
-
-
-@dataclass(frozen=True)
-class PrimitiveSet:
-    """Which optional primitives the pipeline actually executes.
-
-    Disabled primitives still appear as states in the trace (entered and
-    immediately left) so every trace satisfies one transition graph.
-    """
-
-    sweep: bool = True
-    cinch: bool = True
-    correction: bool = True
 
 
 class _PhaseFailure(Exception):
@@ -406,11 +396,16 @@ def pose_correction(world: WorldState, params: ControllerParams) -> None:
         raise CorrectionError(f"corrective rotation infeasible: {exc}") from exc
 
 
-def _insertion(world: WorldState, i: int, params: ControllerParams) -> None:
+# ---------------------------------------------------------------------------
+# The steps of the per-suture pipeline. A step runs one state for the
+# world's current suture; a retried step runs one attempt, k.
+
+
+def _insertion(world: WorldState, params: ControllerParams) -> None:
     right = GripperId.RIGHT
     if world.needle_holder is not right:
         raise ControllerError("insertion expects the right jaw to hold the needle")
-    targets = world.targets[i - 1]
+    targets = world.targets[world.suture_index - 1]
     try:
         obs = world.observe()
     except PerceptionError as exc:
@@ -437,10 +432,12 @@ def _with_retries(
 ) -> None:
     """Run attempt(world, params, k) for k = 0 .. max_retries until one returns.
 
-    This is the only place the retry budget is read. An attempt fails
-    softly by raising _Retry or one of _ATTEMPT_ERRORS; each retry is
-    logged with the state's self-transition before it starts. The last
-    attempt's soft failure is terminal.
+    PIPELINE picks the states that run here: those whose row names the
+    error kind they fail with. This is the only place the retry budget
+    is read. An attempt fails softly by raising _Retry or one of
+    _ATTEMPT_ERRORS; each retry is logged with the state's
+    self-transition before it starts. The last attempt's soft failure is
+    terminal, with `kind`; a _PhaseFailure ends the state at once.
     """
     for k in range(params.max_retries + 1):
         if k:
@@ -456,7 +453,8 @@ def _with_retries(
 
 
 def _extraction(world: WorldState, params: ControllerParams, k: int) -> None:
-    """One extraction attempt: re-grasp the exposed end and roll the needle out."""
+    """One extraction attempt: re-grasp the exposed end and roll the needle
+    out. A successful attempt ends by checking the thread for tangles."""
     left = GripperId.LEFT
     if world.grippers[left].jaw is JawState.CLOSED:
         world.execute(left, SetJaw(JawState.OPEN))
@@ -470,6 +468,15 @@ def _extraction(world: WorldState, params: ControllerParams, k: int) -> None:
     after = world.observe()
     if recover_extraction(before, after, params):
         raise _Retry("needle did not clear the tissue")
+    if world.thread_entanglement_check(world.swept) == "entangled":
+        raise _PhaseFailure(ErrorKind.THREAD, "thread entangled during extraction")
+
+
+def _cinch(world: WorldState, params: ControllerParams) -> None:
+    try:
+        world.pull_thread(cinch_length(world.suture_index, params.l_des, params.l_each))
+    except (CinchError, ThreadError) as exc:
+        raise _PhaseFailure(ErrorKind.THREAD, str(exc)) from exc
 
 
 def _handover(world: WorldState, params: ControllerParams, k: int) -> None:
@@ -512,30 +519,56 @@ def _handover(world: WorldState, params: ControllerParams, k: int) -> None:
         raise _PhaseFailure(ErrorKind.HANDOVER, "needle dropped at release")
 
 
+def _sweep(world: WorldState, params: ControllerParams) -> None:
+    sweep_thread(world)
+
+
+def _correction(world: WorldState, params: ControllerParams) -> None:
+    try:
+        pose_correction(world, params)
+    except CorrectionError as exc:
+        raise _PhaseFailure(ErrorKind.HANDOVER, f"pose correction: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # The per-suture state machine
 
 
-# The forward edges of the per-suture state machine; harness.validate_event_trace
-# reads this table to check a trace's transitions.
-NEXT_STATE = {
-    PipelineState.INSERTION: PipelineState.SWEEP,
-    PipelineState.SWEEP: PipelineState.EXTRACTION,
-    PipelineState.EXTRACTION: PipelineState.CINCH,
-    PipelineState.CINCH: PipelineState.HANDOVER,
-    PipelineState.HANDOVER: PipelineState.POSE_CORRECTION,
-    PipelineState.POSE_CORRECTION: PipelineState.DONE,
-}
+# The per-suture pipeline, one row per working state, in order: the state,
+# the step that runs it, and the error it fails with once its retries run
+# out, or None when it is not retried. The last row leads to DONE. Steps
+# call sweep_thread and pose_correction by their module-level names, so a
+# caller that rebinds those names (a tracer, a test) sees every call.
+PIPELINE = (
+    (PipelineState.INSERTION, _insertion, None),
+    (PipelineState.SWEEP, _sweep, None),
+    (PipelineState.EXTRACTION, _extraction, ErrorKind.EXTRACTION),
+    (PipelineState.CINCH, _cinch, None),
+    (PipelineState.HANDOVER, _handover, ErrorKind.HANDOVER),
+    (PipelineState.POSE_CORRECTION, _correction, None),
+)
+_ORDER = [state for state, _, _ in PIPELINE] + [PipelineState.DONE]
+
+# Every (from, to) pair of state values a trace may log: each step forward,
+# a retried state's retry, each working state's failure, and the resume
+# after a human intervention.
+TRANSITIONS = frozenset(
+    [(a.value, b.value) for a, b in zip(_ORDER, _ORDER[1:])]
+    + [(state.value, state.value) for state, _, kind in PIPELINE if kind is not None]
+    + [(state.value, PipelineState.FAILED.value) for state in _ORDER[:-1]]
+    + [(PipelineState.FAILED.value, _ORDER[0].value)]
+)
 
 
 def run_suture(
     world: WorldState,
     params: ControllerParams,
     i: int,
-    enabled: PrimitiveSet = PrimitiveSet(),
+    skip: frozenset = frozenset(),
 ) -> ErrorKind | None:
-    """Execute one full suture throw; in human mode, spend interventions
-    to resume after otherwise-terminal failures. Returns None once the
+    """Execute one full suture throw, entering and leaving the states in
+    `skip` without running them; in human mode, spend interventions to
+    resume after otherwise-terminal failures. Returns None once the
     suture closes, or the kind of the error it failed on."""
     if world.suture_index != i:
         raise ControllerError(
@@ -545,65 +578,32 @@ def run_suture(
     while True:
         world.log_event("suture_attempt")
         try:
-            _attempt_suture(world, params, i, enabled)
+            _attempt_suture(world, params, skip)
         except _PhaseFailure as failure:
             world.set_context(phase="recovery")
             world.log_event("suture_failed", error=failure.kind.value, detail=str(failure))
             if world.interventions_left > 0:
                 world.human_intervention()
-                world.log_event(
-                    "transition",
-                    frm=PipelineState.FAILED.value,
-                    to=PipelineState.INSERTION.value,
-                )
+                world.log_event("transition", frm=PipelineState.FAILED.value, to=_ORDER[0].value)
                 continue
             return failure.kind
         world.log_event("suture_closed")
         return None
 
 
-def _attempt_suture(
-    world: WorldState, params: ControllerParams, i: int, enabled: PrimitiveSet
-) -> None:
-    """One pass through the pipeline; raises _PhaseFailure on a terminal error."""
-    state = PipelineState.INSERTION
-
-    def goto(next_state: PipelineState) -> PipelineState:
-        world.log_event("transition", frm=state.value, to=next_state.value)
-        world.set_context(phase=next_state.value)
-        return next_state
-
-    world.set_context(phase=state.value)
-    try:
-        _insertion(world, i, params)
-        state = goto(PipelineState.SWEEP)
-        if enabled.sweep:
-            sweep_thread(world)
-
-        state = goto(PipelineState.EXTRACTION)
-        _with_retries(world, state, ErrorKind.EXTRACTION, params, _extraction)
-        if world.thread_entanglement_check(world.swept) == "entangled":
-            raise _PhaseFailure(ErrorKind.THREAD, "thread entangled during extraction")
-
-        state = goto(PipelineState.CINCH)
-        if enabled.cinch:
-            try:
-                beta = cinch_length(i, params.l_des, params.l_each)
-                world.pull_thread(beta)
-            except (CinchError, ThreadError) as exc:
-                raise _PhaseFailure(ErrorKind.THREAD, str(exc)) from exc
-
-        state = goto(PipelineState.HANDOVER)
-        _with_retries(world, state, ErrorKind.HANDOVER, params, _handover)
-
-        state = goto(PipelineState.POSE_CORRECTION)
-        if enabled.correction:
-            try:
-                pose_correction(world, params)
-            except CorrectionError as exc:
-                raise _PhaseFailure(ErrorKind.HANDOVER, f"pose correction: {exc}") from exc
-
-        state = goto(PipelineState.DONE)
-    except _PhaseFailure:
-        world.log_event("transition", frm=state.value, to=PipelineState.FAILED.value)
-        raise
+def _attempt_suture(world: WorldState, params: ControllerParams, skip: frozenset) -> None:
+    """One pass through PIPELINE; raises _PhaseFailure on a terminal error."""
+    for (state, step, kind), to in zip(PIPELINE, _ORDER[1:]):
+        world.set_context(phase=state.value)
+        try:
+            if state in skip:
+                pass
+            elif kind is None:
+                step(world, params)
+            else:
+                _with_retries(world, state, kind, params, step)
+        except _PhaseFailure:
+            world.log_event("transition", frm=state.value, to=PipelineState.FAILED.value)
+            raise
+        world.log_event("transition", frm=state.value, to=to.value)
+    world.set_context(phase=PipelineState.DONE.value)

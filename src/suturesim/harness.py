@@ -15,13 +15,7 @@ import pickle
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
-from .controller import (
-    NEXT_STATE,
-    ControllerParams,
-    PipelineState,
-    PrimitiveSet,
-    run_suture,
-)
+from .controller import TRANSITIONS, ControllerParams, PipelineState, run_suture
 from .perception import NeedleSpec, NoiseModel, RansacParams
 from .simworld import (
     SIM_CIRCLE_RANSAC,
@@ -42,12 +36,15 @@ from .triallog import ErrorKind, TrialLog, _trace_end_problem
 # perception's budget of 8192 (row, point) pairs, 64 KiB per temporary.
 MAX_CLOUD_POINTS = 2048
 
-#: preset name -> (enabled primitives, human-intervention budget)
-PRESETS: dict[str, tuple[PrimitiveSet, int]] = {
-    "sensing_only": (PrimitiveSet(sweep=False, cinch=False, correction=False), 0),
-    "thread_handling": (PrimitiveSet(sweep=True, cinch=True, correction=False), 0),
-    "stitch": (PrimitiveSet(sweep=True, cinch=True, correction=True), 0),
-    "stitch_human": (PrimitiveSet(sweep=True, cinch=True, correction=True), 2),
+#: preset name -> (the pipeline states it skips, human-intervention budget)
+PRESETS: dict[str, tuple[frozenset, int]] = {
+    "sensing_only": (
+        frozenset({PipelineState.SWEEP, PipelineState.CINCH, PipelineState.POSE_CORRECTION}),
+        0,
+    ),
+    "thread_handling": (frozenset({PipelineState.POSE_CORRECTION}), 0),
+    "stitch": (frozenset(), 0),
+    "stitch_human": (frozenset(), 2),
 }
 
 
@@ -121,11 +118,11 @@ class MetricsReport:
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialLog:
     """Run one seeded trial to its terminal state."""
     seed = config.base_seed + trial_index
-    enabled, budget = PRESETS[config.preset]
+    skip, budget = PRESETS[config.preset]
     world = WorldState(config, seed, budget)
     status, error, completed = "wound_closed", None, 0
     for i in range(1, config.wound.n_target_sutures + 1):
-        failed = run_suture(world, config.controller, i, enabled)
+        failed = run_suture(world, config.controller, i, skip)
         if failed is not None:
             status, error = "failed", failed.value
             break
@@ -336,21 +333,16 @@ def report_render(metrics: dict[str, MetricsReport], format: str = "table") -> s
 # Trace validation
 
 
-_STATES = [s.value for s in PipelineState]
-_FORWARD = {a.value: b.value for a, b in NEXT_STATE.items()}
-_RETRYABLE = ("extraction", "handover")
-
-
 def validate_event_trace(log: TrialLog, config: ExperimentConfig) -> None:
     """Check a trial trace against the structural invariants of the config
     it ran with.
 
     Raises TraceInvariantError naming the first violated rule: monotone
-    ids/clock, legal state-machine edges only, per-phase retry bounds,
-    every successful grasp gated by a fresh successful observation,
-    exact cinch arithmetic, strict jitter bound, the preset's
-    intervention budget, and a terminal record consistent with the trial
-    status and the wound's suture count.
+    ids/clock, only the state-machine edges in controller.TRANSITIONS,
+    per-phase retry bounds, every successful grasp gated by a fresh
+    successful observation, exact cinch arithmetic, strict jitter bound,
+    the preset's intervention budget, and a terminal record consistent
+    with the trial status and the wound's suture count.
     """
     params = config.controller
     budget = PRESETS[config.preset][1]
@@ -375,16 +367,9 @@ def validate_event_trace(log: TrialLog, config: ExperimentConfig) -> None:
 
         if kind == "transition":
             frm, to = event.get("frm"), event.get("to")
-            if frm not in _STATES or to not in _STATES:
-                fail(k, f"transition between unknown states {frm!r} -> {to!r}")
-            legal = (
-                _FORWARD.get(frm) == to
-                or to == "failed"
-                or (frm == "failed" and to == "insertion")
-                or (frm == to and frm in _RETRYABLE)
-            )
-            if not legal:
-                fail(k, f"illegal transition {frm} -> {to}")
+            # a state read from a log may be any JSON value, and not hashable
+            if type(frm) is not str or type(to) is not str or (frm, to) not in TRANSITIONS:
+                fail(k, f"illegal transition {frm!r:.40} -> {to!r:.40}")
             observed_since_mark = False
         elif kind == "retry":
             key = (attempt_no, event.get("suture"), event.get("primitive"))

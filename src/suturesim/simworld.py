@@ -74,10 +74,6 @@ class MotionError(SimulationError):
 class PerceptionError(SimulationError):
     """An observation could not produce a pose estimate."""
 
-    def __init__(self, message: str, stage: str | None = None):
-        super().__init__(message)
-        self.stage = stage
-
 
 class ThreadError(SimulationError):
     """Thread bookkeeping violation (ran out of thread)."""
@@ -516,7 +512,7 @@ class WorldState:
         intervals = self.visible_intervals()
         if not intervals:
             self.log_event("observation", ok=False, reason="fully_occluded")
-            raise PerceptionError("needle fully occluded", stage="render")
+            raise PerceptionError("needle fully occluded")
 
         # The cloud and the estimator share a child generator: how many
         # samples RANSAC draws depends on where it stops, so drawing them
@@ -537,7 +533,7 @@ class WorldState:
             estimate, _ = pc.estimate_pose(cloud, self.spec, self.ransac, self.circle_ransac, rng)
         except pc.EstimationError as exc:
             self.log_event("observation", ok=False, reason="estimation", stage=exc.stage)
-            raise PerceptionError(str(exc), stage=exc.stage) from exc
+            raise PerceptionError(str(exc)) from exc
 
         corrupted = corrupt_u < self.failures.perception_corruption_prob
         if corrupted:

@@ -150,17 +150,22 @@ def write_logs(logs: Iterable[TrialLog], path, n_trials: int | None = None) -> N
 
 
 def _check_fields(record: dict, lineno: int) -> None:
-    for name, types in RECORDS[record["record"]].items():
+    fields = RECORDS[record["record"]]
+    for name, types in fields.items():
         value = record.get(name)
         if type(value) not in types:
             state = "missing" if name not in record else f"bad ({value!r:.40})"
             raise LogFormatError(f"line {lineno}: {record['record']} field {name!r} {state}")
+    for name in record:
+        if name != "record" and name not in fields:
+            raise LogFormatError(f"line {lineno}: {record['record']} field {name!r:.40} unknown")
 
 
 def iter_logs(path) -> Iterator[TrialLog]:
     """Parse a log one trial at a time, yielding each at its trial_end.
 
-    Every record's fields must have their RECORDS types. Only the open
+    Every record must hold exactly its RECORDS fields, each of its
+    RECORDS types. Only the open
     trial's events are held. Each event's `n` must be its index within
     its trial, and each trial_end must agree with the end of its trial's
     trace (_trace_end_problem), so a dropped, duplicated or reordered

@@ -13,11 +13,11 @@ from suturesim import simworld as sw
 from suturesim.controller import (
     CinchError,
     ControllerParams,
+    PipelineState,
     PlanError,
-    PrimitiveSet,
 )
 from suturesim.geometry import RigidTransform
-from suturesim.harness import ExperimentConfig
+from suturesim.harness import PRESETS, ExperimentConfig
 from suturesim.simworld import (
     FailureModel,
     GripperId,
@@ -359,9 +359,10 @@ def test_run_suture_nominal_path():
 
 def test_disabled_primitives_still_transition():
     world = quiet_world(seed=61)
-    failed = ctl.run_suture(
-        world, PARAMS, 1, PrimitiveSet(sweep=False, cinch=False, correction=False)
+    skip = frozenset(
+        {PipelineState.SWEEP, PipelineState.CINCH, PipelineState.POSE_CORRECTION}
     )
+    failed = ctl.run_suture(world, PARAMS, 1, skip)
     assert failed is None
     assert world.thread.pulled_through == 0.0
     assert not events_of(world, "sweep_complete")
@@ -466,7 +467,28 @@ def test_sweep_causally_prevents_entanglement():
     assert ctl.run_suture(swept, PARAMS, 1) is None
 
     unswept = quiet_world(seed=65, failures=FailureModel(**cfg))
-    assert ctl.run_suture(unswept, PARAMS, 1, PrimitiveSet(sweep=False)) is ErrorKind.THREAD
+    skip = frozenset({PipelineState.SWEEP})
+    assert ctl.run_suture(unswept, PARAMS, 1, skip) is ErrorKind.THREAD
+
+
+def test_pipeline_calls_sweep_and_correction_by_their_module_names(monkeypatch):
+    # A profiler that rebinds these names must see every call they get.
+    calls = {"sweep_thread": 0, "pose_correction": 0}
+
+    def counting(name):
+        fn = getattr(ctl, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(ctl, name, counting(name))
+    world = quiet_world(seed=60)
+    assert ctl.run_suture(world, PARAMS, 1, PRESETS["stitch"][0]) is None
+    assert calls == {"sweep_thread": 1, "pose_correction": 1}
 
 
 def test_intervention_resumes_and_completes_suture():

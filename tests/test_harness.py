@@ -18,6 +18,7 @@ from suturesim import config as cf
 from suturesim import harness as hn
 from suturesim import perception as pc
 from suturesim.config import ConfigError, apply_overrides, config_from_dict, load_config
+from suturesim.controller import TRANSITIONS, PipelineState
 from suturesim.harness import (
     PRESETS,
     ExperimentConfig,
@@ -81,11 +82,10 @@ def test_preset_table():
     assert PRESETS["sensing_only"][1] == 0
     assert PRESETS["stitch"][1] == 0
     assert PRESETS["stitch_human"][1] == 2
-    prims = PRESETS["sensing_only"][0]
-    assert not prims.sweep and not prims.cinch and not prims.correction
-    prims = PRESETS["thread_handling"][0]
-    assert prims.sweep and prims.cinch and not prims.correction
-    assert all(PRESETS["stitch"][0] == PRESETS["stitch_human"][0] for _ in [0])
+    optional = {PipelineState.SWEEP, PipelineState.CINCH, PipelineState.POSE_CORRECTION}
+    assert PRESETS["sensing_only"][0] == optional
+    assert PRESETS["thread_handling"][0] == {PipelineState.POSE_CORRECTION}
+    assert PRESETS["stitch"][0] == PRESETS["stitch_human"][0] == frozenset()
 
 
 def test_experiment_config_validation():
@@ -97,9 +97,9 @@ def test_experiment_config_validation():
     with pytest.raises(ValueError, match="n_cloud_points"):
         ExperimentConfig(n_cloud_points=hn.MAX_CLOUD_POINTS + 1)
     assert ExperimentConfig(preset="stitch_human").preset == "stitch_human"
-    enabled, budget = PRESETS["stitch_human"]
+    skip, budget = PRESETS["stitch_human"]
     assert budget == 2
-    assert enabled.correction
+    assert PipelineState.POSE_CORRECTION not in skip
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +235,41 @@ def test_tampered_traces_fail_validation(nominal_logs):
         validate_event_trace(beta_bad, config)
 
 
+def test_transition_edges():
+    forward = ["insertion", "sweep", "extraction", "cinch", "handover", "pose_correction", "done"]
+    assert TRANSITIONS == {
+        *zip(forward, forward[1:]),
+        ("extraction", "extraction"),
+        ("handover", "handover"),
+        *((state, "failed") for state in forward[:-1]),
+        ("failed", "insertion"),
+    }
+    assert len(TRANSITIONS) == 15
+
+
+@pytest.mark.parametrize(
+    "frm,to",
+    [
+        ("cinch", "cinch"),
+        ("insertion", "extraction"),
+        ("done", "failed"),
+        ("failed", "extraction"),
+        ("failed", "failed"),
+        ("insertion", "knotting"),
+        (["insertion"], "sweep"),
+    ],
+)
+def test_illegal_transitions_fail_validation(nominal_logs, frm, to):
+    config, logs = nominal_logs
+    import copy
+
+    log = copy.deepcopy(logs[0])
+    hop = next(e for e in log.events if e["kind"] == "transition")
+    hop["frm"], hop["to"] = frm, to
+    with pytest.raises(TraceInvariantError, match="illegal transition"):
+        validate_event_trace(log, config)
+
+
 def test_log_round_trip(tmp_path, nominal_logs):
     _, logs = nominal_logs
     path = tmp_path / "logs.jsonl"
@@ -353,6 +388,11 @@ def test_log_writes_from_an_iterator_match_a_list(tmp_path, nominal_logs):
         (lambda lines: [lines[0].replace('"n_trials":3', '"n_trials":"3"')] + lines[1:], "bad trial count"),
         (lambda lines: [lines[0].replace('"version":2', '"version":1')] + lines[1:], "line 1: unsupported log version 1"),
         (lambda lines: lines[:1] + ["5"] + lines[1:], "line 2: expected a JSON object"),
+        pytest.param(
+            lambda lines: lines[:1] + [lines[1].replace("{", '{"junk":[1,2],', 1)] + lines[2:],
+            "line 2: trial_start field 'junk' unknown",
+            id="unknown_field",
+        ),
         (edit_first_trial_end('"status":"wound_closed",', ""), "'status' missing"),
         (
             edit_first_trial_end('"sutures_completed":6', '"sutures_completed":"x"'),
