@@ -209,6 +209,10 @@ def config_from_dict(data: dict | None) -> ExperimentConfig:
     timing_values["timing.durations"] = ("durations", merged)
     settings["timing"] = _build(defaults.timing, timing_values, "timing")
 
+    # NeedleSpec takes a full circle, for the estimator's clouds, but a
+    # simulated needle's swage would sit on its tip.
+    if settings["needle"].arc_span >= 2.0 * math.pi:
+        raise ConfigError("needle.arc_span_deg: a simulated needle must span less than 360 degrees")
     wound_kw = _gather(data.pop("wound", None), "wound", _WOUND)
     try:
         wound = make_wound(**dict(wound_kw.values()))

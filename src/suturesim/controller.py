@@ -381,11 +381,13 @@ def pose_correction(world: WorldState, params: ControllerParams) -> None:
         )
     mean_normal = pc.canonical_normal(aggregate_normals(normals))
     pivot = np.mean(centers, axis=0)
-    align = geo.align_vectors(mean_normal, WORLD_Y)
-    axis, angle = geo.rotation_to_axis_angle(align)
+    # Onto +y: about mean_normal x y, by their angle (at most 90 degrees).
+    w = geo.cross3(mean_normal, WORLD_Y)
+    s = geo.norm(w)
     try:
-        if angle > 1e-12:
-            world.execute(holder, RotateHeld(tuple(axis), angle, tuple(pivot)))
+        if s > 1e-9:
+            angle = math.atan2(s, float(np.dot(mean_normal, WORLD_Y)))
+            world.execute(holder, RotateHeld(tuple(w / s), angle, tuple(pivot)))
         world.execute(
             holder,
             RotateHeld(tuple(WORLD_Y), params.correction_final_rotation, tuple(pivot)),

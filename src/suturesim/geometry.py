@@ -20,11 +20,6 @@ import numpy as np
 # to within this tolerance.
 UNIT_TOL = 1e-9
 
-# Below this value of 1 + cos(angle between inputs) the single-step
-# alignment formula is ill-conditioned and align_vectors goes through an
-# intermediate perpendicular direction instead.
-_ANTIPARALLEL_CUTOFF = 1e-4
-
 _AXES = np.eye(3)
 _AXES.setflags(write=False)
 
@@ -119,10 +114,6 @@ class RigidTransform:
         t.setflags(write=False)
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", t)
-
-    @staticmethod
-    def identity() -> "RigidTransform":
-        return RigidTransform(np.eye(3), np.zeros(3))
 
     @staticmethod
     def from_translation(v) -> "RigidTransform":
@@ -232,15 +223,6 @@ def rotation_about_point(axis, angle: float, pivot) -> RigidTransform:
     return RigidTransform(rot.rotation, p - rot.rotation @ p)
 
 
-def _align_simple(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Rotation matrix mapping unit a onto unit b; requires dot(a, b) well
-    # above -1. Exact in exact arithmetic: R = I + K + K^2 / (1 + c).
-    w = cross3(a, b)
-    c = float(np.dot(a, b))
-    K = _skew(w)
-    return np.eye(3) + K + (K @ K) / (1.0 + c)
-
-
 def perpendicular_unit(v) -> np.ndarray:
     """A deterministic unit vector perpendicular to v.
 
@@ -251,50 +233,6 @@ def perpendicular_unit(v) -> np.ndarray:
     k = int(np.argmin(np.abs(a)))
     e = _AXES[k]
     return unit(e - float(np.dot(e, a)) * a)
-
-
-def align_vectors(from_dir, to_dir) -> RigidTransform:
-    """Minimal-angle rotation mapping unit `from_dir` onto unit `to_dir`.
-
-    For exactly antiparallel inputs the angle is pi and the axis is the
-    orthogonalized coordinate axis least aligned with `from_dir`. Inputs
-    that are nearly antiparallel go through an intermediate perpendicular
-    direction so the result still maps from_dir onto to_dir to machine
-    precision.
-    """
-    a = require_unit(from_dir, "from_dir")
-    b = require_unit(to_dir, "to_dir")
-    c = float(np.dot(a, b))
-    if c >= -1.0 + _ANTIPARALLEL_CUTOFF:
-        return RigidTransform(_align_simple(a, b), np.zeros(3))
-    p = perpendicular_unit(a)
-    if float(np.linalg.norm(b + a)) <= UNIT_TOL:
-        # Exactly antiparallel: half-turn about the documented tie-break axis.
-        return rotation_about_axis(p, math.pi)
-    R = _align_simple(p, b) @ _align_simple(a, p)
-    return RigidTransform(R, np.zeros(3))
-
-
-def rotation_to_axis_angle(R_or_transform) -> tuple[np.ndarray, float]:
-    """Recover (unit axis, angle in [0, pi]) from a rotation.
-
-    The identity maps to (z-axis, 0). Near angle == pi the axis is taken
-    from the dominant column of R + I for stability.
-    """
-    R = R_or_transform.rotation if isinstance(R_or_transform, RigidTransform) else np.asarray(R_or_transform, dtype=float)
-    v = 0.5 * np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    s = float(np.linalg.norm(v))
-    c = float(np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0))
-    angle = math.atan2(s, c)
-    if s > 1e-9:
-        return v / s, angle
-    if c > 0.0:
-        return _AXES[2].copy(), 0.0
-    # angle ~ pi: R + I = 2 axis axis^T
-    M = R + np.eye(3)
-    k = int(np.argmax(np.diag(M)))
-    axis = unit(M[:, k])
-    return axis, math.pi
 
 
 def signed_angle_about(axis, from_dir, to_dir) -> float:

@@ -32,14 +32,16 @@ estimate_pose draws the plane's triples, then the circle's pairs, from
 the one Generator its caller passes, and returns EstimationDiagnostics
 with the pose. estimate_needle_pose seeds it from RansacParams.seed.
 
-Also provides the synthetic cloud generator used by the simulator and
-the test suite, and plain-text cloud / pose-record I/O.
+Also provides the needle body's arc parametrization (NeedlePose.arc_frame,
+arc_points), the synthetic cloud generator built on it and used by the
+simulator and the test suite, and plain-text cloud / pose-record I/O.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -175,6 +177,23 @@ class NeedlePose:
     def radius(self) -> float:
         return self.circle.radius
 
+    @cached_property
+    def arc_frame(self) -> tuple[np.ndarray, np.ndarray]:
+        """In-plane frame (e1, e2) of the needle body, built once:
+
+            p(s) = center + radius * (cos(s) e1 + sin(s) e2),  s in [0, arc_span],
+
+        with e1 = unit(tip - center) and e2 = normal x e1. p(arc_span) is
+        the swage because every pose sweeps counterclockwise about its
+        normal from tip to swage: make_needle_pose builds it so, and rigid
+        motions keep it so.
+        """
+        e1 = geo.unit(self.tip - self.center)
+        e2 = geo.cross3(self.normal, e1)
+        e1.setflags(write=False)
+        e2.setflags(write=False)
+        return e1, e2
+
 
 @dataclass(frozen=True)
 class EstimationDiagnostics:
@@ -221,33 +240,9 @@ def _canonical(a: np.ndarray) -> np.ndarray:
 # Needle arc parametrization (shared with the simulator)
 
 
-def arc_frame(pose: NeedlePose, arc_span: float) -> tuple[np.ndarray, np.ndarray]:
-    """In-plane frame (e1, e2) such that the needle body is
-
-        p(s) = center + radius * (cos(s) e1 + sin(s) e2),  s in [0, arc_span],
-
-    with p(0) == tip and p(arc_span) == swage. Of the two sweep
-    directions the one whose tip-to-swage sweep best matches arc_span is
-    taken; an exact tie (e.g. a half circle) resolves to the
-    counterclockwise sweep about the pose normal.
-    """
-    n = pose.normal
-    e1 = geo.unit(pose.tip - pose.center)
-    rho_s = geo.unit(pose.swage - pose.center)
-    delta = geo.signed_angle_about(n, e1, rho_s)  # (-pi, pi]
-    ccw = delta % (2.0 * math.pi)
-    cw = (2.0 * math.pi) - ccw if ccw > 0.0 else 2.0 * math.pi
-    if abs(cw - arc_span) < abs(ccw - arc_span):
-        return e1, -geo.cross3(n, e1)
-    return e1, geo.cross3(n, e1)
-
-
-def arc_points(pose: NeedlePose, arc_span: float, s, frame=None) -> np.ndarray:
-    """Points on the needle body at arc parameters s (radians from tip).
-
-    `frame` is arc_frame(pose, arc_span), for a caller that already has it.
-    """
-    e1, e2 = arc_frame(pose, arc_span) if frame is None else frame
+def arc_points(pose: NeedlePose, s) -> np.ndarray:
+    """Points on the needle body at arc parameters s (radians from tip)."""
+    e1, e2 = pose.arc_frame
     s = np.atleast_1d(np.asarray(s, dtype=float))
     return pose.center + pose.radius * (np.cos(s)[:, None] * e1 + np.sin(s)[:, None] * e2)
 
@@ -257,7 +252,7 @@ def make_needle_pose(center, normal, tip_direction, spec: NeedleSpec) -> NeedleP
 
     The tip direction is orthogonalized against the normal; the swage
     sits arc_span further along the counterclockwise sweep about the
-    normal (matching the arc_frame tie-break).
+    normal, as NeedlePose.arc_frame expects.
     """
     c = geo.as_point(center)
     n = geo.require_unit(normal, "needle normal")
@@ -280,7 +275,6 @@ def sample_visible_cloud(
     noise: NoiseModel,
     n_points: int,
     rng: np.random.Generator,
-    frame=None,
 ) -> np.ndarray:
     """Sample a cloud from the given visible arc intervals.
 
@@ -289,7 +283,7 @@ def sample_visible_cloud(
     the intervals proportionally to their length, endpoints included,
     perturbed by isotropic Gaussian noise, then thinned by
     dropout_fraction. Returns an (m, 3) array: arc samples first (in
-    arc-parameter order), then outliers. `frame` is as in arc_points.
+    arc-parameter order), then outliers.
     """
     if n_points < 0:
         raise ValueError("n_points must be >= 0")
@@ -300,14 +294,12 @@ def sample_visible_cloud(
     total = sum(s1 - s0 for s0, s1 in spans)
     chunks = []
     if n_in > 0 and total > 0.0:
-        if frame is None:
-            frame = arc_frame(pose, spec.arc_span)
         counts = _split_counts(n_in, [(s1 - s0) / total for s0, s1 in spans])
         for (s0, s1), k in zip(spans, counts):
             if k <= 0:
                 continue
             s = np.linspace(s0, s1, k) if k > 1 else np.array([(s0 + s1) / 2.0])
-            chunks.append(arc_points(pose, spec.arc_span, s, frame))
+            chunks.append(arc_points(pose, s))
     if chunks:
         arc = np.concatenate(chunks, axis=0)
         if noise.gaussian_sigma > 0.0:

@@ -376,11 +376,10 @@ class WorldState:
         self.scripted_grasp_outcomes: list[bool] | None = None  # fault-injection hook
 
         self._ctx: dict = {}
-        # needle_true's arc frame and burial pieces, for the pose they
-        # were computed from (see _arc_frame).
+        # needle_true's burial pieces, for the pose they were cut from
+        # (see _arc_pieces).
         self._arc_pose: NeedlePose | None = None
-        self._frame: tuple[np.ndarray, np.ndarray] | None = None
-        self._pieces: list[tuple[float, float, bool]] | None = None
+        self._pieces: list[tuple[float, float, bool]] = []
         # Grippers holding the needle, in grasp order; the last one moves it.
         self._holders: list[GripperId] = []
         self._dual_window = False
@@ -418,34 +417,24 @@ class WorldState:
         """
         return self.needle_true.swage.copy()
 
-    def _arc_frame(self) -> tuple[np.ndarray, np.ndarray]:
-        """pc.arc_frame of needle_true, computed once per pose.
-
-        The memo is keyed on the pose object's identity: poses are
-        immutable, and every motion, drop and reseat assigns a new one.
-        Burial depends only on the pose and the fixed wound, so the
-        pieces (_arc_pieces) share the key.
-        """
-        pose = self.needle_true
-        if self._arc_pose is not pose:
-            self._arc_pose = pose
-            self._frame = pc.arc_frame(pose, self.spec.arc_span)
-            self._pieces = None
-        return self._frame
-
     def _arc_coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(a, b, c) with the needle body p(s) = a + b cos s + c sin s."""
-        e1, e2 = self._arc_frame()
         pose = self.needle_true
+        e1, e2 = pose.arc_frame
         return pose.center, pose.radius * e1, pose.radius * e2
 
     def _arc_pieces(self) -> list[tuple[float, float, bool]]:
         """[0, arc_span] cut where the body crosses a ridge or pad face; burial
         changes only there, so each piece is labelled by its midpoint.
-        Computed once per pose (see _arc_frame); callers only read it."""
-        self._arc_frame()  # drops the pieces of an earlier pose
-        if self._pieces is None:
+
+        Cut once per pose; callers only read it. The memo is keyed on the
+        pose object's identity: poses are immutable, and every motion,
+        drop and reseat assigns a new one. Burial depends only on the pose
+        and the fixed wound.
+        """
+        if self._arc_pose is not self.needle_true:
             self._pieces = self._cut_arc()
+            self._arc_pose = self.needle_true
         return self._pieces
 
     def _cut_arc(self) -> list[tuple[float, float, bool]]:
@@ -488,9 +477,7 @@ class WorldState:
     def needle_distance_to_segment(self, seg_a: np.ndarray, seg_b: np.ndarray) -> float:
         """Min distance from the needle body to a line segment."""
         span = self.spec.arc_span
-        pts = pc.arc_points(
-            self.needle_true, span, np.linspace(0.0, span, _ARC_SCAN), self._arc_frame()
-        )
+        pts = pc.arc_points(self.needle_true, np.linspace(0.0, span, _ARC_SCAN))
         d = seg_b - seg_a
         dd = float(np.dot(d, d))
         if dd < 1e-18:
@@ -527,7 +514,6 @@ class WorldState:
             self.noise,
             self.n_cloud_points,
             rng,
-            self._arc_frame(),
         )
         try:
             estimate, _ = pc.estimate_pose(cloud, self.spec, self.ransac, self.circle_ransac, rng)

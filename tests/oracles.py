@@ -88,11 +88,11 @@ def sampled_visible_intervals(world, m=720):
     Samples the needle body at m evenly spaced arc parameters, then
     bisects each buried/visible change 40 times. A sliver narrower than
     one grid step (arc_span / (m - 1)) can fall between two samples and
-    be missed. Only the arc parametrization (arc_frame) comes from the
-    library.
+    be missed. Only the arc parametrization (NeedlePose.arc_frame) comes
+    from the library.
     """
     pose, span, wound = world.needle_true, world.spec.arc_span, world.wound
-    e1, e2 = pc.arc_frame(pose, span)
+    e1, e2 = pose.arc_frame
     cx, _, cz = (float(v) for v in pose.center)
     r = pose.radius
 

@@ -318,6 +318,23 @@ def test_pose_correction_ignores_the_sign_of_observed_normals():
     np.testing.assert_array_equal(flipped.center, kept.center)
 
 
+def test_pose_correction_of_an_aligned_needle_makes_only_the_final_turn():
+    world = quiet_world(seed=53)
+    observe = world.observe
+
+    def on_y():
+        pose = observe()
+        circle = geo.Circle3D(pose.center, (0.0, 1.0, 0.0), pose.radius)
+        return pc.NeedlePose(circle, pose.tip, pose.swage)
+
+    world.observe = on_y
+    ctl.pose_correction(world, PARAMS)
+    turns = [e for e in events_of(world, "motion") if e["motion"] == "rotate_held"]
+    assert len(turns) == 1
+    assert list(turns[0]["axis"]) == [0.0, 1.0, 0.0]
+    assert turns[0]["angle"] == PARAMS.correction_final_rotation
+
+
 # ---------------------------------------------------------------------------
 # insertion forward kinematics
 

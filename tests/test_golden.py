@@ -27,11 +27,11 @@ GOLDEN = {
         "8c7cba2f13bf29bf2a99b21d1beb54c4422754a900598e2f4abf28a034ea061b",
     ),
     "stitch": (
-        "a1546826dce81fa805a50389ee43c24420ed5f547a2642255e2ef8a231e7cc45",
+        "3c3ff35e620277e9c4d73c8ebf4d30da517acb46ef8135618cd518528cbbc874",
         "88508f6689590f4aee9f70fbae145d3e03480d288161e767f200ef5177de898e",
     ),
     "stitch_human": (
-        "113051f8198a696fa5047b54a454afcb736eda47e4549efc2dd1dd5e9bfeceb4",
+        "ffca0a258aba076c9676caa9391b3c557745d6157b8983d3b0f83052b826bb6a",
         "6e3223175f471897539c90011e5530a2ffc1d1b5adfd39466bc7b3e922629e40",
     ),
 }

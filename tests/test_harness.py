@@ -734,6 +734,8 @@ def test_cli_bad_config_is_usage_exit(tmp_path, capsys):
         ("wound:\n  spacing: .inf\n", [], "wound.spacing"),
         ("controller:\n  correction_corner: [.inf, 0, 0]\n", [], "controller.correction_corner[0]"),
         ("controller:\n  handover_test_offset: [.nan, 0, 0]\n", [], "controller.handover_test_offset[0]"),
+        # the spec takes a full circle, but a simulated needle's swage would sit on its tip
+        ("needle:\n  arc_span_deg: 360\n", [], "error: needle.arc_span_deg:"),
         # counts whose up-front arrays no machine holds: rejected before any is built
         ("ransac:\n  iterations: 100000000000000\n", [], "ransac.iterations:"),
         ("circle_ransac:\n  iterations: 123456789012345678901234\n", [], "circle_ransac.iterations:"),
@@ -759,6 +761,7 @@ def test_cli_bad_config_is_usage_exit(tmp_path, capsys):
         "infinite_spacing",
         "infinite_correction_corner",
         "nan_handover_test_offset",
+        "full_circle_span",
         "huge_iterations",
         "24_digit_iterations",
         "huge_cloud",

@@ -97,7 +97,7 @@ def test_synth_occlusion_hides_centered_arc():
     cloud = pc.synth_needle_cloud(pose, SPEC, noise, 200, np.random.default_rng(7))
     # Noise-free points must all be on the visible arc: recover the arc
     # parameter of each sample and check it avoids the centered hole.
-    e1, e2 = pc.arc_frame(pose, SPEC.arc_span)
+    e1, e2 = pose.arc_frame
     rel = cloud - pose.center
     s = np.arctan2(rel @ e2, rel @ e1) % (2 * math.pi)
     span = SPEC.arc_span
@@ -115,12 +115,22 @@ def test_synth_dropout_removes_points():
 
 
 def test_arc_endpoints_match_pose():
+    # NeedlePose.arc_frame sweeps counterclockwise from the tip: every pose
+    # the program builds, moves or spins must put its swage at the span's end.
     rng = np.random.default_rng(4)
-    for _ in range(20):
-        pose = random_pose(rng)
-        pts = pc.arc_points(pose, SPEC.arc_span, [0.0, SPEC.arc_span])
-        np.testing.assert_allclose(pts[0], pose.tip, atol=1e-12)
-        np.testing.assert_allclose(pts[1], pose.swage, atol=1e-12)
+    for span_deg in (20.0, 180.0, 270.0, 359.999):
+        spec = pc.NeedleSpec(arc_span=math.radians(span_deg))
+        for _ in range(20):
+            center = rng.uniform([-0.03, -0.03, 0.0], [0.03, 0.03, 0.05])
+            built = pc.make_needle_pose(center, geo.unit(rng.normal(size=3)), rng.normal(size=3), spec)
+            move = geo.RigidTransform.from_translation(rng.normal(size=3) * 0.01).compose(
+                geo.rotation_about_axis(geo.unit(rng.normal(size=3)), rng.uniform(-math.pi, math.pi))
+            )
+            spin = geo.rotation_about_point(built.normal, rng.uniform(-math.pi, math.pi), built.center)
+            for pose in (built, pc.transform_pose(move, built), pc.transform_pose(spin, built)):
+                tip, swage = pc.arc_points(pose, [0.0, spec.arc_span])
+                assert geo.norm(tip - pose.tip) <= 1e-12
+                assert geo.norm(swage - pose.swage) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -395,7 +395,7 @@ def test_sliver_between_scan_samples_is_buried():
     world.needle_true = pc.make_needle_pose(
         center, (0.0, 1.0, 0.0), (math.cos(alpha), 0.0, math.sin(alpha)), SPEC
     )
-    bottom = pc.arc_points(world.needle_true, SPEC.arc_span, [s_bottom])[0]
+    bottom = pc.arc_points(world.needle_true, [s_bottom])[0]
     assert bottom[2] == pytest.approx(-1e-8, abs=1e-15)
     assert sampled_visible_intervals(world) == [(0.0, SPEC.arc_span)]  # the scan misses it
     assert world.needle_buried()
@@ -418,7 +418,7 @@ def test_lowest_z_is_exact():
     tol = SPEC.radius * (1.0 - math.cos(math.pi / 1438))  # half a scan step of sag
     for _ in range(300):
         world.needle_true = random_pose(rng)
-        sampled = float(pc.arc_points(world.needle_true, SPEC.arc_span, s)[:, 2].min())
+        sampled = float(pc.arc_points(world.needle_true, s)[:, 2].min())
         low = world._lowest_z()
         assert low <= sampled + 1e-15  # 1e-15: rounding of the sampled points
         assert sampled - low <= tol
